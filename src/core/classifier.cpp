@@ -112,17 +112,6 @@ const CsrForest& Classifier::csr() const {
 }
 
 Classifier::StreamReport Classifier::classify_stream(const Dataset& queries,
-                                                     std::size_t chunk_size) const {
-  return classify_stream(queries, chunk_size, nullptr);
-}
-
-Classifier::StreamReport Classifier::classify_stream(const Dataset& queries,
-                                                     std::size_t chunk_size,
-                                                     const std::function<bool()>& cancel) const {
-  return classify_stream(queries, chunk_size, cancel, trace::Span{});
-}
-
-Classifier::StreamReport Classifier::classify_stream(const Dataset& queries,
                                                      std::size_t chunk_size,
                                                      const std::function<bool()>& cancel,
                                                      const trace::Span& parent) const {

@@ -172,23 +172,16 @@ class Classifier {
     std::optional<gpusim::Counters> gpu_counters;
     std::optional<fpgasim::FpgaReport> fpga_report;
   };
-  StreamReport classify_stream(const Dataset& queries, std::size_t chunk_size) const;
-
-  /// Cancellable variant: `cancel` is polled between chunks (never
-  /// mid-chunk), and a true return abandons the remaining work with
-  /// `completed == false`. This is the serving layer's execution
-  /// time-box: a worker passes a deadline check so an expired request
-  /// stops burning the backend after at most one chunk.
+  /// When set, `cancel` is polled between chunks (never mid-chunk), and a
+  /// true return abandons the remaining work with `completed == false`:
+  /// the serving layer's execution time-box, so an expired dispatch stops
+  /// burning the backend after at most one chunk. When `parent` is an
+  /// active span, each chunk gets a "chunk-N" child span carrying its
+  /// duration and backend counter attributes (see set_backend_span_attrs);
+  /// inactive spans cost nothing.
   StreamReport classify_stream(const Dataset& queries, std::size_t chunk_size,
-                               const std::function<bool()>& cancel) const;
-
-  /// Traced variant: when `parent` is an active span, each chunk gets a
-  /// "chunk-N" child span carrying its duration and backend counter
-  /// attributes (see set_backend_span_attrs). Inactive spans cost nothing,
-  /// so the serving layer calls this unconditionally.
-  StreamReport classify_stream(const Dataset& queries, std::size_t chunk_size,
-                               const std::function<bool()>& cancel,
-                               const trace::Span& parent) const;
+                               const std::function<bool()>& cancel = {},
+                               const trace::Span& parent = {}) const;
 
   const Forest& forest() const { return forest_; }
   const ClassifierOptions& options() const { return options_; }

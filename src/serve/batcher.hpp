@@ -32,8 +32,8 @@
 namespace hrf::serve {
 
 /// Dynamic micro-batching knobs (ServerOptions::batching). Disabled by
-/// default: max_requests <= 1 keeps the PR-2 one-request-per-dispatch
-/// path byte-for-byte intact.
+/// default: max_requests <= 1 makes every dispatch a batch of one, on the
+/// same dispatch path a coalesced batch takes.
 struct BatchOptions {
   /// Most member requests per batch; <= 1 disables batching entirely.
   std::size_t max_requests = 1;

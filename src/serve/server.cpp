@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 #include "serve/model_store.hpp"
@@ -20,6 +19,8 @@ SteadyClock::duration to_duration(double seconds) {
   return std::chrono::duration_cast<SteadyClock::duration>(
       std::chrono::duration<double>(std::max(0.0, seconds)));
 }
+
+void stall(double seconds) { std::this_thread::sleep_for(to_duration(seconds)); }
 
 /// The CPU-native replica that serves while the breaker is open. Keeps
 /// the hierarchical layout when the primary uses one (same predictions,
@@ -182,42 +183,39 @@ void ForestServer::flight_event(const char* category, const char* name,
   }
 }
 
-ForestServer::ForestServer(Forest forest, ClassifierOptions classifier_options,
-                           ServerOptions options)
-    : options_(options),
-      classifier_options_(classifier_options),
-      slots_(options.num_workers),
-      breaker_(wire_breaker_events(options.breaker, options.flight_recorder,
-                                   options.flight_scope)),
-      tracer_({options.trace_sampling, options.trace_capacity}) {
-  validate_options();
-  batch_granularity_ = backend_batch_granularity(classifier_options_.backend,
-                                                 classifier_options_.gpu);
-  if (options_.quotas.enabled()) quotas_.emplace(options_.quotas, options_.queue_capacity);
-  auto health = std::make_shared<ModelHealth>();
-  for (std::size_t w = 0; w < options_.num_workers; ++w) {
-    install_model(w, build_worker_model(forest, nullptr, nullptr, 0, health));
-  }
-  start_workers();
-}
+namespace {
 
-ForestServer::ForestServer(const ModelStore& store, ClassifierOptions classifier_options,
-                           ServerOptions options)
-    : options_(options),
-      classifier_options_(classifier_options),
-      slots_(options.num_workers),
-      breaker_(wire_breaker_events(options.breaker, options.flight_recorder,
-                                   options.flight_scope)),
-      tracer_({options.trace_sampling, options.trace_capacity}) {
-  validate_options();
-  batch_granularity_ = backend_batch_granularity(classifier_options_.backend,
-                                                 classifier_options_.gpu);
-  if (options_.quotas.enabled()) quotas_.emplace(options_.quotas, options_.queue_capacity);
+LoadedModel load_current(const ModelStore& store) {
   const std::optional<std::uint64_t> cur = store.current();
   if (!cur) {
     throw ConfigError("model store has no complete generation to serve: " + store.dir());
   }
-  const LoadedModel m = store.load(*cur);
+  return store.load(*cur);
+}
+
+}  // namespace
+
+ForestServer::ForestServer(Forest forest, ClassifierOptions classifier_options,
+                           ServerOptions options)
+    : ForestServer(LoadedModel{0, std::move(forest), "", std::nullopt, std::nullopt},
+                   classifier_options, options) {}
+
+ForestServer::ForestServer(const ModelStore& store, ClassifierOptions classifier_options,
+                           ServerOptions options)
+    : ForestServer(load_current(store), classifier_options, options) {}
+
+ForestServer::ForestServer(const LoadedModel& m, ClassifierOptions classifier_options,
+                           ServerOptions options)
+    : options_(options),
+      classifier_options_(classifier_options),
+      slots_(options.num_workers),
+      breaker_(wire_breaker_events(options.breaker, options.flight_recorder,
+                                   options.flight_scope)),
+      tracer_({options.trace_sampling, options.trace_capacity}) {
+  validate_options();
+  batch_granularity_ = backend_batch_granularity(classifier_options_.backend,
+                                                 classifier_options_.gpu);
+  if (options_.quotas.enabled()) quotas_.emplace(options_.quotas, options_.queue_capacity);
   auto health = std::make_shared<ModelHealth>();
   for (std::size_t w = 0; w < options_.num_workers; ++w) {
     install_model(w, build_worker_model(m.forest, m.csr ? &*m.csr : nullptr,
@@ -238,10 +236,6 @@ ForestServer::~ForestServer() {
 
 std::future<ServeResult> ForestServer::submit(Dataset queries) {
   return submit(std::move(queries), options_.default_deadline_seconds);
-}
-
-std::future<ServeResult> ForestServer::submit(Dataset queries, double deadline_seconds) {
-  return submit(std::move(queries), deadline_seconds, std::string());
 }
 
 std::future<ServeResult> ForestServer::submit(Dataset queries, double deadline_seconds,
@@ -564,14 +558,9 @@ void ForestServer::worker_loop(std::size_t w) {
         if (batch.size() >= 2) delta["requests.batched"] += batch.size();
         counters_.add_batch(delta);
       }
-      if (batch.size() == 1) {
-        // Batches of one take the exact PR-2 single-request path, wrapped
-        // in the watchdog's claim window. A false return means the
-        // watchdog declared this thread hung and already replaced it.
-        if (!dispatch_one(w, std::move(batch.front()))) return;
-      } else {
-        process_batch(w, std::move(batch));
-      }
+      // A false return means the watchdog declared this thread hung and
+      // already replaced it.
+      if (!dispatch(w, std::move(batch))) return;
     }
   } catch (...) {
     // Per-request failures are delivered through promises; only an
@@ -581,431 +570,302 @@ void ForestServer::worker_loop(std::size_t w) {
   }
 }
 
-void ForestServer::process(std::size_t w, Request req) {
-  // Chaos site: stall this worker at dispatch as if the shard wedged.
-  // Placed before the deadline check so the frozen request lands in the
-  // shed path — exactly the deadline storm the cluster router's hedging
-  // has to absorb (docs/cluster.md).
-  if (FaultInjector::global().enabled() && FaultInjector::global().consume("freeze:shard")) {
-    std::this_thread::sleep_for(to_duration(options_.inject_freeze_seconds));
+bool ForestServer::dispatch(std::size_t w, std::vector<Request> batch) {
+  FaultInjector& inj = FaultInjector::global();
+  // With a watchdog, publish the batch so it can be rescued, then
+  // (possibly) wedge at the hang:worker site, then race the watchdog for
+  // the claim: whoever claims first owns every member's promise, so a
+  // rescue is never a lost or duplicate response. Without one, an
+  // injected hang degenerates to a finite stall (the sleep is bounded
+  // precisely so undefended runs still drain).
+  std::shared_ptr<InFlight> inf;
+  if (options_.integrity.hang_timeout_seconds > 0.0) {
+    inf = std::make_shared<InFlight>();
+    inf->dispatched = SteadyClock::now();
+    inf->batch = std::move(batch);
+    std::lock_guard<std::mutex> lock(runtimes_[w]->mu);
+    runtimes_[w]->inflight = inf;
   }
-  // Chaos site: requests from the configured surge tenant stall their
-  // worker — a noisy neighbor whose requests are heavy as well as
-  // frequent, so QoS tests get a deterministic hog.
-  if (FaultInjector::global().enabled() && !options_.surge_tenant.empty() &&
-      req.tenant == options_.surge_tenant &&
-      FaultInjector::global().consume("surge:tenant")) {
-    std::this_thread::sleep_for(to_duration(options_.inject_surge_seconds));
+  if (inj.enabled() && inj.consume("hang:worker")) stall(options_.integrity.inject_hang_seconds);
+  if (inf) {
+    batch = inf->claim();
+    runtimes_[w]->retire(inf);
+    if (batch.empty()) return false;  // rescued: this thread was declared hung
   }
-  const SteadyClock::time_point now = SteadyClock::now();
-  const double queue_s = std::chrono::duration<double>(now - req.enqueued).count();
-  hist_queue_wait_.record_seconds(queue_s);
-  if (req.queue_span.active()) req.queue_span.set_attr("seconds", queue_s);
+  if (inj.enabled()) {
+    // Chaos sites, placed before the deadline check so a stalled member
+    // lands in the shed path — exactly the deadline storm the cluster
+    // router's hedging has to absorb (docs/cluster.md). freeze:batcher
+    // wedges formed batches only; freeze:shard wedges any dispatch as if
+    // the shard stalled; surge:tenant stalls once per member from the
+    // configured tenant — a noisy neighbor whose requests are heavy as
+    // well as frequent, so QoS tests get a deterministic hog.
+    if (batch.size() >= 2 && inj.consume("freeze:batcher")) stall(options_.inject_freeze_seconds);
+    if (inj.consume("freeze:shard")) stall(options_.inject_freeze_seconds);
+    for (const Request& req : batch) {
+      if (!options_.surge_tenant.empty() && req.tenant == options_.surge_tenant &&
+          inj.consume("surge:tenant")) {
+        stall(options_.inject_surge_seconds);
+      }
+    }
+  }
+  const TimePoint now = SteadyClock::now();
+  for (Request& req : batch) end_queue_wait(req, now);
+  // Shed expired members alone; their batchmates proceed unharmed.
+  const auto expired = std::stable_partition(batch.begin(), batch.end(), [now](const Request& r) {
+    return !r.has_deadline || now < r.deadline;
+  });
+  for (auto it = expired; it != batch.end(); ++it) {
+    CounterDeltas shed{{"requests.shed_deadline", 1}};
+    settle({&*it, 1}, shed, nullptr,
+           std::make_exception_ptr(DeadlineError("deadline expired after " +
+                                                 format_seconds(it->queue_seconds) +
+                                                 "s in queue; shed before dispatch")),
+           "shed_deadline");
+  }
+  batch.erase(expired, batch.end());
+  if (!batch.empty()) run_dispatch(w, std::move(batch), CounterDeltas{}, /*rescue=*/false);
+  return true;
+}
+
+void ForestServer::end_queue_wait(Request& req, TimePoint now) {
+  req.queue_seconds = std::chrono::duration<double>(now - req.enqueued).count();
+  hist_queue_wait_.record_seconds(req.queue_seconds);
+  if (req.queue_span.active()) req.queue_span.set_attr("seconds", req.queue_seconds);
   req.queue_span.end();
-  CounterDeltas delta;
-  if (req.has_deadline && now >= req.deadline) {
-    ++delta["requests.shed_deadline"];
-    ++delta["requests.failed"];
-    counters_.add_batch(delta);
-    req.span.set_attr("outcome", "shed_deadline");
-    req.span.end();  // retire the trace before the client's future wakes
-    req.promise.set_exception(std::make_exception_ptr(DeadlineError(
-        "deadline expired after " + format_seconds(queue_s) + "s in queue; shed before dispatch")));
-    return;
-  }
-  finish_one(w, std::move(req), queue_s, std::move(delta));
 }
 
-void ForestServer::finish_one(std::size_t w, Request req, double queue_s, CounterDeltas delta) {
-  try {
-    WallTimer timer;
-    trace::Span exec_span = req.span.child("execute");
-    if (exec_span.active()) exec_span.set_attr("worker", static_cast<std::uint64_t>(w));
-    ServeResult res = execute(w, req, exec_span, delta);
-    exec_span.end();
-    res.queue_seconds = queue_s;
-    res.service_seconds = timer.seconds();
-    hist_execute_.record_seconds(res.service_seconds);
-    hist_end_to_end_.record_seconds(queue_s + res.service_seconds);
-    ++delta["requests.completed"];
-    counters_.add_batch(delta);
-    req.span.set_attr("outcome", "completed");
-    if (stopping_.load(std::memory_order_relaxed)) {
-      drained_after_stop_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // End (and retire) the root span before fulfilling the promise: once the
-    // client's future.get() returns, metrics_snapshot() must already count
-    // this trace as completed.
-    req.span.end();
-    req.promise.set_value(std::move(res));
-  } catch (...) {
-    ++delta["requests.failed"];
-    counters_.add_batch(delta);
-    req.span.set_attr("outcome", "failed");
-    req.span.end();
-    req.promise.set_exception(std::current_exception());
-  }
-}
-
-void ForestServer::process_batch(std::size_t w, std::vector<Request> batch) {
-  // Chaos site: stall the whole formed batch at dispatch — the batcher
-  // analogue of freeze:shard, driving deadline-shed of *formed* batches
-  // in the chaos suite without touching single-request dispatch.
-  if (FaultInjector::global().enabled() && FaultInjector::global().consume("freeze:batcher")) {
-    std::this_thread::sleep_for(to_duration(options_.inject_freeze_seconds));
-  }
-  const SteadyClock::time_point now = SteadyClock::now();
-  std::vector<Member> live;
-  live.reserve(batch.size());
-  CounterDeltas delta;
-  for (Request& req : batch) {
-    const double queue_s = std::chrono::duration<double>(now - req.enqueued).count();
-    hist_queue_wait_.record_seconds(queue_s);
-    if (req.queue_span.active()) req.queue_span.set_attr("seconds", queue_s);
-    req.queue_span.end();
-    if (req.has_deadline && now >= req.deadline) {
-      // Shed this member alone; its batchmates proceed unharmed.
-      ++delta["requests.shed_deadline"];
-      ++delta["requests.failed"];
-      req.span.set_attr("outcome", "shed_deadline");
-      req.span.end();
-      req.promise.set_exception(std::make_exception_ptr(DeadlineError(
-          "deadline expired after " + format_seconds(queue_s) +
-          "s in queue; shed before dispatch")));
-      continue;
-    }
-    live.push_back(Member{std::move(req), queue_s});
-  }
-  counters_.add_batch(delta);
-  if (live.empty()) return;
-  if (live.size() == 1) {
-    Member m = std::move(live.front());
-    finish_one(w, std::move(m.req), m.queue_seconds, CounterDeltas{});
-    return;
-  }
-  execute_members(w, std::move(live));
-}
-
-void ForestServer::execute_members(std::size_t w, std::vector<Member> live) {
-  // One model snapshot, one breaker verdict, one retry chain for the
-  // whole batch: the members were coalesced precisely so they share a
-  // backend run, so they share its routing decisions too.
+void ForestServer::run_dispatch(std::size_t w, std::vector<Request> live, CounterDeltas delta,
+                                bool rescue) {
+  // One model snapshot per dispatch: a concurrent reload flips the slot
+  // pointer, but these members run start to finish on the model grabbed
+  // here.
   const std::shared_ptr<const WorkerModel> m = model_for(w);
-
-  const Dataset& first = live.front().req.queries;
-  std::size_t rows = 0;
-  for (const Member& mem : live) rows += mem.req.queries.num_samples();
-  Dataset all(rows, first.num_features(), first.num_classes());
-  for (const Member& mem : live) {
-    for (std::size_t i = 0; i < mem.req.queries.num_samples(); ++i) {
-      all.push_back(mem.req.queries.sample(i), mem.req.queries.label(i));
+  Dataset gathered;
+  if (live.size() > 1) {
+    std::size_t rows = 0;
+    for (const Request& req : live) rows += req.queries.num_samples();
+    const Dataset& first = live.front().queries;
+    gathered = Dataset(rows, first.num_features(), first.num_classes());
+    for (Request& req : live) {
+      for (std::size_t i = 0; i < req.queries.num_samples(); ++i) {
+        gathered.push_back(req.queries.sample(i), req.queries.label(i));
+      }
+      if (req.span.active()) {
+        req.span.set_attr("batch_members", static_cast<std::uint64_t>(live.size()));
+        req.span.set_attr("batch_rows", static_cast<std::uint64_t>(rows));
+      }
     }
   }
+  const Dataset& rows = live.size() == 1 ? live.front().queries : gathered;
 
-  // The first member's trace hosts the combined execution spans; every
-  // member's own root span still records the batch shape and outcome.
-  for (Member& mem : live) {
-    if (mem.req.span.active()) {
-      mem.req.span.set_attr("batch_members", static_cast<std::uint64_t>(live.size()));
-      mem.req.span.set_attr("batch_rows", static_cast<std::uint64_t>(rows));
-    }
+  // The first member's trace hosts the execution spans; every member's
+  // own root span still records the batch shape and outcome.
+  trace::Span exec_span = live.front().span.child("execute");
+  if (exec_span.active()) {
+    exec_span.set_attr("worker", static_cast<std::uint64_t>(w));
+    if (rescue) exec_span.set_attr("watchdog_rescue", true);
   }
-  trace::Span exec_span = live.front().req.span.child("execute");
-  if (exec_span.active()) exec_span.set_attr("worker", static_cast<std::uint64_t>(w));
-
-  SteadyClock::time_point tightest{};
-  bool has_tightest = false;
-  for (const Member& mem : live) {
-    if (!mem.req.has_deadline) continue;
-    if (!has_tightest || mem.req.deadline < tightest) tightest = mem.req.deadline;
-    has_tightest = true;
-  }
-
-  CounterDeltas delta;
   WallTimer timer;
-  ServeResult base;  // shared skeleton: report + retries + via_fallback
-  bool have = false;
+  ServeResult served;
+  std::exception_ptr error;
+  bool expired = false;
   try {
-    const std::string primary_desc = std::string(to_string(m->primary->options().backend)) +
-                                     "/" + to_string(m->primary->options().variant);
-    if (exec_span.active()) {
-      exec_span.set_attr("generation", m->generation);
-      exec_span.set_attr("primary", primary_desc);
-    }
-    std::string primary_note;
-    bool primary_errored = false;
-    const bool allowed = breaker_.allow_request();
-    if (exec_span.active()) exec_span.set_attr("breaker", to_string(breaker_.state()));
-    if (allowed) {
-      const int tries = 1 + options_.retry.max_retries;
-      std::string last_error;
-      for (int attempt = 0; attempt < tries && !have; ++attempt) {
-        trace::Span attempt_span = exec_span.child("attempt-" + std::to_string(attempt));
-        try {
-          base.report = run_batch(*m->primary, all, live, attempt_span);
-          breaker_.record_success();
-          m->health->completed.fetch_add(live.size(), std::memory_order_relaxed);
-          record_run(*m->primary, m->generation, base.report);
-          have = true;
-        } catch (const DeadlineError&) {
-          // Resolve a possible HalfOpen probe charge (see execute()).
-          breaker_.record_timeout();
-          throw;
-        } catch (const ResourceError& e) {
-          breaker_.record_failure();
-          last_error = e.what();
-          attempt_span.set_attr("error", last_error);
-          if (attempt + 1 < tries) {
-            ++base.retries;
-            ++delta["requests.retried"];  // one backend attempt retried, N members aboard
-            // Backoff gated on the tightest member deadline: if any member
-            // would expire during the nap, skip straight to the fallback.
-            const double backoff = retry_backoff_seconds(options_.retry, attempt, jitter_[w]);
-            if (has_tightest && SteadyClock::now() + to_duration(backoff) >= tightest) break;
-            if (backoff > 0.0) {
-              std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-            }
-          }
-        }
-      }
-      if (!have) {
-        primary_errored = true;  // retries exhausted: this model's primary is sick
-        primary_note = "primary " + primary_desc + " failed after " +
-                       std::to_string(base.retries + 1) + " attempt(s) (" + last_error + ")";
-      }
-    } else {
-      ++delta["breaker.short_circuited"];  // one verdict covers the whole batch
-      if (exec_span.active()) exec_span.set_attr("short_circuited", true);
-      primary_note = "breaker open: skipped primary " + primary_desc;
-    }
-    if (!have) {
-      trace::Span fallback_span = exec_span.child("fallback");
-      base.report = run_batch(*m->fallback, all, live, fallback_span);
-      fallback_span.end();
-      record_run(*m->fallback, m->generation, base.report);
-      base.via_fallback = true;
-      delta["fallback.served"] += live.size();
-      std::string note = "serve: " + primary_note + " -> cpu-native fallback";
-      if (m->generation > 0) note += " [gen " + std::to_string(m->generation) + "]";
-      base.report.degradations.push_back(std::move(note));
-      if (primary_errored) m->health->primary_errors.fetch_add(1, std::memory_order_relaxed);
-      m->health->completed.fetch_add(live.size(), std::memory_order_relaxed);
-    }
-  } catch (const DeadlineError& e) {
-    // The combined run was cancelled — only possible when every member
-    // carries a deadline and the *loosest* one passed (run_batch), so
-    // every member is expired. Fail them all individually.
-    exec_span.end();
-    delta["requests.deadline_expired"] += live.size();
-    delta["requests.failed"] += live.size();
-    counters_.add_batch(delta);
-    const std::string what = e.what();
-    for (Member& mem : live) {
-      mem.req.span.set_attr("outcome", "failed");
-      mem.req.span.end();
-      mem.req.promise.set_exception(std::make_exception_ptr(DeadlineError(what)));
-    }
-    return;
+    served = run_chain(w, *m, rows, live, exec_span, delta, rescue);
+  } catch (const DeadlineError&) {
+    expired = true;  // cancelled at the loosest member deadline: every member expired
+    error = std::current_exception();
   } catch (...) {
+    error = std::current_exception();
+  }
+  exec_span.end();
+  served.service_seconds = timer.seconds();
+  if (error && !expired && live.size() > 1) {
     // A fault the batch cannot pin on one member — typically ConfigError
     // from combined validation (one malformed row). Re-run each member
     // alone: the poison request fails with its own error and batchmates
     // complete normally. No promise was fulfilled yet, so no double-set.
-    exec_span.end();
     counters_.add_batch(delta);
-    for (Member& mem : live) {
-      finish_one(w, std::move(mem.req), mem.queue_seconds, CounterDeltas{});
+    for (Request& req : live) {
+      std::vector<Request> one;
+      one.push_back(std::move(req));
+      run_dispatch(w, std::move(one), CounterDeltas{}, rescue);
     }
     return;
   }
-  exec_span.end();
-
-  // Demultiplex: each member takes its slice of the predictions plus a
-  // copy of the shared timing / degradation / backend-counter trail.
-  const double service_s = timer.seconds();
-  delta["requests.completed"] += live.size();
-  counters_.add_batch(delta);
-  const bool stopping = stopping_.load(std::memory_order_relaxed);
-  std::size_t offset = 0;
-  for (Member& mem : live) {
-    const std::size_t n = mem.req.queries.num_samples();
-    ServeResult res;
-    res.report.predictions.assign(base.report.predictions.begin() + offset,
-                                  base.report.predictions.begin() + offset + n);
-    offset += n;
-    res.report.seconds = base.report.seconds;
-    res.report.simulated = base.report.simulated;
-    res.report.degradations = base.report.degradations;
-    res.report.latency = base.report.latency;
-    res.report.gpu_counters = base.report.gpu_counters;
-    res.report.fpga_report = base.report.fpga_report;
-    res.retries = base.retries;
-    res.via_fallback = base.via_fallback;
-    res.queue_seconds = mem.queue_seconds;
-    res.service_seconds = service_s;
-    hist_execute_.record_seconds(service_s);
-    hist_end_to_end_.record_seconds(mem.queue_seconds + service_s);
-    mem.req.span.set_attr("outcome", "completed");
-    if (stopping) drained_after_stop_.fetch_add(1, std::memory_order_relaxed);
-    mem.req.span.end();
-    mem.req.promise.set_value(std::move(res));
-  }
+  if (expired) delta["requests.deadline_expired"] += live.size();
+  settle(live, delta, error ? nullptr : &served, error);
 }
 
-RunReport ForestServer::run_batch(const Classifier& clf, const Dataset& all,
-                                  const std::vector<Member>& live, const trace::Span& span) {
-  // Cancellation policy: a combined run may only be cancelled when every
-  // member carries a deadline, and then at the *loosest* of them — at
-  // that instant every member is past its own deadline, so failing the
-  // whole batch strands nobody who still had budget. One deadline-less
-  // member pins the run to completion (its batchmates shed at dispatch
-  // or simply receive their answer late, same as a slow single request).
-  bool all_deadlined = true;
-  SteadyClock::time_point loosest{};
-  for (const Member& mem : live) {
-    if (!mem.req.has_deadline) {
-      all_deadlined = false;
-      break;
-    }
-    loosest = std::max(loosest, mem.req.deadline);
-  }
-  std::function<bool()> cancel = [] { return false; };
-  if (all_deadlined) {
-    const SteadyClock::time_point deadline = loosest;
-    cancel = [deadline] { return SteadyClock::now() >= deadline; };
-  }
-  Classifier::StreamReport s =
-      clf.classify_stream(all, options_.deadline_chunk_size, cancel, span);
-  if (!s.completed) {
-    throw DeadlineError("deadline expired during batched execution (" +
-                        std::to_string(s.predictions.size()) + " of " +
-                        std::to_string(all.num_samples()) + " queries done)");
-  }
-  RunReport r;
-  r.predictions = std::move(s.predictions);
-  r.seconds = s.total_seconds;
-  r.simulated = s.simulated;
-  r.degradations = std::move(s.degradations);
-  r.latency = std::move(s.chunk_latency);
-  r.gpu_counters = std::move(s.gpu_counters);
-  r.fpga_report = std::move(s.fpga_report);
-  if (span.active()) {
-    span.set_attr("seconds", r.seconds);
-    span.set_attr("chunks", static_cast<std::uint64_t>(s.chunks));
-    span.set_attr("batch_rows", static_cast<std::uint64_t>(all.num_samples()));
-    set_backend_span_attrs(span, r);
-  }
-  return r;
-}
-
-ServeResult ForestServer::execute(std::size_t w, Request& req, const trace::Span& span,
-                                  CounterDeltas& delta) {
-  // One snapshot per request: a concurrent reload flips the slot pointer,
-  // but this request runs start to finish on the model it grabbed here.
-  const std::shared_ptr<const WorkerModel> m = model_for(w);
+ServeResult ForestServer::run_chain(std::size_t w, const WorkerModel& m, const Dataset& rows,
+                                    const std::vector<Request>& members,
+                                    const trace::Span& span, CounterDeltas& delta,
+                                    bool rescue) {
   ServeResult out;
-  const std::string primary_desc = std::string(to_string(m->primary->options().backend)) + "/" +
-                                   to_string(m->primary->options().variant);
+  const std::string primary_desc = std::string(to_string(m.primary->options().backend)) + "/" +
+                                   to_string(m.primary->options().variant);
   if (span.active()) {
-    span.set_attr("generation", m->generation);
+    span.set_attr("generation", m.generation);
     span.set_attr("primary", primary_desc);
   }
-  std::string primary_note;
+  std::string note;
   bool primary_errored = false;
-  const bool allowed = breaker_.allow_request();
-  if (span.active()) span.set_attr("breaker", to_string(breaker_.state()));
-  if (allowed) {
+  if (rescue) {
+    note = "watchdog: worker " + std::to_string(w) +
+           " hung past hang_timeout -> answered on cpu-native fallback";
+  } else if (!breaker_.allow_request()) {
+    ++delta["breaker.short_circuited"];  // one verdict covers the whole dispatch
+    if (span.active()) {
+      span.set_attr("breaker", to_string(breaker_.state()));
+      span.set_attr("short_circuited", true);
+    }
+    note = "serve: breaker open: skipped primary " + primary_desc + " -> cpu-native fallback";
+  } else {
+    if (span.active()) span.set_attr("breaker", to_string(breaker_.state()));
+    std::optional<TimePoint> tightest;
+    for (const Request& req : members) {
+      if (req.has_deadline && (!tightest || req.deadline < *tightest)) tightest = req.deadline;
+    }
     const int tries = 1 + options_.retry.max_retries;
     std::string last_error;
     for (int attempt = 0; attempt < tries; ++attempt) {
       trace::Span attempt_span = span.child("attempt-" + std::to_string(attempt));
       try {
-        out.report = run_one(*m->primary, req, attempt_span, delta);
+        out.report = classify_members(*m.primary, rows, members, attempt_span);
         breaker_.record_success();
-        m->health->completed.fetch_add(1, std::memory_order_relaxed);
-        record_run(*m->primary, m->generation, out.report);
-        maybe_audit(w, *m, req.queries, out.report, delta);
+        m.health->completed.fetch_add(members.size(), std::memory_order_relaxed);
+        record_run(*m.primary, m.generation, out.report);
+        maybe_audit(w, m, rows, members.size(), out.report, delta);
         return out;
       } catch (const DeadlineError&) {
-        // The attempt outlived the request's deadline: not a backend
-        // verdict, so no failure is counted — but a HalfOpen probe must
-        // still resolve the charge it spent at allow_request(), else the
-        // breaker is stuck HalfOpen with zero budget (see record_timeout).
+        // The attempt outlived the deadline: not a backend verdict, so no
+        // failure is counted — but a HalfOpen probe must still resolve the
+        // charge it spent at allow_request(), else the breaker is stuck
+        // HalfOpen with zero budget (see record_timeout).
         breaker_.record_timeout();
         throw;
       } catch (const ResourceError& e) {
         breaker_.record_failure();
         last_error = e.what();
         attempt_span.set_attr("error", last_error);
-        if (attempt + 1 < tries) {
-          ++out.retries;
-          ++delta["requests.retried"];
-          if (!backoff_sleep(w, attempt, req)) break;  // deadline too close
-        }
+        if (attempt + 1 == tries) break;
+        ++out.retries;
+        ++delta["requests.retried"];  // one backend attempt retried, every member aboard
+        // Deterministic jitter (per-worker stream of the server seed)
+        // spreads retries from concurrent workers so they do not
+        // re-converge on the recovering backend in lockstep. A nap that
+        // would outlive the tightest member deadline skips straight to the
+        // fallback instead of burning the remaining budget.
+        const double backoff = retry_backoff_seconds(options_.retry, attempt, jitter_[w]);
+        if (tightest && SteadyClock::now() + to_duration(backoff) >= *tightest) break;
+        stall(backoff);
       }
     }
     primary_errored = true;  // retries exhausted: this model's primary is sick
-    primary_note = "primary " + primary_desc + " failed after " +
-                   std::to_string(out.retries + 1) + " attempt(s) (" + last_error + ")";
-  } else {
-    ++delta["breaker.short_circuited"];
-    if (span.active()) span.set_attr("short_circuited", true);
-    primary_note = "breaker open: skipped primary " + primary_desc;
+    note = "serve: primary " + primary_desc + " failed after " +
+           std::to_string(out.retries + 1) + " attempt(s) (" + last_error +
+           ") -> cpu-native fallback";
   }
   // The CPU-native fallback replica — bit-identical predictions, degraded
   // latency only, recorded like every other degradation.
   trace::Span fallback_span = span.child("fallback");
-  out.report = run_one(*m->fallback, req, fallback_span, delta);
+  out.report = classify_members(*m.fallback, rows, members, fallback_span);
   fallback_span.end();
-  record_run(*m->fallback, m->generation, out.report);
+  record_run(*m.fallback, m.generation, out.report);
   out.via_fallback = true;
-  ++delta["fallback.served"];
-  std::string note = "serve: " + primary_note + " -> cpu-native fallback";
-  if (m->generation > 0) note += " [gen " + std::to_string(m->generation) + "]";
+  delta["fallback.served"] += members.size();
+  if (m.generation > 0) note += " [gen " + std::to_string(m.generation) + "]";
   out.report.degradations.push_back(std::move(note));
   // Health after the fact: a fallback-served request still completed, but
   // a primary failure is what the canary / post-promotion watch act on.
-  if (primary_errored) m->health->primary_errors.fetch_add(1, std::memory_order_relaxed);
-  m->health->completed.fetch_add(1, std::memory_order_relaxed);
+  if (primary_errored) m.health->primary_errors.fetch_add(1, std::memory_order_relaxed);
+  m.health->completed.fetch_add(members.size(), std::memory_order_relaxed);
   return out;
 }
 
-RunReport ForestServer::run_one(const Classifier& clf, const Request& req,
-                                const trace::Span& span, CounterDeltas& delta) {
-  if (!req.has_deadline) {
-    RunReport r = clf.classify(req.queries);
-    if (span.active()) {
-      span.set_attr("seconds", r.seconds);
-      set_backend_span_attrs(span, r);
+RunReport ForestServer::classify_members(const Classifier& clf, const Dataset& rows,
+                                         const std::vector<Request>& members,
+                                         const trace::Span& span) const {
+  // Cancellation policy: a run may only be cancelled when every member
+  // carries a deadline, and then at the *loosest* of them — at that
+  // instant every member is past its own deadline, so failing the whole
+  // dispatch strands nobody who still had budget. One deadline-less member
+  // pins the run to one classify() call (its batchmates shed at dispatch
+  // or simply receive their answer late, same as a slow single request).
+  std::optional<TimePoint> loosest;
+  for (const Request& req : members) {
+    if (!req.has_deadline) {
+      loosest.reset();
+      break;
     }
-    return r;
-  }
-  // Time-boxed execution: chunked, cancel polled between chunks, so an
-  // expired request stops burning the backend after at most one chunk.
-  const SteadyClock::time_point deadline = req.deadline;
-  Classifier::StreamReport s =
-      clf.classify_stream(req.queries, options_.deadline_chunk_size,
-                          [deadline] { return SteadyClock::now() >= deadline; }, span);
-  if (!s.completed) {
-    ++delta["requests.deadline_expired"];
-    throw DeadlineError("deadline expired during execution (" +
-                        std::to_string(s.predictions.size()) + " of " +
-                        std::to_string(req.queries.num_samples()) + " queries done)");
+    loosest = std::max(loosest.value_or(req.deadline), req.deadline);
   }
   RunReport r;
-  r.predictions = std::move(s.predictions);
-  r.seconds = s.total_seconds;
-  r.simulated = s.simulated;
-  r.degradations = std::move(s.degradations);
-  r.latency = std::move(s.chunk_latency);
-  r.gpu_counters = std::move(s.gpu_counters);
-  r.fpga_report = std::move(s.fpga_report);
+  if (!loosest) {
+    r = clf.classify(rows);
+  } else {
+    // Time-boxed execution: chunked, cancel polled between chunks, so an
+    // expired dispatch stops burning the backend after at most one chunk.
+    const TimePoint deadline = *loosest;
+    Classifier::StreamReport s =
+        clf.classify_stream(rows, options_.deadline_chunk_size,
+                            [deadline] { return SteadyClock::now() >= deadline; }, span);
+    if (!s.completed) {
+      throw DeadlineError("deadline expired during execution (" +
+                          std::to_string(s.predictions.size()) + " of " +
+                          std::to_string(rows.num_samples()) + " queries done)");
+    }
+    if (span.active()) span.set_attr("chunks", static_cast<std::uint64_t>(s.chunks));
+    r.predictions = std::move(s.predictions);
+    r.seconds = s.total_seconds;
+    r.simulated = s.simulated;
+    r.degradations = std::move(s.degradations);
+    r.latency = std::move(s.chunk_latency);
+    r.gpu_counters = std::move(s.gpu_counters);
+    r.fpga_report = std::move(s.fpga_report);
+  }
   if (span.active()) {
     span.set_attr("seconds", r.seconds);
-    span.set_attr("chunks", static_cast<std::uint64_t>(s.chunks));
     set_backend_span_attrs(span, r);
   }
   return r;
+}
+
+void ForestServer::settle(std::span<Request> members, CounterDeltas& delta, ServeResult* served,
+                          std::exception_ptr error, const char* failed_outcome) {
+  delta[served != nullptr ? "requests.completed" : "requests.failed"] += members.size();
+  counters_.add_batch(delta);
+  // Demultiplex: each member takes its slice of the predictions plus a
+  // copy of the shared timing / degradation / backend-counter trail; a
+  // lone member takes the report whole.
+  std::vector<std::uint8_t> combined;
+  if (served != nullptr && members.size() > 1) combined.swap(served->report.predictions);
+  const bool draining = stopping_.load(std::memory_order_relaxed);
+  std::size_t offset = 0;
+  for (Request& req : members) {
+    if (served == nullptr) {
+      req.span.set_attr("outcome", failed_outcome);
+      req.span.end();  // retire the trace before the client's future wakes
+      req.promise.set_exception(error);
+      continue;
+    }
+    ServeResult res = members.size() == 1 ? std::move(*served) : *served;
+    if (members.size() > 1) {
+      const auto begin = combined.begin() + static_cast<std::ptrdiff_t>(offset);
+      offset += req.queries.num_samples();
+      res.report.predictions.assign(begin, combined.begin() + static_cast<std::ptrdiff_t>(offset));
+    }
+    res.queue_seconds = req.queue_seconds;
+    hist_execute_.record_seconds(res.service_seconds);
+    hist_end_to_end_.record_seconds(res.queue_seconds + res.service_seconds);
+    if (draining) drained_after_stop_.fetch_add(1, std::memory_order_relaxed);
+    req.span.set_attr("outcome", "completed");
+    // End (and retire) the root span before fulfilling the promise: once
+    // the client's future.get() returns, metrics_snapshot() must already
+    // count this trace as completed.
+    req.span.end();
+    req.promise.set_value(std::move(res));
+  }
 }
 
 // --- Integrity monitor (scrubber / shadow audits / watchdog) ------------
@@ -1037,58 +897,18 @@ bool ForestServer::install_model_if(std::size_t w,
   return true;
 }
 
-bool ForestServer::dispatch_one(std::size_t w, Request req) {
-  FaultInjector& inj = FaultInjector::global();
-  if (options_.integrity.hang_timeout_seconds <= 0.0) {
-    // No watchdog: an injected hang degenerates to a finite stall (the
-    // sleep is bounded precisely so undefended runs still drain).
-    if (inj.enabled() && inj.consume("hang:worker")) {
-      std::this_thread::sleep_for(to_duration(options_.integrity.inject_hang_seconds));
-    }
-    process(w, std::move(req));
-    return true;
-  }
-  // Publish the request so the watchdog can rescue it, then (possibly)
-  // wedge at the hang:worker site, then race the watchdog for the claim.
-  // Whoever flips `claimed` first owns the promise — exactly one side
-  // fulfils it, so a rescue is never a lost or duplicate response.
-  auto inf = std::make_shared<InFlight>();
-  inf->dispatched = SteadyClock::now();
-  inf->req.emplace(std::move(req));
-  {
-    std::lock_guard<std::mutex> lock(runtimes_[w]->mu);
-    runtimes_[w]->inflight = inf;
-  }
-  if (inj.enabled() && inj.consume("hang:worker")) {
-    std::this_thread::sleep_for(to_duration(options_.integrity.inject_hang_seconds));
-  }
-  std::optional<Request> claimed;
-  {
-    std::lock_guard<std::mutex> lock(inf->mu);
-    if (!inf->claimed) {
-      inf->claimed = true;
-      claimed.emplace(std::move(*inf->req));
-      inf->req.reset();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(runtimes_[w]->mu);
-    if (runtimes_[w]->inflight == inf) runtimes_[w]->inflight.reset();
-  }
-  if (!claimed) return false;  // rescued: this thread was declared hung
-  process(w, std::move(*claimed));
-  return true;
-}
-
-void ForestServer::maybe_audit(std::size_t w, const WorkerModel& m, const Dataset& queries,
-                               RunReport& report, CounterDeltas& delta) {
+void ForestServer::maybe_audit(std::size_t w, const WorkerModel& m, const Dataset& rows,
+                               std::size_t requests, RunReport& report, CounterDeltas& delta) {
   const std::size_t every = options_.integrity.audit_sample_every;
   if (every == 0) return;
-  if (audit_tick_.fetch_add(1, std::memory_order_relaxed) % every != 0) return;
+  // Ticks [first, first + requests) belong to this dispatch; it is
+  // sampled when one of them is a multiple of `every`.
+  const std::uint64_t first = audit_tick_.fetch_add(requests, std::memory_order_relaxed);
+  if (first % every != 0 && first % every + requests <= every) return;
   ++delta["audit.sampled"];
   RunReport oracle;
   try {
-    oracle = m.fallback->classify(queries);
+    oracle = m.fallback->classify(rows);
   } catch (...) {
     return;  // an oracle failure is its own incident, not replica evidence
   }
@@ -1117,7 +937,7 @@ void ForestServer::monitor_loop() {
   const IntegrityOptions& iopt = options_.integrity;
   TimePoint last_scrub = SteadyClock::now();
   while (!monitor_stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(to_duration(iopt.monitor_poll_seconds));
+    stall(iopt.monitor_poll_seconds);
     if (monitor_stop_.load(std::memory_order_acquire)) break;
     // Chaos: corrupt one replica copy-and-swap (readers never race the
     // flip; only the scrubber's CRC or an audit can tell).
@@ -1155,74 +975,21 @@ void ForestServer::watchdog_scan() {
                                 .count())) {
       continue;
     }
-    std::optional<Request> rescued;
-    {
-      std::lock_guard<std::mutex> lock(inf->mu);
-      if (!inf->claimed) {
-        inf->claimed = true;
-        rescued.emplace(std::move(*inf->req));
-        inf->req.reset();
-      }
-    }
-    if (!rescued) continue;  // the worker woke up and claimed first
+    std::vector<Request> rescued = inf->claim();
+    if (rescued.empty()) continue;  // the worker woke up and claimed first
     counters_.add("watchdog.missed_heartbeats");
-    watchdog_answer(w, std::move(*rescued));
+    // Answer every member on the chain's fallback step, with the full
+    // counter/histogram/trace treatment of a normal completion plus a
+    // watchdog note — never a lost response.
+    for (Request& req : rescued) end_queue_wait(req, SteadyClock::now());
+    run_dispatch(w, std::move(rescued), CounterDeltas{}, /*rescue=*/true);
     // The wedged thread fails its claim and exits; park its handle and
     // run a replacement in its slot (joined with everyone at shutdown).
     zombies_.push_back(std::move(workers_[w]));
     workers_[w] = std::thread([this, w] { worker_loop(w); });
     counters_.add("watchdog.worker_restarts");
     flight_event("integrity", "watchdog_restart", "worker " + std::to_string(w));
-    {
-      std::lock_guard<std::mutex> lock(runtimes_[w]->mu);
-      if (runtimes_[w]->inflight == inf) runtimes_[w]->inflight.reset();
-    }
-  }
-}
-
-void ForestServer::watchdog_answer(std::size_t w, Request req) {
-  const std::shared_ptr<const WorkerModel> m = model_for(w);
-  const double queue_s = std::chrono::duration<double>(SteadyClock::now() - req.enqueued).count();
-  hist_queue_wait_.record_seconds(queue_s);
-  if (req.queue_span.active()) req.queue_span.set_attr("seconds", queue_s);
-  req.queue_span.end();
-  CounterDeltas delta;
-  try {
-    WallTimer timer;
-    trace::Span exec_span = req.span.child("execute");
-    if (exec_span.active()) {
-      exec_span.set_attr("worker", static_cast<std::uint64_t>(w));
-      exec_span.set_attr("watchdog_rescue", true);
-    }
-    ServeResult res;
-    res.report = m->fallback->classify(req.queries);
-    exec_span.end();
-    record_run(*m->fallback, m->generation, res.report);
-    res.via_fallback = true;
-    ++delta["fallback.served"];
-    std::string note = "watchdog: worker " + std::to_string(w) +
-                       " hung past hang_timeout -> answered on cpu-native fallback";
-    if (m->generation > 0) note += " [gen " + std::to_string(m->generation) + "]";
-    res.report.degradations.push_back(std::move(note));
-    res.queue_seconds = queue_s;
-    res.service_seconds = timer.seconds();
-    hist_execute_.record_seconds(res.service_seconds);
-    hist_end_to_end_.record_seconds(queue_s + res.service_seconds);
-    ++delta["requests.completed"];
-    counters_.add_batch(delta);
-    m->health->completed.fetch_add(1, std::memory_order_relaxed);
-    req.span.set_attr("outcome", "completed");
-    if (stopping_.load(std::memory_order_relaxed)) {
-      drained_after_stop_.fetch_add(1, std::memory_order_relaxed);
-    }
-    req.span.end();
-    req.promise.set_value(std::move(res));
-  } catch (...) {
-    ++delta["requests.failed"];
-    counters_.add_batch(delta);
-    req.span.set_attr("outcome", "failed");
-    req.span.end();
-    req.promise.set_exception(std::current_exception());
+    runtimes_[w]->retire(inf);
   }
 }
 
@@ -1243,11 +1010,8 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
   // Quarantine first: the CPU oracle replica (never corrupted — audits
   // and rescues already trust it) takes over as primary, so this worker
   // keeps answering correctly for the whole rebuild.
-  auto degraded = std::make_shared<WorkerModel>();
+  auto degraded = std::make_shared<WorkerModel>(*suspect);
   degraded->primary = suspect->fallback;
-  degraded->fallback = suspect->fallback;
-  degraded->generation = suspect->generation;
-  degraded->health = suspect->health;
   degraded->layout_crc = classifier_layout_crc(*suspect->fallback);
   if (!install_model_if(w, suspect, degraded)) return;  // a reload got there first
   flight_event("integrity", "replica_quarantined", "worker " + std::to_string(w));
@@ -1288,7 +1052,10 @@ void ForestServer::inject_replica_corruption() {
   const std::size_t w = corrupt_rr_++ % options_.num_workers;
   const std::shared_ptr<const WorkerModel> m = model_for(w);
   if (!m->layout_crc) return;  // FilBaseline: no resident layout to corrupt
-  auto poisoned = std::make_shared<WorkerModel>();
+  // Keep the pristine reference CRC (copied with the rest of the model):
+  // the whole point is that the live layout now drifts from it, which
+  // only the scrubber/audits can see.
+  auto poisoned = std::make_shared<WorkerModel>(*m);
   try {
     if (m->primary->options().variant == Variant::Csr) {
       poisoned->primary = std::make_shared<const Classifier>(
@@ -1301,12 +1068,6 @@ void ForestServer::inject_replica_corruption() {
   } catch (const std::exception&) {
     return;  // e.g. a stump forest with no internal node: nothing to flip
   }
-  poisoned->fallback = m->fallback;
-  poisoned->generation = m->generation;
-  poisoned->health = m->health;
-  // Keep the pristine reference CRC: the whole point is that the live
-  // layout now drifts from it, which only the scrubber/audits can see.
-  poisoned->layout_crc = m->layout_crc;
   install_model_if(w, m, std::move(poisoned));
 }
 
@@ -1317,19 +1078,6 @@ double retry_backoff_seconds(const RetryPolicy& policy, int attempt, Xoshiro256&
   double backoff = std::min(exponential, policy.backoff_max_seconds);
   backoff *= 1.0 + policy.jitter_fraction * rng.uniform(-1.0, 1.0);
   return backoff;
-}
-
-bool ForestServer::backoff_sleep(std::size_t w, int attempt, const Request& req) {
-  // Deterministic jitter (per-worker stream of the server seed) spreads
-  // retries from concurrent workers so they do not re-converge on the
-  // recovering backend in lockstep.
-  const double backoff = retry_backoff_seconds(options_.retry, attempt, jitter_[w]);
-  if (req.has_deadline &&
-      SteadyClock::now() + to_duration(backoff) >= req.deadline) {
-    return false;
-  }
-  if (backoff > 0.0) std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-  return true;
 }
 
 }  // namespace hrf::serve

@@ -34,10 +34,19 @@
 //               CRC against the value captured at install; sampled shadow
 //               audits re-execute every Nth request on the CPU oracle
 //               (serving the oracle's answer on divergence); a watchdog
-//               answers a hung worker's in-flight request on the oracle
+//               answers a hung worker's in-flight batch on the oracle
 //               and replaces the thread. A corrupted replica is
 //               quarantined (the oracle serves as primary) and rebuilt in
 //               place while the other workers keep serving.
+//
+// One dispatch path: a worker hands every formed batch to dispatch() —
+// size 1 unless micro-batching (ServerOptions::batching) coalesced more;
+// a lone request is simply a batch of one. Each dispatch fires the
+// dispatch fault sites, sheds expired members, gathers the surviving
+// rows (no copy for one member), runs one breaker -> retry -> fallback
+// chain, shadow-audits primary runs, and settles every member through
+// one completion/failure step. The watchdog's rescue is that chain's
+// fallback step, so audits and hung-worker rescue cover batches too.
 //
 // Composition with the fault-injection harness (util/fault): injection
 // sites fire inside worker threads, driving the retry and breaker paths
@@ -47,10 +56,10 @@
 // Model hot-swap memory model: each worker owns a *slot* holding a
 // shared_ptr to an immutable WorkerModel (primary + fallback replica +
 // generation + shared health counters). A worker snapshots the pointer
-// once per request, so an in-flight request finishes entirely on the
-// model it started with; reload flips the pointers between requests.
+// once per dispatch, so an in-flight request finishes entirely on the
+// model it started with; reload flips the pointers between dispatches.
 // Slots are mutex-guarded (uncontended in steady state — one lock per
-// request) rather than lock-free, keeping the swap trivially TSan-clean.
+// dispatch) rather than lock-free, keeping the swap trivially TSan-clean.
 
 #include <atomic>
 #include <chrono>
@@ -61,8 +70,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -143,9 +154,9 @@ struct ServerOptions {
   double inject_surge_seconds = 0.05;
   /// Dynamic micro-batching (serve/batcher.hpp, docs/serving.md): a
   /// worker coalesces consecutive shape-compatible queued requests into
-  /// one backend-native classify_stream batch and demultiplexes the
-  /// responses. Disabled by default (max_requests <= 1); batches of one
-  /// take the exact unbatched dispatch path.
+  /// one backend-native batch and demultiplexes the responses. Disabled
+  /// by default (max_requests <= 1): every dispatch is then a batch of
+  /// one, on the same dispatch path a coalesced batch takes.
   BatchOptions batching{};
   /// Runtime integrity monitor (serve/integrity.hpp): replica scrubber,
   /// sampled shadow audits, worker watchdog. All off by default — an
@@ -251,14 +262,15 @@ class ForestServer {
   /// With tenant quotas configured, `tenant` names the admission bucket
   /// — a tenant past its reserved share and the spare pool is shed with
   /// QuotaError (never displacing other tenants' queued requests).
-  std::future<ServeResult> submit(Dataset queries);
-  std::future<ServeResult> submit(Dataset queries, double deadline_seconds);
   /// `router_request` (nonzero when a cluster router dispatched this
   /// submission) is stamped on the request's root span as the
   /// "router_request" attribute, so one routed query's spans correlate
-  /// across every shard tracer it touched (failover, hedging).
+  /// across every shard tracer it touched (failover, hedging). Without a
+  /// deadline argument, options().default_deadline_seconds applies.
+  std::future<ServeResult> submit(Dataset queries);
   std::future<ServeResult> submit(Dataset queries, double deadline_seconds,
-                                  const std::string& tenant, std::uint64_t router_request = 0);
+                                  const std::string& tenant = {},
+                                  std::uint64_t router_request = 0);
 
   /// Starts paused workers (no-op when already running).
   void resume();
@@ -337,6 +349,7 @@ class ForestServer {
     /// travel with the request through the queue to the worker thread.
     trace::Span span;
     trace::Span queue_span;
+    double queue_seconds = 0.0;  // submit -> dispatch, stamped at dequeue
   };
 
   /// Health counters shared by every replica of one model generation;
@@ -348,7 +361,7 @@ class ForestServer {
 
   /// An immutable model installation for one worker: the primary replica,
   /// its CPU-native fallback twin, and the generation they came from.
-  /// Swapped wholesale — a request sees one WorkerModel end to end.
+  /// Swapped wholesale — a dispatch sees one WorkerModel end to end.
   struct WorkerModel {
     std::shared_ptr<const Classifier> primary;
     std::shared_ptr<const Classifier> fallback;
@@ -363,12 +376,15 @@ class ForestServer {
   };
 
   /// One worker's swap point. The mutex is uncontended except during a
-  /// reload flip (one lock acquisition per request).
+  /// reload flip (one lock acquisition per dispatch).
   struct Slot {
     mutable std::mutex mu;
     std::shared_ptr<const WorkerModel> model;
   };
 
+  /// Both public constructors land here: installs `m` on every worker.
+  ForestServer(const LoadedModel& m, ClassifierOptions classifier_options,
+               ServerOptions options);
   void validate_options() const;
   void start_workers();
   /// Builds one worker's replica pair from a forest and optional
@@ -390,66 +406,65 @@ class ForestServer {
   /// when none is configured), tagged with options_.flight_scope.
   void flight_event(const char* category, const char* name, std::string detail = "") const;
 
-  /// Per-request counter deltas, applied in one CounterRegistry
-  /// add_batch() at the end of process() — one lock acquisition per
-  /// request instead of one per counter.
+  /// Per-dispatch counter deltas, applied in one CounterRegistry
+  /// add_batch() before any member's future wakes — one lock acquisition
+  /// per dispatch instead of one per counter.
   using CounterDeltas = std::map<std::string, std::uint64_t>;
-
-  /// A dequeued batch member with its dispatch-time queue wait.
-  struct Member {
-    Request req;
-    double queue_seconds = 0.0;
-  };
 
   void worker_loop(std::size_t w);
   /// Pops the queue head (mu_ must be held), releasing its quota slot.
   Request pop_front_locked();
-  /// Multi-member dispatch for a formed batch (size >= 2): sheds expired
-  /// members individually, executes the survivors as one concatenated
-  /// classify run, and demultiplexes per-member responses.
-  void process_batch(std::size_t w, std::vector<Request> batch);
-  /// The execute/fulfill tail shared by process() and single-survivor
-  /// batches (queue wait already recorded, pre-dispatch shed already done).
-  void finish_one(std::size_t w, Request req, double queue_s, CounterDeltas delta);
-  /// Runs `live` (size >= 2) as one combined classify on worker w's
-  /// replica pair — breaker verdict, retry chain, and fallback decided
-  /// once for the whole batch — then fulfills every member promise. A
-  /// non-resource fault the batch cannot attribute to one member (e.g. a
+  /// Worker entry for a formed batch (size >= 1): fault sites inside the
+  /// watchdog's claim window, per-member deadline shed, then run_dispatch().
+  /// Returns false when the watchdog claimed the batch — this thread was
+  /// declared hung and replaced, so it must exit.
+  bool dispatch(std::size_t w, std::vector<Request> batch);
+  /// Stamps a dequeued request's queue wait (histogram, queue span).
+  void end_queue_wait(Request& req, TimePoint now);
+  /// Runs `live` as one classify on worker w's replica pair — rows
+  /// gathered once (none for a lone member), one breaker -> retry ->
+  /// fallback chain, a shadow audit of primary runs — and settles every
+  /// member. A watchdog `rescue` skips straight to the fallback step. A
+  /// non-deadline fault a batch cannot pin on one member (e.g. a
   /// malformed row failing combined validation) re-runs each member
   /// alone, so a poison request never fails its batchmates.
-  void execute_members(std::size_t w, std::vector<Member> live);
-  /// One combined classify of `all` on `clf` for the members in `live`:
-  /// chunked and cancellable at the *loosest* member deadline when every
-  /// member carries one (cancelling then strands no member that still
-  /// had budget), one-shot otherwise. Throws DeadlineError on cancel.
-  RunReport run_batch(const Classifier& clf, const Dataset& all,
-                      const std::vector<Member>& live, const trace::Span& span);
-  void process(std::size_t w, Request req);
-  ServeResult execute(std::size_t w, Request& req, const trace::Span& span,
-                      CounterDeltas& delta);
-  /// One classify on `clf`, honouring the request deadline by chunked
-  /// cancellable execution; throws DeadlineError on mid-run expiry.
-  /// Chunk child spans hang off `span`; backend counter attributes are
-  /// stamped onto it.
-  RunReport run_one(const Classifier& clf, const Request& req, const trace::Span& span,
-                    CounterDeltas& delta);
-  /// Sleeps the jittered exponential backoff for `attempt`. Returns false
-  /// without sleeping when the request's deadline would pass while asleep
-  /// — the caller then skips straight to the fallback instead of burning
-  /// the remaining budget on a nap.
-  bool backoff_sleep(std::size_t w, int attempt, const Request& req);
+  void run_dispatch(std::size_t w, std::vector<Request> live, CounterDeltas delta, bool rescue);
+  /// The breaker -> retry -> fallback chain over `rows`. Backoff is
+  /// time-boxed by the tightest member deadline: a nap that would outlive
+  /// it skips straight to the fallback. Throws DeadlineError on cancel.
+  ServeResult run_chain(std::size_t w, const WorkerModel& m, const Dataset& rows,
+                        const std::vector<Request>& members, const trace::Span& span,
+                        CounterDeltas& delta, bool rescue);
+  /// One classify of `rows` on `clf`: chunked and cancellable at the
+  /// *loosest* member deadline when every member carries one (cancelling
+  /// then strands no member that still had budget; DeadlineError), one
+  /// classify() call otherwise. Chunk child spans hang off `span`; backend
+  /// counter attributes are stamped onto it.
+  RunReport classify_members(const Classifier& clf, const Dataset& rows,
+                             const std::vector<Request>& members, const trace::Span& span) const;
+  /// Settles every member of one dispatch: counters first (one add_batch,
+  /// so a woken client reads them), then per member its histograms, root
+  /// span and promise. With `served`, each member takes its slice of the
+  /// combined predictions plus the shared trail; otherwise each fails
+  /// with `error`, its root span marked `failed_outcome`.
+  void settle(std::span<Request> members, CounterDeltas& delta, ServeResult* served,
+              std::exception_ptr error = nullptr, const char* failed_outcome = "failed");
 
   // --- Integrity monitor (scrubber / audits / watchdog) -----------------
 
-  /// A request published by its worker before dispatch so the watchdog
-  /// can rescue it. Whoever flips `claimed` first owns the promise: the
-  /// worker claims it back after the (possibly injected-hang) dispatch
-  /// window, or the watchdog claims it past the hang threshold.
+  /// A batch published by its worker before dispatch so the watchdog can
+  /// rescue it. Whoever claims it first owns every member's promise: the
+  /// worker claims the batch back after the (possibly injected-hang)
+  /// dispatch window, or the watchdog claims it past the hang threshold.
   struct InFlight {
     std::mutex mu;
-    bool claimed = false;
-    std::optional<Request> req;
+    std::vector<Request> batch;  // never empty until claimed
     TimePoint dispatched{};
+    /// Takes the batch; empty when the other side claimed it first.
+    std::vector<Request> claim() {
+      std::lock_guard<std::mutex> lock(mu);
+      return std::exchange(batch, {});
+    }
   };
 
   /// Per-worker liveness/audit state, stable for the server's lifetime
@@ -460,27 +475,29 @@ class ForestServer {
     std::atomic<std::uint64_t> heartbeat_ns{0};  // last worker_loop activity
     std::atomic<int> audit_streak{0};            // consecutive oracle mismatches
     std::atomic<bool> repair_requested{false};   // audit streak hit K
+    /// Unpublishes `done` unless a newer dispatch already replaced it.
+    void retire(const std::shared_ptr<InFlight>& done) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (inflight == done) inflight.reset();
+    }
   };
 
   bool integrity_enabled() const;
-  /// Single-request dispatch with the watchdog's claim window around it.
-  /// Returns false when the watchdog claimed the request — the calling
-  /// worker thread was declared hung and replaced, so it must exit.
-  bool dispatch_one(std::size_t w, Request req);
-  /// Every Nth successful primary run: re-execute on the CPU oracle and
-  /// compare. On divergence the oracle's predictions are served (with a
+  /// Every Nth request's successful primary run: a dispatch of `requests`
+  /// members takes that many sampling ticks and is audited when any is
+  /// sampled — its combined rows re-execute on the CPU oracle and are
+  /// compared. On divergence the oracle's predictions are served (with a
   /// degradation note) and K consecutive mismatches flag the replica for
   /// quarantine-and-rebuild.
-  void maybe_audit(std::size_t w, const WorkerModel& m, const Dataset& queries,
-                   RunReport& report, CounterDeltas& delta);
+  void maybe_audit(std::size_t w, const WorkerModel& m, const Dataset& rows,
+                   std::size_t requests, RunReport& report, CounterDeltas& delta);
   /// The shared monitor thread: corrupt:replica injection, watchdog
   /// scans, audit-requested repairs, and timed scrub passes.
   void monitor_loop();
+  /// Rescues a hung worker's claimed batch: answered by the dispatch
+  /// chain's fallback step with a watchdog note (never a lost response),
+  /// and the thread replaced.
   void watchdog_scan();
-  /// Fulfils a rescued request on worker w's CPU fallback replica, with
-  /// the full counter/histogram/trace treatment of a normal completion
-  /// plus a degradation note — never a lost response.
-  void watchdog_answer(std::size_t w, Request req);
   /// Re-verifies every replica's layout CRC against its reference.
   void scrub_pass();
   /// Quarantines worker w's replica (the CPU oracle serves as primary)

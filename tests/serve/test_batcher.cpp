@@ -234,6 +234,30 @@ TEST_F(BatchedServerTest, LoneRequestFlushesByDeadlineAndStillServes) {
   server.shutdown();
 }
 
+// One execution rule for every dispatch size, the one a lone request
+// follows: a batch with a deadline-free member is one classify() call
+// (device timing, no chunk histogram); a batch whose members all carry a
+// deadline runs chunked and cancellable (chunk histogram, no timing).
+TEST_F(BatchedServerTest, EveryDispatchSizeFollowsOneExecutionRule) {
+  for (const double deadline_seconds : {0.0, 30.0}) {
+    ServerOptions sopt = batched_server(1, 8);
+    sopt.start_paused = true;
+    sopt.default_deadline_seconds = deadline_seconds;
+    ForestServer server(forest_, gpu_hybrid_options(), sopt);
+    std::vector<std::future<ServeResult>> futures;
+    for (int i = 0; i < 4; ++i) futures.push_back(server.submit(queries_));
+    server.resume();
+    for (std::future<ServeResult>& f : futures) {
+      const ServeResult res = f.get();
+      EXPECT_EQ(res.report.predictions, reference_);
+      EXPECT_EQ(res.report.gpu_timing.has_value(), deadline_seconds == 0.0);
+      EXPECT_EQ(res.report.latency.has_value(), deadline_seconds > 0.0);
+    }
+    EXPECT_EQ(server.counters().value("requests.batched"), 4u) << deadline_seconds;
+    server.shutdown();
+  }
+}
+
 TEST_F(BatchedServerTest, ExpiredMemberIsShedWithoutPoisoningBatchmates) {
   ServerOptions sopt = batched_server(1, 8);
   sopt.start_paused = true;

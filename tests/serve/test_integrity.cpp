@@ -9,7 +9,8 @@
 //   * ForestServer self-healing: the scrubber detects and repairs an
 //     injected replica corruption; sampled shadow audits serve the oracle
 //     answer on divergence and trigger a repair; the watchdog rescues a
-//     hung worker's request and replaces the thread.
+//     hung worker's request and replaces the thread — for coalesced
+//     batches as for lone requests.
 //
 // All deterministic and fast enough for tier1; the concurrent soak lives
 // in test_integrity_chaos.cpp (chaos label).
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -283,6 +285,101 @@ TEST(IntegrityServer, WatchdogRescuesHungWorkerAndReplacesThread) {
   }
 
   // The zombie (still sleeping in the injected hang) joins at shutdown.
+  const DrainReport drain = server.shutdown();
+  EXPECT_EQ(drain.abandoned, 0u);
+  EXPECT_EQ(server.counters().value("requests.failed"), 0u);
+  EXPECT_TRUE(server.healthy());
+  FaultInjector::global().disarm_all();
+}
+
+// A batch is one dispatch, so it is audited like a lone request: the
+// corrupted replica's answer for all eight coalesced members is caught
+// and replaced by the oracle's.
+TEST(IntegrityServer, ShadowAuditCoversBatchedRequests) {
+  FaultInjector::global().disarm_all();
+  ServeFixture fx;
+
+  ClassifierOptions copt;
+  copt.backend = Backend::CpuNative;
+  copt.variant = Variant::Csr;
+
+  ServerOptions sopt;
+  sopt.num_workers = 1;
+  sopt.start_paused = true;  // deterministic backlog: one batch of eight
+  sopt.batching.max_requests = 8;
+  sopt.integrity.audit_sample_every = 1;
+  ForestServer server(fx.forest, copt, sopt);
+
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(server.submit(fx.queries));
+  // Fired counts are cumulative across tests; wait for this arm's charge.
+  const std::uint64_t fired_before = FaultInjector::global().fired("corrupt:replica");
+  FaultInjector::global().arm("corrupt:replica", 1);
+  ASSERT_TRUE(wait_for(server, [&](const SelfHealStats&) {
+    return FaultInjector::global().fired("corrupt:replica") == fired_before + 1;
+  }));
+  server.resume();
+
+  for (std::future<ServeResult>& f : futures) {
+    const ServeResult res = f.get();
+    EXPECT_EQ(res.report.predictions, fx.reference);
+    bool noted = false;
+    for (const std::string& d : res.report.degradations) {
+      if (d.find("audit") != std::string::npos) noted = true;
+    }
+    EXPECT_TRUE(noted);
+  }
+  EXPECT_EQ(server.counters().value("requests.batched"), 8u);
+  EXPECT_GE(server.self_heal().audit_sampled, 1u);
+  EXPECT_GE(server.self_heal().audit_mismatches, 1u);
+
+  const DrainReport drain = server.shutdown();
+  EXPECT_EQ(drain.abandoned, 0u);
+  EXPECT_EQ(server.counters().value("requests.failed"), 0u);
+  FaultInjector::global().disarm_all();
+}
+
+// The watchdog's claim window covers a whole batch: one hung dispatch of
+// eight members is rescued member by member on the CPU oracle.
+TEST(IntegrityServer, WatchdogRescuesEveryMemberOfAHungBatch) {
+  FaultInjector::global().disarm_all();
+  ServeFixture fx;
+
+  ClassifierOptions copt;
+  copt.backend = Backend::CpuNative;
+  copt.variant = Variant::Csr;
+
+  ServerOptions sopt;
+  sopt.num_workers = 1;
+  sopt.start_paused = true;
+  sopt.batching.max_requests = 8;
+  sopt.integrity.hang_timeout_seconds = 0.05;
+  sopt.integrity.inject_hang_seconds = 0.5;  // well past the timeout
+  ForestServer server(fx.forest, copt, sopt);
+
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(server.submit(fx.queries));
+  const std::uint64_t fired_before = FaultInjector::global().fired("hang:worker");
+  FaultInjector::global().arm("hang:worker", 1);
+  server.resume();
+
+  for (std::future<ServeResult>& f : futures) {
+    const ServeResult res = f.get();
+    EXPECT_EQ(res.report.predictions, fx.reference);
+    EXPECT_TRUE(res.via_fallback);
+    bool noted = false;
+    for (const std::string& d : res.report.degradations) {
+      if (d.find("watchdog") != std::string::npos) noted = true;
+    }
+    EXPECT_TRUE(noted);
+  }
+  ASSERT_TRUE(wait_for(server, [](const SelfHealStats& s) {
+    return s.watchdog_worker_restarts >= 1;
+  }));
+  EXPECT_EQ(FaultInjector::global().fired("hang:worker"), fired_before + 1);
+  EXPECT_EQ(server.counters().value("requests.batched"), 8u);
+  EXPECT_EQ(server.self_heal().watchdog_worker_restarts, 1u);
+
   const DrainReport drain = server.shutdown();
   EXPECT_EQ(drain.abandoned, 0u);
   EXPECT_EQ(server.counters().value("requests.failed"), 0u);

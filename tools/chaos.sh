@@ -29,6 +29,10 @@
 #   hung-worker     hang:worker wedges dispatches past the watchdog
 #                   timeout; every request is rescued and the hung
 #                   threads are replaced
+#   hung-worker-batched
+#                   the same hangs with micro-batching on (--batch-max 8):
+#                   a wedged dispatch may hold a whole coalesced batch,
+#                   and every member is rescued
 #
 # Every scenario runs even when an earlier one fails; each one's exit
 # code is reported individually and the harness exits nonzero if any
@@ -192,6 +196,15 @@ scenario_hung_worker() {
   expect hung-worker "worker_restarts=[1-9]" "no hung worker was ever replaced"
 }
 
+# The hung-worker gate with micro-batching on: the watchdog's claim
+# window holds the whole batch, so a wedged multi-member dispatch is
+# rescued member by member exactly like a lone request.
+scenario_hung_worker_batched() {
+  run hung-worker-batched 0 --model "$DIR/m.hrff" \
+      --inject-fault hang:worker:3 --hang-timeout-ms 20 --batch-max 8 &&
+  expect hung-worker-batched "worker_restarts=[1-9]" "no hung worker was ever replaced"
+}
+
 "$CLI" --mode gen --dataset susy --samples 2000 --out "$DIR/d.hrfd" > /dev/null
 "$CLI" --mode train --data "$DIR/d.hrfd" --trees 8 --depth 8 --out "$DIR/m.hrff" > /dev/null
 "$CLI" --mode publish --store "$DIR/store" --model "$DIR/m.hrff" \
@@ -212,7 +225,7 @@ echo "chaos: healthy p95 ${P95_MS} ms -> degraded-mode SLO ${SLO_P95} ms"
 # propagate the worst one.
 OVERALL=0
 for sc in kill kill-slo freeze partition kill-mid-reload noisy-neighbor \
-          scale-wave scale-wave-kill scrub-storm hung-worker; do
+          scale-wave scale-wave-kill scrub-storm hung-worker hung-worker-batched; do
   rc=0
   "scenario_${sc//-/_}" || rc=$?
   if [ "$rc" -eq 0 ]; then
