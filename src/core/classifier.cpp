@@ -60,11 +60,12 @@ Classifier::Classifier(Forest forest, ClassifierOptions options)
       csr_.emplace(CsrForest::build(forest_));
       break;
     case Variant::FilBaseline:
-      break;  // the FIL layout is built inside the kernel
+      break;  // FIL's only layout is its device image
     default:
       hier_.emplace(HierarchicalForest::build(forest_, options_.layout));
       break;
   }
+  prepare_device_image();
 }
 
 Classifier::Classifier(Forest forest, CsrForest layout, ClassifierOptions options)
@@ -90,6 +91,18 @@ Classifier::Classifier(Forest forest, HierarchicalForest layout, ClassifierOptio
           "precompiled hierarchical layout does not match the forest's feature/class shape");
   options_.layout = layout.config();
   hier_.emplace(std::move(layout));
+  prepare_device_image();
+}
+
+void Classifier::prepare_device_image() {
+  if (options_.backend != Backend::GpuSim) return;
+  // Built in place: a packed temporary copied into the member would
+  // briefly hold the image twice.
+  if (options_.variant == Variant::FilBaseline) {
+    image_.emplace(forest_);
+  } else if (hier_) {
+    image_.emplace(*hier_);
+  }
 }
 
 Classifier Classifier::train(const Dataset& train, const TrainConfig& train_config,
@@ -212,6 +225,7 @@ void Classifier::validate_queries(const Dataset& queries) const {
 
 RunReport Classifier::run_backend(Backend backend, Variant variant, const CsrForest* csr,
                                   const HierarchicalForest* hier,
+                                  const gpukernels::DeviceImage* image,
                                   const Dataset& queries) const {
   RunReport r;
   switch (backend) {
@@ -229,14 +243,20 @@ RunReport Classifier::run_backend(Backend backend, Variant variant, const CsrFor
       switch (variant) {
         case Variant::Csr: k = gpukernels::run_csr(device, *csr, queries); break;
         case Variant::Independent:
-          k = gpukernels::run_independent(device, *hier, queries);
+          k = image ? gpukernels::run_independent(device, *hier, *image, queries)
+                    : gpukernels::run_independent(device, *hier, queries);
           break;
         case Variant::Collaborative:
-          k = gpukernels::run_collaborative(device, *hier, queries);
+          k = image ? gpukernels::run_collaborative(device, *hier, *image, queries)
+                    : gpukernels::run_collaborative(device, *hier, queries);
           break;
-        case Variant::Hybrid: k = gpukernels::run_hybrid(device, *hier, queries); break;
+        case Variant::Hybrid:
+          k = image ? gpukernels::run_hybrid(device, *hier, *image, queries)
+                    : gpukernels::run_hybrid(device, *hier, queries);
+          break;
         case Variant::FilBaseline:
-          k = gpukernels::run_fil_baseline(device, forest_, queries);
+          k = image ? gpukernels::run_fil_baseline(device, forest_, *image, queries)
+                    : gpukernels::run_fil_baseline(device, forest_, queries);
           break;
       }
       r.predictions = std::move(k.predictions);
@@ -301,7 +321,7 @@ RunReport Classifier::classify(const Dataset& queries) const {
   const FallbackPolicy& fb = options_.fallback;
   if (!fb.enabled) {
     return run_backend(options_.backend, options_.variant, csr_ ? &*csr_ : nullptr,
-                       hier_ ? &*hier_ : nullptr, queries);
+                       hier_ ? &*hier_ : nullptr, device_image(), queries);
   }
 
   struct Attempt {
@@ -309,6 +329,7 @@ RunReport Classifier::classify(const Dataset& queries) const {
     Variant variant;
     const CsrForest* csr;
     const HierarchicalForest* hier;
+    const gpukernels::DeviceImage* image;  // null: the kernel prepares one per call
     std::string note;  // degradation entry recorded when the chain reaches it
   };
 
@@ -320,7 +341,7 @@ RunReport Classifier::classify(const Dataset& queries) const {
 
   std::vector<Attempt> plan;
   plan.push_back({options_.backend, options_.variant, csr_ ? &*csr_ : nullptr,
-                  hier_ ? &*hier_ : nullptr, ""});
+                  hier_ ? &*hier_ : nullptr, device_image(), ""});
   if (options_.backend != Backend::CpuNative) {
     if (fb.allow_layout_shrink && options_.variant == Variant::Hybrid && hier_) {
       const int fit = max_fitting_rsd();
@@ -329,7 +350,7 @@ RunReport Classifier::classify(const Dataset& queries) const {
         HierConfig cfg = options_.layout;
         cfg.root_subtree_depth = fit;
         shrunk.emplace(HierarchicalForest::build(forest_, cfg));
-        plan.push_back({options_.backend, Variant::Hybrid, nullptr, &*shrunk,
+        plan.push_back({options_.backend, Variant::Hybrid, nullptr, &*shrunk, nullptr,
                         "shrink rsd " + std::to_string(cur) + " -> " + std::to_string(fit)});
       }
     }
@@ -337,11 +358,11 @@ RunReport Classifier::classify(const Dataset& queries) const {
       if ((options_.variant == Variant::Hybrid || options_.variant == Variant::Collaborative) &&
           hier_) {
         plan.push_back({options_.backend, Variant::Independent, nullptr, &*hier_,
-                        std::string("variant ") + to_string(options_.variant) +
+                        device_image(), std::string("variant ") + to_string(options_.variant) +
                             " -> independent"});
       } else if (options_.variant == Variant::FilBaseline) {
         cpu_csr.emplace(CsrForest::build(forest_));
-        plan.push_back({options_.backend, Variant::Csr, &*cpu_csr, nullptr,
+        plan.push_back({options_.backend, Variant::Csr, &*cpu_csr, nullptr, nullptr,
                         "variant fil-baseline -> csr"});
       }
     }
@@ -349,12 +370,12 @@ RunReport Classifier::classify(const Dataset& queries) const {
       const std::string note =
           std::string("backend ") + to_string(options_.backend) + " -> cpu-native";
       if (hier_) {
-        plan.push_back({Backend::CpuNative, Variant::Independent, nullptr, &*hier_,
+        plan.push_back({Backend::CpuNative, Variant::Independent, nullptr, &*hier_, nullptr,
                         note + " (independent)"});
       } else {
         if (!csr_ && !cpu_csr) cpu_csr.emplace(CsrForest::build(forest_));
         plan.push_back({Backend::CpuNative, Variant::Csr, csr_ ? &*csr_ : &*cpu_csr, nullptr,
-                        note + " (csr)"});
+                        nullptr, note + " (csr)"});
       }
     }
   }
@@ -366,7 +387,7 @@ RunReport Classifier::classify(const Dataset& queries) const {
     const int tries = 1 + std::max(0, fb.max_retries);
     for (int t = 0; t < tries; ++t) {
       try {
-        RunReport r = run_backend(a.backend, a.variant, a.csr, a.hier, queries);
+        RunReport r = run_backend(a.backend, a.variant, a.csr, a.hier, a.image, queries);
         r.degradations = std::move(degradations);
         return r;
       } catch (const ResourceError& e) {

@@ -13,6 +13,7 @@
 #include "gpusim/config.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
+#include "gpukernels/device_image.hpp"
 #include "util/histogram.hpp"
 #include "util/trace.hpp"
 #include "layout/csr.hpp"
@@ -109,8 +110,9 @@ struct ClassifierOptions {
 };
 
 /// The library's front door: owns a trained forest plus the inference
-/// layout(s) it was compiled into, and dispatches classification to the
-/// configured backend/variant.
+/// layout(s) it was compiled into (and, on GpuSim, the device image the
+/// kernels read), and dispatches classification to the configured
+/// backend/variant.
 ///
 ///   Forest f = train_forest(train_set, TrainConfig{});
 ///   Classifier clf(std::move(f), {.variant = Variant::Hybrid,
@@ -188,14 +190,28 @@ class Classifier {
   /// The hierarchical layout (built lazily; throws for CSR/FIL variants).
   const HierarchicalForest& hierarchical() const;
   const CsrForest& csr() const;
+  /// The gpu-sim device image prepared at construction (the packed nodes
+  /// of the hierarchical layout, or the FIL baseline's node arrays), or
+  /// nullptr when the classifier has none: every CpuNative and FpgaSim
+  /// classifier, and the GpuSim CSR variant, whose kernel reads the CSR
+  /// layout directly. Immutable; concurrent classify() calls share it.
+  const gpukernels::DeviceImage* device_image() const {
+    return image_ ? &*image_ : nullptr;
+  }
 
  private:
   void check_variant_backend() const;
   void validate_queries(const Dataset& queries) const;
+  /// Prepares image_ for a GpuSim hierarchical or FIL classifier (called
+  /// once the layout is in place).
+  void prepare_device_image();
   /// One backend execution against explicit layouts (the fallback chain
-  /// swaps these without touching the classifier's own state).
+  /// swaps these without touching the classifier's own state). `image`
+  /// is the device image of `hier` (or of the forest, for FilBaseline);
+  /// when null, the GpuSim kernel prepares one for this call.
   RunReport run_backend(Backend backend, Variant variant, const CsrForest* csr,
-                        const HierarchicalForest* hier, const Dataset& queries) const;
+                        const HierarchicalForest* hier, const gpukernels::DeviceImage* image,
+                        const Dataset& queries) const;
   /// Largest RSD whose root subtree fits the configured backend's on-chip
   /// memory (0 when not applicable).
   int max_fitting_rsd() const;
@@ -204,6 +220,7 @@ class Classifier {
   ClassifierOptions options_;
   std::optional<CsrForest> csr_;
   std::optional<HierarchicalForest> hier_;
+  std::optional<gpukernels::DeviceImage> image_;
 };
 
 }  // namespace hrf

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "gpukernels/common.hpp"
-#include "gpukernels/packed_node.hpp"
 #include "util/math.hpp"
 
 namespace hrf::gpukernels {
@@ -13,9 +12,14 @@ using detail::kWarpSize;
 
 KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
                                 const Dataset& queries) {
+  return run_tree_per_block(device, forest, DeviceImage(forest), queries);
+}
+
+KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
+                                const DeviceImage& image, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const detail::QueryView q(device, queries);
-  const std::vector<PackedNode> packed = pack_nodes(forest);
+  const std::span<const PackedNode> packed = detail::image_nodes(forest, image);
   const gpusim::DeviceArray<PackedNode> nodes(device, packed);
   const gpusim::DeviceArray<std::uint32_t> node_offset(device, forest.subtree_node_offsets());
   const gpusim::DeviceArray<std::uint8_t> subtree_depth(device, forest.subtree_depths());

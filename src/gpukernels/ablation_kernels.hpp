@@ -16,6 +16,8 @@ namespace hrf::gpukernels {
 /// report a 2-10x slowdown relative to the independent variant.
 KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
                                 const Dataset& queries);
+KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
+                                const DeviceImage& image, const Dataset& queries);
 
 /// §5 (Goldfarb et al. discussion): lockstep traversal benefits from
 /// presorting similar queries into the same warps. Returns a permutation

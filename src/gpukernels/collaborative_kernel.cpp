@@ -1,5 +1,4 @@
 #include "gpukernels/common.hpp"
-#include "gpukernels/packed_node.hpp"
 #include "gpukernels/kernels.hpp"
 #include "util/math.hpp"
 
@@ -20,10 +19,15 @@ constexpr std::uint32_t kDone = 0xffffffffu;
 /// independent variant, which this model reproduces.
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
                                const Dataset& queries) {
+  return run_collaborative(device, forest, DeviceImage(forest), queries);
+}
+
+KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
+                               const DeviceImage& image, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const auto& cfg = device.config();
   const detail::QueryView q(device, queries);
-  const std::vector<PackedNode> packed = pack_nodes(forest);
+  const std::span<const PackedNode> packed = detail::image_nodes(forest, image);
   const gpusim::DeviceArray<PackedNode> nodes(device, packed);
   const gpusim::DeviceArray<std::int32_t> connection(device, forest.subtree_connection());
 

@@ -4,6 +4,7 @@
 // public API (bench/test code should use kernels.hpp).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -34,6 +35,15 @@ struct QueryView {
     return features.addr(q * width() + f);
   }
 };
+
+/// The image's packed node records, checked against the layout the kernel
+/// walks (an image of another layout would index out of bounds).
+inline std::span<const PackedNode> image_nodes(const HierarchicalForest& forest,
+                                               const DeviceImage& image) {
+  require(image.nodes().size() == forest.feature_id().size(),
+          "device image was not prepared from this layout");
+  return image.nodes();
+}
 
 /// Iterates the kernel grid: one thread per query, `block_size` threads per
 /// block, block b resident on SM (b mod num_sms). `fn(sm, first_query,

@@ -1,74 +1,9 @@
 #include "gpukernels/common.hpp"
 #include "gpukernels/kernels.hpp"
 
-#include <deque>
-
 namespace hrf::gpukernels {
 
 using detail::kWarpSize;
-
-namespace {
-
-/// cuML FIL "sparse16" style node: 16 bytes, children stored adjacently so
-/// one aligned load fetches everything a traversal step needs.
-struct FilNode {
-  std::int32_t feature = kLeafFeature;  // -1 marks a leaf
-  float value = 0.0f;                   // threshold or leaf vote
-  std::int32_t left = -1;               // tree-local index; right = left + 1
-  std::int32_t pad = 0;
-};
-static_assert(sizeof(FilNode) == 16);
-
-/// Flattened FIL forest: per-tree node arrays with BFS ordering (children
-/// of a node are adjacent, levels contiguous) plus tree start offsets.
-struct FilForest {
-  std::vector<FilNode> nodes;
-  std::vector<std::uint32_t> tree_offset;  // size T+1
-
-  static FilForest build(const Forest& forest) {
-    FilForest f;
-    f.tree_offset.reserve(forest.tree_count() + 1);
-    for (std::size_t t = 0; t < forest.tree_count(); ++t) {
-      const DecisionTree& tree = forest.tree(t);
-      f.tree_offset.push_back(static_cast<std::uint32_t>(f.nodes.size()));
-      const auto base = f.nodes.size();
-      // BFS emission with adjacent child pairs.
-      std::deque<std::int32_t> queue{0};
-      std::vector<std::int32_t> renum(tree.node_count(), -1);
-      std::int32_t next = 0;
-      while (!queue.empty()) {
-        const std::int32_t old_id = queue.front();
-        queue.pop_front();
-        renum[static_cast<std::size_t>(old_id)] = next++;
-        const TreeNode& n = tree.node(static_cast<std::size_t>(old_id));
-        if (!n.is_leaf()) {
-          queue.push_back(n.left);
-          queue.push_back(n.right);
-        }
-      }
-      f.nodes.resize(base + tree.node_count());
-      std::vector<std::int32_t> order(tree.node_count());
-      for (std::size_t old_id = 0; old_id < tree.node_count(); ++old_id) {
-        order[static_cast<std::size_t>(renum[old_id])] = static_cast<std::int32_t>(old_id);
-      }
-      std::int32_t emitted_children = 1;  // BFS slot of the next child pair
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        const TreeNode& n = tree.node(static_cast<std::size_t>(order[k]));
-        FilNode& fn = f.nodes[base + k];
-        fn.feature = n.feature;
-        fn.value = n.value;
-        if (!n.is_leaf()) {
-          fn.left = emitted_children;  // children occupy the next BFS pair
-          emitted_children += 2;
-        }
-      }
-    }
-    f.tree_offset.push_back(static_cast<std::uint32_t>(f.nodes.size()));
-    return f;
-  }
-};
-
-}  // namespace
 
 /// cuML FIL stand-in (paper's §4.3 comparison point): one query per
 /// thread, iterating all trees; each traversal step costs a single 16-byte
@@ -77,11 +12,19 @@ struct FilForest {
 /// hierarchical layouts beat by adding shared-memory residency.
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
                               const Dataset& queries) {
+  return run_fil_baseline(device, forest, DeviceImage(forest), queries);
+}
+
+KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
+                              const DeviceImage& image, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
-  const FilForest fil = FilForest::build(forest);
+  require(image.fil_tree_offset().size() == forest.tree_count() + 1,
+          "device image was not prepared from this forest");
+  const std::span<const FilNode> fil_nodes = image.fil_nodes();
+  const std::span<const std::uint32_t> fil_tree_offset = image.fil_tree_offset();
   const detail::QueryView q(device, queries);
-  const gpusim::DeviceArray<FilNode> nodes(device, fil.nodes);
-  const gpusim::DeviceArray<std::uint32_t> tree_offset(device, fil.tree_offset);
+  const gpusim::DeviceArray<FilNode> nodes(device, fil_nodes);
+  const gpusim::DeviceArray<std::uint32_t> tree_offset(device, fil_tree_offset);
 
   const auto& cfg = device.config();
   const auto k = static_cast<std::size_t>(forest.num_classes());
@@ -94,7 +37,7 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
     for (std::size_t t = 0; t < forest.tree_count(); ++t) {
       addrs[0] = tree_offset.addr(t);
       device.warp_load(sm, {addrs, 1}, 1u, sizeof(std::uint32_t));
-      const std::uint32_t base = fil.tree_offset[t];
+      const std::uint32_t base = fil_tree_offset[t];
       for (int l = 0; l < kWarpSize; ++l) lane_node[l] = base;
 
       std::uint32_t active = warp_mask;
@@ -104,7 +47,7 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
 
         std::uint32_t leaf_mask = 0;
         for (int l = 0; l < kWarpSize; ++l) {
-          if ((active & (1u << l)) && fil.nodes[lane_node[l]].feature == kLeafFeature) {
+          if ((active & (1u << l)) && fil_nodes[lane_node[l]].feature == kLeafFeature) {
             leaf_mask |= 1u << l;
           }
         }
@@ -112,7 +55,7 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
         for (int l = 0; l < kWarpSize; ++l) {
           if (leaf_mask & (1u << l)) {
             ++votes[(first + static_cast<std::size_t>(l)) * k +
-                    static_cast<std::uint8_t>(fil.nodes[lane_node[l]].value)];
+                    static_cast<std::uint8_t>(fil_nodes[lane_node[l]].value)];
           }
         }
         active &= ~leaf_mask;
@@ -120,7 +63,7 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
 
         for (int l = 0; l < kWarpSize; ++l) {
           if (!(active & (1u << l))) continue;
-          const FilNode& n = fil.nodes[lane_node[l]];
+          const FilNode& n = fil_nodes[lane_node[l]];
           addrs[l] = q.addr(first + static_cast<std::size_t>(l),
                             static_cast<std::size_t>(n.feature));
         }
@@ -129,7 +72,7 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
         std::uint32_t left_mask = 0;
         for (int l = 0; l < kWarpSize; ++l) {
           if (!(active & (1u << l))) continue;
-          const FilNode& n = fil.nodes[lane_node[l]];
+          const FilNode& n = fil_nodes[lane_node[l]];
           const bool go_left = q.value(first + static_cast<std::size_t>(l),
                                        static_cast<std::size_t>(n.feature)) < n.value;
           if (go_left) left_mask |= 1u << l;

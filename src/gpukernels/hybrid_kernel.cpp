@@ -1,6 +1,5 @@
 #include "gpukernels/common.hpp"
 #include "gpukernels/kernels.hpp"
-#include "gpukernels/packed_node.hpp"
 #include "util/fault.hpp"
 #include "util/math.hpp"
 
@@ -19,6 +18,11 @@ using detail::kWarpSize;
 /// RSD <= 12 on the TITAN Xp — which is why Table 2 stops at RSD 12.
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
                         const Dataset& queries) {
+  return run_hybrid(device, forest, DeviceImage(forest), queries);
+}
+
+KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
+                        const DeviceImage& image, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const auto& cfg = device.config();
 
@@ -33,7 +37,7 @@ KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest
   }
 
   const detail::QueryView q(device, queries);
-  const std::vector<PackedNode> packed = pack_nodes(forest);
+  const std::span<const PackedNode> packed = detail::image_nodes(forest, image);
   const gpusim::DeviceArray<PackedNode> nodes(device, packed);
   const gpusim::DeviceArray<std::uint32_t> node_offset(device, forest.subtree_node_offsets());
   const gpusim::DeviceArray<std::uint8_t> subtree_depth(device, forest.subtree_depths());

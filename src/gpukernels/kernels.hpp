@@ -7,6 +7,7 @@
 #include "forest/forest.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
+#include "gpukernels/device_image.hpp"
 #include "layout/csr.hpp"
 #include "layout/hierarchical.hpp"
 
@@ -20,6 +21,12 @@ struct KernelResult {
   gpusim::Timing timing;
 };
 
+// Every hierarchical and FIL kernel comes in two forms. The image form
+// reads a DeviceImage prepared earlier from the same layout/forest (the
+// serving path: Classifier prepares one at construction). The form
+// without an image prepares one for this call and runs the image form, so
+// both give identical predictions, counters and timing.
+
 /// Baseline: one thread per query, CSR topology in global memory
 /// (paper §2.3). Four dependent global loads per traversal step.
 KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, const Dataset& queries);
@@ -29,6 +36,8 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, const Dataset
 /// inside subtrees.
 KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
                              const Dataset& queries);
+KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
+                             const DeviceImage& image, const Dataset& queries);
 
 /// Collaborative code variant (§3.2): subtrees are batch-loaded into
 /// shared memory and *every* query is walked through *every* subtree in
@@ -36,6 +45,8 @@ KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& f
 /// than the independent variant on GPU.
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
                                const Dataset& queries);
+KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
+                               const DeviceImage& image, const Dataset& queries);
 
 /// Hybrid code variant (§3.2): each tree's root subtree is cooperatively
 /// staged into shared memory (stage 1, coalesced + divergence-free
@@ -43,6 +54,8 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
 /// memory (stage 2).
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
                         const Dataset& queries);
+KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
+                        const DeviceImage& image, const Dataset& queries);
 
 /// cuML Forest Inference Library stand-in: per-tree nodes packed as
 /// 16-byte structs with adjacent children (FIL's sparse storage), one
@@ -50,5 +63,7 @@ KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest
 /// traversal step. Serves as the paper's cuML comparison point.
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
                               const Dataset& queries);
+KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
+                              const DeviceImage& image, const Dataset& queries);
 
 }  // namespace hrf::gpukernels

@@ -42,6 +42,8 @@ struct Counters {
                         : 0.0;
   }
 
+  bool operator==(const Counters&) const = default;
+
   Counters& operator+=(const Counters& o) {
     gld_requests += o.gld_requests;
     gst_requests += o.gst_requests;

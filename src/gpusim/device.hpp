@@ -21,6 +21,8 @@ struct Timing {
   double l2_cycles = 0.0;
   double atomic_cycles = 0.0;  // additive: serialized at the L2 atomic units
   std::string limiter;         // "compute" | "dram" | "l2"
+
+  bool operator==(const Timing&) const = default;
 };
 
 /// The simulated GPU.

@@ -15,6 +15,8 @@ namespace {
 /// blob's per-section CRCs does, so one running checksum suffices.
 class CrcAccumulator {
  public:
+  explicit CrcAccumulator(std::uint32_t seed = 0) : crc_(seed) {}
+
   template <typename T>
   CrcAccumulator& pod(const T& v) {
     crc_ = crc32(&v, sizeof v, crc_);
@@ -77,6 +79,28 @@ std::uint32_t layout_crc32(const HierarchicalForest& layout) {
       .array(layout.value())
       .array(layout.tree_subtree_begin());
   return acc.value();
+}
+
+std::uint32_t image_crc32(const gpukernels::DeviceImage& image, std::uint32_t crc) {
+  CrcAccumulator acc(crc);
+  acc.array(image.nodes()).array(image.fil_nodes()).array(image.fil_tree_offset());
+  return acc.value();
+}
+
+std::uint32_t replica_crc32(const Classifier& clf) {
+  std::uint32_t crc = 0;
+  switch (clf.options().variant) {
+    case Variant::Csr:
+      crc = layout_crc32(clf.csr());
+      break;
+    case Variant::FilBaseline:
+      break;
+    default:
+      crc = layout_crc32(clf.hierarchical());
+      break;
+  }
+  if (const gpukernels::DeviceImage* image = clf.device_image()) crc = image_crc32(*image, crc);
+  return crc;
 }
 
 CsrForest corrupt_replica_copy(const CsrForest& layout) {

@@ -11,8 +11,10 @@
 //   * layout_crc32() — a replica checksum over a *built* layout, defined
 //     to equal the chained per-section CRC32s that layout_io writes into
 //     the v2 blob for the same layout (a cross-check property the tests
-//     pin). The scrubber captures it per worker at install time and
-//     re-verifies it on a timer; any drift means silent memory corruption.
+//     pin). image_crc32() continues it over a gpu-sim replica's device
+//     image; replica_crc32() picks both for a Classifier. The scrubber
+//     captures that per worker at install time and re-verifies it on a
+//     timer; any drift means silent memory corruption.
 //   * corrupt_replica_copy() — the corrupt:replica fault payload: a deep
 //     copy of a layout with every internal-node threshold clobbered.
 //     Structural validation still passes (topology is untouched), so only
@@ -28,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "core/classifier.hpp"
+#include "gpukernels/device_image.hpp"
 #include "layout/csr.hpp"
 #include "layout/hierarchical.hpp"
 
@@ -36,7 +40,7 @@ namespace hrf::serve {
 /// Configuration of the server's integrity monitor. Everything defaults
 /// to off so an unconfigured server pays nothing; see ServerOptions.
 struct IntegrityOptions {
-  /// Scrubber cadence: every interval each worker replica's layout CRC is
+  /// Scrubber cadence: every interval each worker replica's CRC is
   /// re-verified against the value captured at install. 0 = scrubber off.
   double scrub_interval_seconds = 0.0;
 
@@ -89,6 +93,16 @@ struct SelfHealStats {
 /// with the incremental crc32() — the cross-check the tests enforce.
 std::uint32_t layout_crc32(const CsrForest& layout);
 std::uint32_t layout_crc32(const HierarchicalForest& layout);
+
+/// Continues `crc` over a gpu-sim device image's arrays (same u64 count +
+/// raw elements framing), so a replica's reference checksum also covers
+/// the packed copy its kernels read rather than the layout alone.
+std::uint32_t image_crc32(const gpukernels::DeviceImage& image, std::uint32_t crc = 0);
+
+/// Reference CRC of a replica's resident state: its layout's CRC, then
+/// continued over its device image when it has one. FilBaseline keeps no
+/// layout besides its image, so its CRC covers the image alone.
+std::uint32_t replica_crc32(const Classifier& clf);
 
 /// Deep-copies `layout` with every internal-node threshold forced to an
 /// extreme, silently re-routing traversals while keeping the topology

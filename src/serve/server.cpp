@@ -51,20 +51,6 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-/// Reference CRC of a replica's resident layout (serve/integrity.hpp).
-/// Disengaged for FilBaseline, which builds its layout inside the kernel
-/// per call — nothing resident for the scrubber to verify.
-std::optional<std::uint32_t> classifier_layout_crc(const Classifier& clf) {
-  switch (clf.options().variant) {
-    case Variant::Csr:
-      return layout_crc32(clf.csr());
-    case Variant::FilBaseline:
-      return std::nullopt;
-    default:
-      return layout_crc32(clf.hierarchical());
-  }
-}
-
 }  // namespace
 
 void ForestServer::validate_options() const {
@@ -121,7 +107,7 @@ std::shared_ptr<const ForestServer::WorkerModel> ForestServer::build_worker_mode
   model->health = std::move(health);
   // Scrubber reference: recaptured on every legitimate install (ctor,
   // reload, repair) because they all build their models right here.
-  model->layout_crc = classifier_layout_crc(*model->primary);
+  model->layout_crc = scrub_reference(*model->primary);
   return model;
 }
 
@@ -993,13 +979,15 @@ void ForestServer::watchdog_scan() {
   }
 }
 
+std::uint32_t ForestServer::scrub_reference(const Classifier& clf) const {
+  return options_.integrity.scrub_interval_seconds > 0.0 ? replica_crc32(clf) : 0;
+}
+
 void ForestServer::scrub_pass() {
   for (std::size_t w = 0; w < options_.num_workers; ++w) {
     const std::shared_ptr<const WorkerModel> m = model_for(w);
-    if (!m->layout_crc) continue;  // FilBaseline: nothing resident to scrub
     counters_.add("scrub.passes");
-    const std::optional<std::uint32_t> live = classifier_layout_crc(*m->primary);
-    if (live && *live == *m->layout_crc) continue;
+    if (replica_crc32(*m->primary) == m->layout_crc) continue;
     counters_.add("scrub.corruptions");
     flight_event("integrity", "scrub_corruption", "worker " + std::to_string(w));
     repair_replica(w, m);
@@ -1012,7 +1000,7 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
   // keeps answering correctly for the whole rebuild.
   auto degraded = std::make_shared<WorkerModel>(*suspect);
   degraded->primary = suspect->fallback;
-  degraded->layout_crc = classifier_layout_crc(*suspect->fallback);
+  degraded->layout_crc = scrub_reference(*suspect->fallback);
   if (!install_model_if(w, suspect, degraded)) return;  // a reload got there first
   flight_event("integrity", "replica_quarantined", "worker " + std::to_string(w));
   runtimes_[w]->audit_streak.store(0, std::memory_order_relaxed);
@@ -1051,7 +1039,9 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
 void ForestServer::inject_replica_corruption() {
   const std::size_t w = corrupt_rr_++ % options_.num_workers;
   const std::shared_ptr<const WorkerModel> m = model_for(w);
-  if (!m->layout_crc) return;  // FilBaseline: no resident layout to corrupt
+  // FilBaseline has no layout to corrupt a copy of; its image is derived
+  // from the forest, which the oracle shares.
+  if (m->primary->options().variant == Variant::FilBaseline) return;
   // Keep the pristine reference CRC (copied with the rest of the model):
   // the whole point is that the live layout now drifts from it, which
   // only the scrubber/audits can see.

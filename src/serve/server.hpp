@@ -367,12 +367,11 @@ class ForestServer {
     std::shared_ptr<const Classifier> fallback;
     std::uint64_t generation = 0;
     std::shared_ptr<ModelHealth> health;
-    /// Reference CRC of the primary's resident layout, captured when the
-    /// model is built (so every legitimate install — ctor, reload, repair
-    /// — recaptures it for free). The scrubber recomputes the live CRC
-    /// and compares. Disengaged for FilBaseline, whose layout is built
-    /// inside the kernel with nothing resident to scrub.
-    std::optional<std::uint32_t> layout_crc;
+    /// Reference CRC of the primary's resident layout and gpu-sim device
+    /// image, captured when the model is built (so every legitimate
+    /// install — ctor, reload, repair — recaptures it for free). The
+    /// scrubber recomputes the live CRC and compares; 0 when it is off.
+    std::uint32_t layout_crc = 0;
   };
 
   /// One worker's swap point. The mutex is uncontended except during a
@@ -498,8 +497,12 @@ class ForestServer {
   /// chain's fallback step with a watchdog note (never a lost response),
   /// and the thread replaced.
   void watchdog_scan();
-  /// Re-verifies every replica's layout CRC against its reference.
+  /// Re-verifies every replica's CRC against its reference.
   void scrub_pass();
+  /// The scrubber's reference CRC for `clf` (replica_crc32), or 0 when
+  /// the scrubber is off: nothing else reads it, and checksumming a large
+  /// layout plus its device image costs tens of ms per install.
+  std::uint32_t scrub_reference(const Classifier& clf) const;
   /// Quarantines worker w's replica (the CPU oracle serves as primary)
   /// and rebuilds the real primary — from the configured store's current
   /// generation when possible, else recompiled from the pristine forest

@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <limits>
+#include <memory>
 
 #include "data/synthetic.hpp"
 #include "forest/random_forest_gen.hpp"
+#include "gpukernels/kernels.hpp"
 #include "util/error.hpp"
 
 namespace hrf {
@@ -102,6 +104,88 @@ TEST(Classifier, LayoutAccessorsMatchVariant) {
   const Classifier csr_clf(small_forest(), csr_opt);
   EXPECT_GT(csr_clf.csr().num_nodes(), 0u);
   EXPECT_THROW(csr_clf.hierarchical(), ConfigError);
+}
+
+TEST(Classifier, OnlyGpuSimHierarchicalAndFilClassifiersHoldADeviceImage) {
+  const auto holds_image = [](Backend backend, Variant variant) {
+    ClassifierOptions opt;
+    opt.backend = backend;
+    opt.variant = variant;
+    return Classifier(small_forest(), opt).device_image() != nullptr;
+  };
+  for (Variant v : {Variant::Independent, Variant::Collaborative, Variant::Hybrid,
+                    Variant::FilBaseline}) {
+    EXPECT_TRUE(holds_image(Backend::GpuSim, v)) << to_string(v);
+  }
+  EXPECT_FALSE(holds_image(Backend::GpuSim, Variant::Csr));
+  for (Variant v : {Variant::Csr, Variant::Independent}) {
+    EXPECT_FALSE(holds_image(Backend::CpuNative, v)) << to_string(v);
+  }
+  for (Variant v : {Variant::Csr, Variant::Independent, Variant::Collaborative,
+                    Variant::Hybrid}) {
+    EXPECT_FALSE(holds_image(Backend::FpgaSim, v)) << to_string(v);
+  }
+
+  // A precompiled hierarchical layout gets its image too.
+  ClassifierOptions opt;
+  opt.variant = Variant::Hybrid;
+  const Classifier precompiled(
+      small_forest(), HierarchicalForest::build(small_forest(), HierConfig{.subtree_depth = 4}),
+      opt);
+  ASSERT_NE(precompiled.device_image(), nullptr);
+  EXPECT_EQ(precompiled.device_image()->nodes().size(),
+            precompiled.hierarchical().feature_id().size());
+}
+
+TEST(Classifier, ResidentImageRunMatchesThePerCallKernel) {
+  // classify() on the prepared image reports exactly what a per-call
+  // kernel launch on a fresh device does: same answers, same counters.
+  const Dataset q = make_random_queries(300, 7, 12);
+  ClassifierOptions opt;
+  opt.gpu = small_gpu();
+  opt.variant = Variant::Hybrid;
+  opt.layout = HierConfig{.subtree_depth = 4, .root_subtree_depth = 6};
+  const Classifier hybrid(small_forest(), opt);
+  gpusim::Device d_hybrid(small_gpu());
+  const gpukernels::KernelResult k_hybrid =
+      gpukernels::run_hybrid(d_hybrid, hybrid.hierarchical(), q);
+  const RunReport r_hybrid = hybrid.classify(q);
+  EXPECT_EQ(r_hybrid.predictions, k_hybrid.predictions);
+  EXPECT_EQ(r_hybrid.gpu_counters, k_hybrid.counters);
+  EXPECT_EQ(r_hybrid.gpu_timing, k_hybrid.timing);
+
+  opt.variant = Variant::FilBaseline;
+  const Classifier fil(small_forest(), opt);
+  gpusim::Device d_fil(small_gpu());
+  const gpukernels::KernelResult k_fil = gpukernels::run_fil_baseline(d_fil, fil.forest(), q);
+  const RunReport r_fil = fil.classify(q);
+  EXPECT_EQ(r_fil.predictions, k_fil.predictions);
+  EXPECT_EQ(r_fil.gpu_counters, k_fil.counters);
+  EXPECT_EQ(r_fil.gpu_timing, k_fil.timing);
+}
+
+TEST(Classifier, CopiedAndMovedClassifiersClassifyIdentically) {
+  // The image holds no pointer into its owner, so copies and moves keep
+  // working after the original is gone.
+  const Dataset q = make_random_queries(200, 7, 13);
+  for (Variant v : {Variant::Hybrid, Variant::FilBaseline}) {
+    SCOPED_TRACE(to_string(v));
+    ClassifierOptions opt;
+    opt.gpu = small_gpu();
+    opt.variant = v;
+    auto original = std::make_unique<Classifier>(small_forest(), opt);
+    const RunReport want = original->classify(q);
+    const Classifier copy(*original);
+    const Classifier moved(std::move(*original));
+    original.reset();
+    for (const Classifier* clf : {&copy, &moved}) {
+      ASSERT_NE(clf->device_image(), nullptr);
+      const RunReport got = clf->classify(q);
+      EXPECT_EQ(got.predictions, want.predictions);
+      EXPECT_EQ(got.gpu_counters, want.gpu_counters);
+      EXPECT_EQ(got.gpu_timing, want.gpu_timing);
+    }
+  }
 }
 
 TEST(Classifier, TrainFactoryProducesWorkingClassifier) {

@@ -39,6 +39,9 @@ WindowSample server_window(double end, std::uint64_t failed, std::uint64_t compl
   return w;
 }
 
+// Returns a pointer into `alerts`, so callers bind engine.alerts() (a
+// vector returned by value) to a local first; a temporary would die at
+// the end of the statement and leave the pointer dangling.
 const SloAlertState* find_alert(const std::vector<SloAlertState>& alerts,
                                 const std::string& scope, const std::string& objective) {
   for (const SloAlertState& a : alerts) {
@@ -46,19 +49,23 @@ const SloAlertState* find_alert(const std::vector<SloAlertState>& alerts,
   }
   return nullptr;
 }
+const SloAlertState* find_alert(std::vector<SloAlertState>&& alerts, const std::string& scope,
+                                const std::string& objective) = delete;
 
 TEST(SloEngine, FiresOnlyAfterHysteresisEvaluations) {
   SloEngine engine(tight_objectives());
   // 50% failures over a 10% budget => burn 5.0, right at both thresholds.
   engine.observe(server_window(1.0, 50, 50));
-  const SloAlertState* a = find_alert(engine.alerts(), "server", "success_rate");
+  std::vector<SloAlertState> alerts = engine.alerts();
+  const SloAlertState* a = find_alert(alerts, "server", "success_rate");
   ASSERT_NE(a, nullptr);
   EXPECT_FALSE(a->firing);  // one breaching evaluation is not enough
   EXPECT_DOUBLE_EQ(a->fast_burn, 5.0);
   EXPECT_DOUBLE_EQ(a->slow_burn, 5.0);
 
   engine.observe(server_window(2.0, 50, 50));
-  a = find_alert(engine.alerts(), "server", "success_rate");
+  alerts = engine.alerts();
+  a = find_alert(alerts, "server", "success_rate");
   ASSERT_NE(a, nullptr);
   EXPECT_TRUE(a->firing);
   EXPECT_EQ(a->fired_total, 1u);
@@ -71,7 +78,8 @@ TEST(SloEngine, SingleBadWindowDoesNotFire) {
   engine.observe(server_window(1.0, 100, 0));  // one terrible window
   engine.observe(server_window(2.0, 0, 100));  // back to healthy
   engine.observe(server_window(3.0, 0, 100));
-  const SloAlertState* a = find_alert(engine.alerts(), "server", "success_rate");
+  const std::vector<SloAlertState> alerts = engine.alerts();
+  const SloAlertState* a = find_alert(alerts, "server", "success_rate");
   ASSERT_NE(a, nullptr);
   EXPECT_FALSE(a->firing);
   EXPECT_EQ(engine.fired_total(), 0u);
@@ -81,12 +89,15 @@ TEST(SloEngine, ClearsWithHysteresisAndCooldownBlocksRefire) {
   SloEngine engine(tight_objectives());
   engine.observe(server_window(1.0, 50, 50));
   engine.observe(server_window(2.0, 50, 50));  // fires
-  ASSERT_TRUE(find_alert(engine.alerts(), "server", "success_rate")->firing);
+  std::vector<SloAlertState> alerts = engine.alerts();
+  ASSERT_TRUE(find_alert(alerts, "server", "success_rate")->firing);
 
   engine.observe(server_window(3.0, 0, 100));  // clear streak 1: still firing
-  EXPECT_TRUE(find_alert(engine.alerts(), "server", "success_rate")->firing);
+  alerts = engine.alerts();
+  EXPECT_TRUE(find_alert(alerts, "server", "success_rate")->firing);
   engine.observe(server_window(4.0, 0, 100));  // clear streak 2: clears
-  const SloAlertState* a = find_alert(engine.alerts(), "server", "success_rate");
+  alerts = engine.alerts();
+  const SloAlertState* a = find_alert(alerts, "server", "success_rate");
   EXPECT_FALSE(a->firing);
   EXPECT_EQ(a->cleared_total, 1u);
 
@@ -94,14 +105,16 @@ TEST(SloEngine, ClearsWithHysteresisAndCooldownBlocksRefire) {
   // 100 s post-clear cooldown (until t=104) must hold the alert down.
   engine.observe(server_window(5.0, 50, 50));
   engine.observe(server_window(6.0, 50, 50));
-  a = find_alert(engine.alerts(), "server", "success_rate");
+  alerts = engine.alerts();
+  a = find_alert(alerts, "server", "success_rate");
   EXPECT_FALSE(a->firing);
   EXPECT_EQ(a->fired_total, 1u);
 
   // Past the cooldown the same burn fires again.
   engine.observe(server_window(105.0, 50, 50));
   engine.observe(server_window(106.0, 50, 50));
-  a = find_alert(engine.alerts(), "server", "success_rate");
+  alerts = engine.alerts();
+  a = find_alert(alerts, "server", "success_rate");
   EXPECT_TRUE(a->firing);
   EXPECT_EQ(a->fired_total, 2u);
 }
@@ -143,7 +156,8 @@ TEST(SloEngine, TenantShedsBurnTenantScope) {
     w.tenants.push_back(t);
     engine.observe(w);
   }
-  const SloAlertState* a = find_alert(engine.alerts(), "tenant:acme", "success_rate");
+  const std::vector<SloAlertState> alerts = engine.alerts();
+  const SloAlertState* a = find_alert(alerts, "tenant:acme", "success_rate");
   ASSERT_NE(a, nullptr);
   EXPECT_TRUE(a->firing);
 }
@@ -159,12 +173,13 @@ TEST(SloEngine, LatencyObjectiveFiresOnP95Breach) {
     w.histogram_deltas.emplace_back("end_to_end", h.snapshot());
     engine.observe(w);
   }
-  const SloAlertState* lat = find_alert(engine.alerts(), "server", "p95_latency");
+  const std::vector<SloAlertState> alerts = engine.alerts();
+  const SloAlertState* lat = find_alert(alerts, "server", "p95_latency");
   ASSERT_NE(lat, nullptr);
   EXPECT_TRUE(lat->firing);
   // ratio 1.0 over the 5% a p95 objective allows => burn 20.
   EXPECT_DOUBLE_EQ(lat->fast_burn, 20.0);
-  const SloAlertState* ok = find_alert(engine.alerts(), "server", "success_rate");
+  const SloAlertState* ok = find_alert(alerts, "server", "success_rate");
   ASSERT_NE(ok, nullptr);
   EXPECT_FALSE(ok->firing);
 }
@@ -180,7 +195,8 @@ TEST(SloEngine, LatencyObjectiveStaysQuietWhenSamplesAreUnderTarget) {
     w.histogram_deltas.emplace_back("end_to_end", h.snapshot());
     engine.observe(w);
   }
-  const SloAlertState* lat = find_alert(engine.alerts(), "server", "p95_latency");
+  const std::vector<SloAlertState> alerts = engine.alerts();
+  const SloAlertState* lat = find_alert(alerts, "server", "p95_latency");
   ASSERT_NE(lat, nullptr);
   EXPECT_FALSE(lat->firing);
   EXPECT_DOUBLE_EQ(lat->fast_burn, 0.0);

@@ -4,8 +4,11 @@
 //     built layout equals folding the per-section CRC32s that layout_io
 //     writes into the same layout's v2 blob — pinned here for all three
 //     resident variants (CSR, independent hierarchical, hybrid).
+//   * replica_crc32() covers a gpu-sim replica's device image as well as
+//     its layout, FIL baseline included.
 //   * corrupt_replica_copy() produces a structurally valid copy whose CRC
-//     drifts and whose predictions diverge, without touching the source.
+//     drifts and whose predictions diverge, without touching the source —
+//     also through a gpu-sim replica's prepared image.
 //   * ForestServer self-healing: the scrubber detects and repairs an
 //     injected replica corruption; sampled shadow audits serve the oracle
 //     answer on divergence and trigger a repair; the watchdog rescues a
@@ -113,6 +116,45 @@ TEST(IntegrityCrc, CrcIsStableAcrossRebuildsAndSensitiveToCorruption) {
   EXPECT_NE(layout_crc32(a), layout_crc32(corrupt_replica_copy(a)));
   const HierarchicalForest h = HierarchicalForest::build(f, HierConfig{.subtree_depth = 4});
   EXPECT_NE(layout_crc32(h), layout_crc32(corrupt_replica_copy(h)));
+}
+
+TEST(IntegrityCrc, ReplicaCrcCoversTheDeviceImage) {
+  const Forest f = demo_forest();
+  ClassifierOptions opt;  // gpu-sim hybrid
+  const Classifier hybrid(f, opt);
+  ASSERT_NE(hybrid.device_image(), nullptr);
+  EXPECT_EQ(replica_crc32(hybrid),
+            image_crc32(*hybrid.device_image(), layout_crc32(hybrid.hierarchical())));
+  EXPECT_NE(replica_crc32(hybrid), layout_crc32(hybrid.hierarchical()));
+
+  // The FIL baseline's only resident state is its image.
+  opt.variant = Variant::FilBaseline;
+  const Classifier fil(f, opt);
+  ASSERT_NE(fil.device_image(), nullptr);
+  EXPECT_EQ(replica_crc32(fil), image_crc32(*fil.device_image()));
+  EXPECT_EQ(replica_crc32(Classifier(f, opt)), replica_crc32(fil));
+
+  // A CPU replica has no image: its CRC is the layout's.
+  opt.backend = Backend::CpuNative;
+  opt.variant = Variant::Independent;
+  const Classifier cpu(f, opt);
+  EXPECT_EQ(cpu.device_image(), nullptr);
+  EXPECT_EQ(replica_crc32(cpu), layout_crc32(cpu.hierarchical()));
+}
+
+TEST(IntegrityCorrupt, CorruptGpuReplicaChangesItsCrcAndDivergesFromTheOracle) {
+  // The corrupted layout is packed into the replica's image at install, so
+  // both the scrubber's reference CRC and the shadow audit see the damage.
+  const Forest f = demo_forest();
+  const Dataset q = make_random_queries(64, 9, 92);
+  const std::vector<std::uint8_t> oracle = f.classify_batch(q.features(), q.num_samples());
+  ClassifierOptions opt;  // gpu-sim hybrid
+  const Classifier clean(f, opt);
+  const Classifier bad(f, corrupt_replica_copy(clean.hierarchical()), opt);
+  ASSERT_NE(bad.device_image(), nullptr);
+  EXPECT_NE(replica_crc32(bad), replica_crc32(clean));
+  EXPECT_EQ(clean.classify(q).predictions, oracle);
+  EXPECT_NE(bad.classify(q).predictions, oracle);
 }
 
 TEST(IntegrityCorrupt, CopyDivergesWithoutTouchingTheSourceOrTopology) {
