@@ -34,13 +34,12 @@ int main() {
   Dataset queries(256, data.num_features(), data.num_classes());
   for (std::size_t i = 0; i < 256; ++i) queries.push_back(data.sample(i), data.label(i));
 
-  // Primary backend: simulated GPU, hybrid layout. The in-classifier
-  // fallback chain is off so failures reach the server's retry + breaker.
+  // Primary backend: simulated GPU, hybrid layout. Its failures reach the
+  // server's retry + breaker, then the rest of the degradation plan.
   ClassifierOptions copt;
   copt.backend = Backend::GpuSim;
   copt.variant = Variant::Hybrid;
   copt.layout.subtree_depth = 6;
-  copt.fallback.enabled = false;
 
   serve::ServerOptions sopt;
   sopt.num_workers = 2;

@@ -371,6 +371,9 @@ ClusterResult ClusterRouter::query(const Dataset& queries, const QueryOptions& q
                         std::to_string(limiter_.limit()) + ", in flight " +
                         std::to_string(limiter_.in_flight()) + "); back off and retry");
   }
+  // Counted the moment the limiter admits it, so `submitted` never lags
+  // the limiter's in-flight count (a refusal is never counted).
+  counters_.add("cluster.submitted");
   WallTimer limiter_timer;
   try {
     ClusterResult out = query_routed(queries, qopt);
@@ -388,7 +391,6 @@ ClusterResult ClusterRouter::query(const Dataset& queries, const QueryOptions& q
 }
 
 ClusterResult ClusterRouter::query_routed(const Dataset& queries, const QueryOptions& qopt) {
-  counters_.add("cluster.submitted");
   WallTimer request_timer;
   const std::vector<std::size_t> order = candidate_order(qopt.key);
 

@@ -127,8 +127,10 @@ const CsrForest& Classifier::csr() const {
 Classifier::StreamReport Classifier::classify_stream(const Dataset& queries,
                                                      std::size_t chunk_size,
                                                      const std::function<bool()>& cancel,
-                                                     const trace::Span& parent) const {
+                                                     const trace::Span& parent,
+                                                     std::optional<Variant> requested) const {
   require(chunk_size >= 1, "chunk_size must be >= 1");
+  const Variant variant = served_variant(requested);
   StreamReport out;
   out.predictions.reserve(queries.num_samples());
   LatencyHistogram chunk_hist;
@@ -143,7 +145,7 @@ Classifier::StreamReport Classifier::classify_stream(const Dataset& queries,
     chunk.set_name(queries.name());
     for (std::size_t i = lo; i < hi; ++i) chunk.push_back(queries.sample(i), queries.label(i));
     trace::Span span = parent.child("chunk-" + std::to_string(out.chunks));
-    const RunReport r = classify(chunk);
+    const RunReport r = classify(chunk, variant);
     if (span.active()) {
       span.set_attr("queries", static_cast<std::uint64_t>(hi - lo));
       span.set_attr("seconds", r.seconds);
@@ -170,14 +172,6 @@ Classifier::StreamReport Classifier::classify_stream(const Dataset& queries,
             out.fpga_report->total_cycles > 0.0
                 ? 100.0 * (1.0 - out.fpga_report->pipeline_cycles / out.fpga_report->total_cycles)
                 : 0.0;
-      }
-    }
-    // Deduplicated so a persistent per-chunk degradation (e.g. every chunk
-    // retried once) reads as one trail, not chunks-many copies.
-    for (const std::string& d : r.degradations) {
-      if (std::find(out.degradations.begin(), out.degradations.end(), d) ==
-          out.degradations.end()) {
-        out.degradations.push_back(d);
       }
     }
     ++out.chunks;
@@ -223,16 +217,32 @@ void Classifier::validate_queries(const Dataset& queries) const {
   }
 }
 
-RunReport Classifier::run_backend(Backend backend, Variant variant, const CsrForest* csr,
-                                  const HierarchicalForest* hier,
-                                  const gpukernels::DeviceImage* image,
-                                  const Dataset& queries) const {
+Variant Classifier::served_variant(std::optional<Variant> variant) const {
+  const Variant v = variant.value_or(options_.variant);
+  // A hierarchical layout serves every hierarchical variant its backend
+  // has (collaborative/hybrid model on-chip memory, which the CPU lacks);
+  // the CSR and FIL layouts serve only themselves.
+  const bool served =
+      v == options_.variant ||
+      (hier_ && (v == Variant::Independent ||
+                 ((v == Variant::Collaborative || v == Variant::Hybrid) &&
+                  options_.backend != Backend::CpuNative)));
+  if (!served) {
+    throw ConfigError(std::string("a ") + to_string(options_.variant) + " classifier on " +
+                      to_string(options_.backend) + " cannot run as " + to_string(v));
+  }
+  return v;
+}
+
+RunReport Classifier::classify(const Dataset& queries, std::optional<Variant> requested) const {
+  const Variant variant = served_variant(requested);
+  validate_queries(queries);
   RunReport r;
-  switch (backend) {
+  switch (options_.backend) {
     case Backend::CpuNative: {
       WallTimer timer;
-      r.predictions = variant == Variant::Csr ? cpu::classify_csr(*csr, queries)
-                                              : cpu::classify_hierarchical(*hier, queries);
+      r.predictions = variant == Variant::Csr ? cpu::classify_csr(*csr_, queries)
+                                              : cpu::classify_hierarchical(*hier_, queries);
       r.seconds = timer.seconds();
       r.simulated = false;
       break;
@@ -241,22 +251,16 @@ RunReport Classifier::run_backend(Backend backend, Variant variant, const CsrFor
       gpusim::Device device(options_.gpu);
       gpukernels::KernelResult k;
       switch (variant) {
-        case Variant::Csr: k = gpukernels::run_csr(device, *csr, queries); break;
+        case Variant::Csr: k = gpukernels::run_csr(device, *csr_, queries); break;
         case Variant::Independent:
-          k = image ? gpukernels::run_independent(device, *hier, *image, queries)
-                    : gpukernels::run_independent(device, *hier, queries);
+          k = gpukernels::run_independent(device, *hier_, *image_, queries);
           break;
         case Variant::Collaborative:
-          k = image ? gpukernels::run_collaborative(device, *hier, *image, queries)
-                    : gpukernels::run_collaborative(device, *hier, queries);
+          k = gpukernels::run_collaborative(device, *hier_, *image_, queries);
           break;
-        case Variant::Hybrid:
-          k = image ? gpukernels::run_hybrid(device, *hier, *image, queries)
-                    : gpukernels::run_hybrid(device, *hier, queries);
-          break;
+        case Variant::Hybrid: k = gpukernels::run_hybrid(device, *hier_, *image_, queries); break;
         case Variant::FilBaseline:
-          k = image ? gpukernels::run_fil_baseline(device, forest_, *image, queries)
-                    : gpukernels::run_fil_baseline(device, forest_, queries);
+          k = gpukernels::run_fil_baseline(device, forest_, *image_, queries);
           break;
       }
       r.predictions = std::move(k.predictions);
@@ -269,18 +273,18 @@ RunReport Classifier::run_backend(Backend backend, Variant variant, const CsrFor
       fpgakernels::FpgaResult k;
       switch (variant) {
         case Variant::Csr:
-          k = fpgakernels::run_csr_fpga(*csr, queries, options_.fpga, options_.fpga_layout);
+          k = fpgakernels::run_csr_fpga(*csr_, queries, options_.fpga, options_.fpga_layout);
           break;
         case Variant::Independent:
-          k = fpgakernels::run_independent_fpga(*hier, queries, options_.fpga,
+          k = fpgakernels::run_independent_fpga(*hier_, queries, options_.fpga,
                                                 options_.fpga_layout);
           break;
         case Variant::Collaborative:
-          k = fpgakernels::run_collaborative_fpga(*hier, queries, options_.fpga,
+          k = fpgakernels::run_collaborative_fpga(*hier_, queries, options_.fpga,
                                                   options_.fpga_layout);
           break;
         case Variant::Hybrid:
-          k = fpgakernels::run_hybrid_fpga(*hier, queries, options_.fpga, options_.fpga_layout,
+          k = fpgakernels::run_hybrid_fpga(*hier_, queries, options_.fpga, options_.fpga_layout,
                                            options_.fpga_split_stage1);
           break;
         case Variant::FilBaseline:
@@ -293,113 +297,6 @@ RunReport Classifier::run_backend(Backend backend, Variant variant, const CsrFor
     }
   }
   return r;
-}
-
-int Classifier::max_fitting_rsd() const {
-  // Both backends store 8-byte nodes on chip (PackedNode on the GPU,
-  // int32 feature + float value on the FPGA).
-  constexpr std::size_t kNodeBytes = 8;
-  std::size_t capacity = 0;
-  if (options_.backend == Backend::GpuSim) {
-    capacity = options_.gpu.shared_mem_per_block;
-  } else if (options_.backend == Backend::FpgaSim) {
-    const std::size_t cus = options_.fpga_split_stage1
-                                ? 1
-                                : static_cast<std::size_t>(options_.fpga_layout.cus_per_slr);
-    capacity = options_.fpga.onchip_bytes_per_slr / std::max<std::size_t>(cus, 1);
-  }
-  if (capacity == 0) return 0;
-  const std::size_t max_nodes = capacity / kNodeBytes;  // need 2^rsd - 1 <= max_nodes
-  int rsd = 0;
-  while (rsd < 24 && ((1ull << (rsd + 1)) - 1) <= max_nodes) ++rsd;
-  return rsd;
-}
-
-RunReport Classifier::classify(const Dataset& queries) const {
-  validate_queries(queries);
-
-  const FallbackPolicy& fb = options_.fallback;
-  if (!fb.enabled) {
-    return run_backend(options_.backend, options_.variant, csr_ ? &*csr_ : nullptr,
-                       hier_ ? &*hier_ : nullptr, device_image(), queries);
-  }
-
-  struct Attempt {
-    Backend backend;
-    Variant variant;
-    const CsrForest* csr;
-    const HierarchicalForest* hier;
-    const gpukernels::DeviceImage* image;  // null: the kernel prepares one per call
-    std::string note;  // degradation entry recorded when the chain reaches it
-  };
-
-  // Layouts materialized only if their chain step is reached would be
-  // nicer, but both builds are cheap relative to classification and the
-  // chain is only constructed on the (rare) configured path.
-  std::optional<HierarchicalForest> shrunk;
-  std::optional<CsrForest> cpu_csr;
-
-  std::vector<Attempt> plan;
-  plan.push_back({options_.backend, options_.variant, csr_ ? &*csr_ : nullptr,
-                  hier_ ? &*hier_ : nullptr, device_image(), ""});
-  if (options_.backend != Backend::CpuNative) {
-    if (fb.allow_layout_shrink && options_.variant == Variant::Hybrid && hier_) {
-      const int fit = max_fitting_rsd();
-      const int cur = options_.layout.effective_root_depth();
-      if (fit >= 1 && fit < cur) {
-        HierConfig cfg = options_.layout;
-        cfg.root_subtree_depth = fit;
-        shrunk.emplace(HierarchicalForest::build(forest_, cfg));
-        plan.push_back({options_.backend, Variant::Hybrid, nullptr, &*shrunk, nullptr,
-                        "shrink rsd " + std::to_string(cur) + " -> " + std::to_string(fit)});
-      }
-    }
-    if (fb.allow_variant_downgrade) {
-      if ((options_.variant == Variant::Hybrid || options_.variant == Variant::Collaborative) &&
-          hier_) {
-        plan.push_back({options_.backend, Variant::Independent, nullptr, &*hier_,
-                        device_image(), std::string("variant ") + to_string(options_.variant) +
-                            " -> independent"});
-      } else if (options_.variant == Variant::FilBaseline) {
-        cpu_csr.emplace(CsrForest::build(forest_));
-        plan.push_back({options_.backend, Variant::Csr, &*cpu_csr, nullptr, nullptr,
-                        "variant fil-baseline -> csr"});
-      }
-    }
-    if (fb.allow_cpu_fallback) {
-      const std::string note =
-          std::string("backend ") + to_string(options_.backend) + " -> cpu-native";
-      if (hier_) {
-        plan.push_back({Backend::CpuNative, Variant::Independent, nullptr, &*hier_, nullptr,
-                        note + " (independent)"});
-      } else {
-        if (!csr_ && !cpu_csr) cpu_csr.emplace(CsrForest::build(forest_));
-        plan.push_back({Backend::CpuNative, Variant::Csr, csr_ ? &*csr_ : &*cpu_csr, nullptr,
-                        nullptr, note + " (csr)"});
-      }
-    }
-  }
-
-  std::vector<std::string> degradations;
-  std::string last_error;
-  for (const Attempt& a : plan) {
-    if (!a.note.empty()) degradations.push_back("degrade: " + a.note);
-    const int tries = 1 + std::max(0, fb.max_retries);
-    for (int t = 0; t < tries; ++t) {
-      try {
-        RunReport r = run_backend(a.backend, a.variant, a.csr, a.hier, a.image, queries);
-        r.degradations = std::move(degradations);
-        return r;
-      } catch (const ResourceError& e) {
-        last_error = e.what();
-        degradations.push_back(std::string(to_string(a.backend)) + "/" + to_string(a.variant) +
-                               " attempt " + std::to_string(t + 1) + " failed: " + e.what());
-      }
-    }
-  }
-  throw ResourceError("classification failed after exhausting the fallback chain (" +
-                      std::to_string(plan.size()) + " configurations); last error: " +
-                      last_error);
 }
 
 }  // namespace hrf

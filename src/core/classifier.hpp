@@ -58,10 +58,9 @@ struct RunReport {
   std::optional<gpusim::Timing> gpu_timing;
   std::optional<fpgasim::FpgaReport> fpga_report;
 
-  /// Human-readable trail of every retry and fallback step taken to
-  /// produce this result (empty when the configured backend succeeded
-  /// first try). See FallbackPolicy: callers observe degraded runs here
-  /// instead of silently getting different performance.
+  /// Human-readable trail of every retry and degradation step taken to
+  /// produce this result (empty when the configured backend answered first
+  /// try), filled by the degradation plan's walkers, never by classify().
   std::vector<std::string> degradations;
   bool degraded() const { return !degradations.empty(); }
 
@@ -75,27 +74,6 @@ struct RunReport {
   double accuracy(std::span<const std::uint8_t> labels) const;
 };
 
-/// Graceful-degradation policy for classify(): when a simulated backend
-/// raises ResourceError, the classifier walks a degradation chain instead
-/// of failing the request. In order (each step gated by its flag):
-///   1. retry the failing configuration up to `max_retries` extra times
-///      (transient faults);
-///   2. shrink the hybrid root subtree (RSD) to the largest depth that
-///      fits the backend's on-chip memory and rebuild the layout;
-///   3. downgrade the variant: Hybrid/Collaborative -> Independent,
-///      FilBaseline -> Csr (same backend);
-///   4. fall back to Backend::CpuNative as the last resort.
-/// Predictions are bit-identical along the whole chain (all variants and
-/// backends agree functionally); only performance degrades. Every step is
-/// recorded in RunReport::degradations.
-struct FallbackPolicy {
-  bool enabled = false;
-  int max_retries = 1;
-  bool allow_layout_shrink = true;
-  bool allow_variant_downgrade = true;
-  bool allow_cpu_fallback = true;
-};
-
 /// Classifier configuration. Layout parameters apply to the hierarchical
 /// variants; device configs to their respective backends.
 struct ClassifierOptions {
@@ -106,13 +84,13 @@ struct ClassifierOptions {
   fpgasim::FpgaConfig fpga = fpgasim::FpgaConfig::alveo_u250();
   fpgasim::CuLayout fpga_layout{};
   bool fpga_split_stage1 = false;
-  FallbackPolicy fallback{};
 };
 
 /// The library's front door: owns a trained forest plus the inference
-/// layout(s) it was compiled into (and, on GpuSim, the device image the
-/// kernels read), and dispatches classification to the configured
-/// backend/variant.
+/// layout it was compiled into (and, on GpuSim, the device image the
+/// kernels read), validates query batches and executes them on the
+/// configured backend. It neither retries nor degrades: that is the
+/// degradation plan's job (core/degradation_plan.hpp).
 ///
 ///   Forest f = train_forest(train_set, TrainConfig{});
 ///   Classifier clf(std::move(f), {.variant = Variant::Hybrid,
@@ -121,7 +99,8 @@ struct ClassifierOptions {
 ///
 /// Invalid combinations (e.g. FilBaseline on FpgaSim) throw ConfigError at
 /// construction; resource overruns (root subtree vs shared memory/BRAM)
-/// throw ResourceError at classify time, mirroring real launch failures.
+/// throw ResourceError at classify time, mirroring real launch failures,
+/// and always propagate to the caller.
 class Classifier {
  public:
   Classifier(Forest forest, ClassifierOptions options);
@@ -141,12 +120,14 @@ class Classifier {
   /// Loads a serialized forest (Forest::save) and wraps it.
   static Classifier load(const std::string& path, ClassifierOptions options);
 
-  /// Classifies a query batch. Queries are validated up front: a feature
-  /// count differing from the model's, or any NaN/Inf feature value,
-  /// throws ConfigError before any traversal runs. ResourceError from a
-  /// simulated backend is retried/degraded per options().fallback when
-  /// enabled (see FallbackPolicy), else propagated.
-  RunReport classify(const Dataset& queries) const;
+  /// Classifies a query batch as `variant` (default: the configured one):
+  /// another variant runs this classifier's own layout and device image
+  /// (a hierarchical layout serves every hierarchical variant its backend
+  /// has); one the layout does not serve throws ConfigError. Queries are
+  /// validated up front: a feature count differing from the model's, or
+  /// any NaN/Inf feature value, throws ConfigError before any traversal
+  /// runs. ResourceError from a simulated backend propagates.
+  RunReport classify(const Dataset& queries, std::optional<Variant> variant = {}) const;
 
   /// Chunked classification for latency-bounded serving: classifies
   /// `queries` in chunks of `chunk_size`, reporting total and worst-chunk
@@ -161,9 +142,6 @@ class Classifier {
     /// False when a cancel callback stopped the run early; `predictions`
     /// then holds only the chunks finished before cancellation.
     bool completed = true;
-    /// Degradation trail aggregated (deduplicated) across chunks; see
-    /// RunReport::degradations.
-    std::vector<std::string> degradations;
     /// Per-chunk latency histogram (one record per finished chunk, in
     /// ns of `seconds` — simulated or wall per the backend).
     HistogramSnapshot chunk_latency;
@@ -180,14 +158,16 @@ class Classifier {
   /// burning the backend after at most one chunk. When `parent` is an
   /// active span, each chunk gets a "chunk-N" child span carrying its
   /// duration and backend counter attributes (see set_backend_span_attrs);
-  /// inactive spans cost nothing.
+  /// inactive spans cost nothing. `variant` is as for classify().
   StreamReport classify_stream(const Dataset& queries, std::size_t chunk_size,
                                const std::function<bool()>& cancel = {},
-                               const trace::Span& parent = {}) const;
+                               const trace::Span& parent = {},
+                               std::optional<Variant> variant = {}) const;
 
   const Forest& forest() const { return forest_; }
   const ClassifierOptions& options() const { return options_; }
-  /// The hierarchical layout (built lazily; throws for CSR/FIL variants).
+  /// The hierarchical layout (built or adopted in the constructor; throws
+  /// for CSR/FIL variants).
   const HierarchicalForest& hierarchical() const;
   const CsrForest& csr() const;
   /// The gpu-sim device image prepared at construction (the packed nodes
@@ -202,19 +182,12 @@ class Classifier {
  private:
   void check_variant_backend() const;
   void validate_queries(const Dataset& queries) const;
+  /// `variant` (default: the configured one) when this classifier's
+  /// compiled layout serves it on its backend; ConfigError otherwise.
+  Variant served_variant(std::optional<Variant> variant) const;
   /// Prepares image_ for a GpuSim hierarchical or FIL classifier (called
   /// once the layout is in place).
   void prepare_device_image();
-  /// One backend execution against explicit layouts (the fallback chain
-  /// swaps these without touching the classifier's own state). `image`
-  /// is the device image of `hier` (or of the forest, for FilBaseline);
-  /// when null, the GpuSim kernel prepares one for this call.
-  RunReport run_backend(Backend backend, Variant variant, const CsrForest* csr,
-                        const HierarchicalForest* hier, const gpukernels::DeviceImage* image,
-                        const Dataset& queries) const;
-  /// Largest RSD whose root subtree fits the configured backend's on-chip
-  /// memory (0 when not applicable).
-  int max_fitting_rsd() const;
 
   Forest forest_;
   ClassifierOptions options_;

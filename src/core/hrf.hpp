@@ -18,6 +18,7 @@
 ///   hrf::RunReport r = clf.classify(test);
 
 #include "core/classifier.hpp"
+#include "core/degradation_plan.hpp"
 #include "core/paper.hpp"
 #include "data/dataset.hpp"
 #include "data/synthetic.hpp"

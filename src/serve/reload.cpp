@@ -158,7 +158,7 @@ ReloadReport ForestServer::reload(const ModelStore& store, std::uint64_t gen,
     try {
       const std::vector<std::uint8_t> expected =
           model.forest.classify_batch(probe.features(), probe.num_samples());
-      const RunReport got = candidate0->primary->classify(probe);
+      const RunReport got = candidate0->primary().classify(probe);
       std::size_t mismatches = 0;
       for (std::size_t i = 0; i < expected.size(); ++i) {
         if (got.predictions.at(i) != expected[i]) ++mismatches;

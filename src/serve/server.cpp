@@ -22,22 +22,6 @@ SteadyClock::duration to_duration(double seconds) {
 
 void stall(double seconds) { std::this_thread::sleep_for(to_duration(seconds)); }
 
-/// The CPU-native replica that serves while the breaker is open. Keeps
-/// the hierarchical layout when the primary uses one (same predictions,
-/// same indexing scheme), else the CSR baseline.
-Variant fallback_variant(Variant primary) {
-  switch (primary) {
-    case Variant::Independent:
-    case Variant::Collaborative:
-    case Variant::Hybrid:
-      return Variant::Independent;
-    case Variant::Csr:
-    case Variant::FilBaseline:
-      return Variant::Csr;
-  }
-  return Variant::Csr;
-}
-
 std::string format_seconds(double s) {
   std::ostringstream out;
   out.precision(3);
@@ -86,28 +70,23 @@ void ForestServer::validate_options() const {
 std::shared_ptr<const ForestServer::WorkerModel> ForestServer::build_worker_model(
     const Forest& forest, const CsrForest* csr, const HierarchicalForest* hier,
     std::uint64_t generation, std::shared_ptr<ModelHealth> health) const {
-  ClassifierOptions fb = classifier_options_;
-  fb.backend = Backend::CpuNative;
-  fb.variant = fallback_variant(classifier_options_.variant);
-  fb.fallback = FallbackPolicy{};  // the CPU path has nothing to degrade to
-
-  auto model = std::make_shared<WorkerModel>();
   // Precompiled layout when the store supplied one (shape/kind checked by
   // the Classifier ctor); otherwise compile from the forest.
+  std::shared_ptr<const Classifier> primary;
   if (csr != nullptr) {
-    model->primary = std::make_shared<const Classifier>(forest, *csr, classifier_options_);
+    primary = std::make_shared<const Classifier>(forest, *csr, classifier_options_);
   } else if (hier != nullptr) {
-    model->primary = std::make_shared<const Classifier>(forest, *hier, classifier_options_);
+    primary = std::make_shared<const Classifier>(forest, *hier, classifier_options_);
   } else {
-    model->primary = std::make_shared<const Classifier>(forest, classifier_options_);
+    primary = std::make_shared<const Classifier>(forest, classifier_options_);
   }
-  // The fallback twin always compiles its own (cheap) CPU layout.
-  model->fallback = std::make_shared<const Classifier>(forest, fb);
+  auto model = std::make_shared<WorkerModel>();
+  model->plan = build_degradation_plan(std::move(primary));
   model->generation = generation;
   model->health = std::move(health);
   // Scrubber reference: recaptured on every legitimate install (ctor,
   // reload, repair) because they all build their models right here.
-  model->layout_crc = scrub_reference(*model->primary);
+  model->layout_crc = scrub_reference(model->primary());
   return model;
 }
 
@@ -337,12 +316,6 @@ bool ForestServer::ready() const {
 }
 
 bool ForestServer::healthy() const { return !worker_failed_.load(std::memory_order_relaxed); }
-
-void ForestServer::record_run(const Classifier& clf, std::uint64_t generation,
-                              const RunReport& report) {
-  rollups_.record(to_string(clf.options().variant), to_string(clf.options().backend), generation,
-                  report);
-}
 
 obs::MetricsSnapshot ForestServer::metrics_snapshot() const {
   obs::MetricsSnapshot snap;
@@ -688,24 +661,31 @@ ServeResult ForestServer::run_chain(std::size_t w, const WorkerModel& m, const D
                                     const trace::Span& span, CounterDeltas& delta,
                                     bool rescue) {
   ServeResult out;
-  const std::string primary_desc = std::string(to_string(m.primary->options().backend)) + "/" +
-                                   to_string(m.primary->options().variant);
+  const auto step_desc = [](const PlanStep& step) {
+    return std::string(to_string(step.classifier->options().backend)) + "/" +
+           to_string(step.variant);
+  };
+  const std::string primary_desc = step_desc(m.plan.front());
   if (span.active()) {
     span.set_attr("generation", m.generation);
     span.set_attr("primary", primary_desc);
   }
-  std::string note;
-  bool primary_errored = false;
+  const std::size_t cpu = m.plan.size() - 1;
+  std::size_t i = 0;  // the rung being tried
+  std::vector<std::string> trail;
+  bool answered = false;
+  bool primary_errored = false;  // retries exhausted: this model's primary is sick
   if (rescue) {
-    note = "watchdog: worker " + std::to_string(w) +
-           " hung past hang_timeout -> answered on cpu-native fallback";
+    trail.push_back("watchdog: worker " + std::to_string(w) + " hung past hang_timeout");
+    i = cpu;
   } else if (!breaker_.allow_request()) {
     ++delta["breaker.short_circuited"];  // one verdict covers the whole dispatch
     if (span.active()) {
       span.set_attr("breaker", to_string(breaker_.state()));
       span.set_attr("short_circuited", true);
     }
-    note = "serve: breaker open: skipped primary " + primary_desc + " -> cpu-native fallback";
+    trail.push_back("serve: breaker open: skipped primary " + primary_desc);
+    i = cpu;
   } else {
     if (span.active()) span.set_attr("breaker", to_string(breaker_.state()));
     std::optional<TimePoint> tightest;
@@ -714,15 +694,12 @@ ServeResult ForestServer::run_chain(std::size_t w, const WorkerModel& m, const D
     }
     const int tries = 1 + options_.retry.max_retries;
     std::string last_error;
-    for (int attempt = 0; attempt < tries; ++attempt) {
+    for (int attempt = 0; attempt < tries && !answered; ++attempt) {
       trace::Span attempt_span = span.child("attempt-" + std::to_string(attempt));
       try {
-        out.report = classify_members(*m.primary, rows, members, attempt_span);
+        out.report = classify_members(m.plan.front(), rows, members, attempt_span);
         breaker_.record_success();
-        m.health->completed.fetch_add(members.size(), std::memory_order_relaxed);
-        record_run(*m.primary, m.generation, out.report);
-        maybe_audit(w, m, rows, members.size(), out.report, delta);
-        return out;
+        answered = true;
       } catch (const DeadlineError&) {
         // The attempt outlived the deadline: not a backend verdict, so no
         // failure is counted — but a HalfOpen probe must still resolve the
@@ -740,36 +717,56 @@ ServeResult ForestServer::run_chain(std::size_t w, const WorkerModel& m, const D
         // Deterministic jitter (per-worker stream of the server seed)
         // spreads retries from concurrent workers so they do not
         // re-converge on the recovering backend in lockstep. A nap that
-        // would outlive the tightest member deadline skips straight to the
-        // fallback instead of burning the remaining budget.
+        // would outlive the tightest member deadline ends the retries
+        // instead of burning the remaining budget.
         const double backoff = retry_backoff_seconds(options_.retry, attempt, jitter_[w]);
         if (tightest && SteadyClock::now() + to_duration(backoff) >= *tightest) break;
         stall(backoff);
       }
     }
-    primary_errored = true;  // retries exhausted: this model's primary is sick
-    note = "serve: primary " + primary_desc + " failed after " +
-           std::to_string(out.retries + 1) + " attempt(s) (" + last_error +
-           ") -> cpu-native fallback";
+    if (!answered) {
+      primary_errored = true;
+      trail.push_back("serve: primary " + primary_desc + " failed after " +
+                      std::to_string(out.retries + 1) + " attempt(s) (" + last_error + ")");
+      i = breaker_.state() == CircuitState::Open ? cpu : 1;  // tripped just now?
+    }
   }
-  // The CPU-native fallback replica — bit-identical predictions, degraded
-  // latency only, recorded like every other degradation.
-  trace::Span fallback_span = span.child("fallback");
-  out.report = classify_members(*m.fallback, rows, members, fallback_span);
-  fallback_span.end();
-  record_run(*m.fallback, m.generation, out.report);
-  out.via_fallback = true;
-  delta["fallback.served"] += members.size();
-  if (m.generation > 0) note += " [gen " + std::to_string(m.generation) + "]";
-  out.report.degradations.push_back(std::move(note));
-  // Health after the fact: a fallback-served request still completed, but
-  // a primary failure is what the canary / post-promotion watch act on.
+  // The rest of the ladder, one try per step (the CPU step cannot raise
+  // ResourceError).
+  while (!answered) {
+    const PlanStep& step = m.plan[i];
+    trail.push_back("degrade: " + step.note);
+    trace::Span step_span = span.child(i == cpu ? "fallback" : "step-" + std::to_string(i));
+    try {
+      out.report = classify_members(step, rows, members, step_span);
+      answered = true;
+    } catch (const ResourceError& e) {
+      if (i == cpu) throw;
+      step_span.set_attr("error", std::string(e.what()));
+      trail.push_back("serve: " + step_desc(step) + " failed (" + e.what() + ")");
+      ++i;
+    }
+  }
+  rollups_.record(to_string(m.plan[i].variant),
+                  to_string(m.plan[i].classifier->options().backend), m.generation, out.report);
+  if (!trail.empty() && m.generation > 0) {
+    trail.back() += " [gen " + std::to_string(m.generation) + "]";
+  }
+  out.report.degradations = std::move(trail);
+  if (i == cpu) {
+    out.via_fallback = true;
+    delta["fallback.served"] += members.size();
+  } else {
+    maybe_audit(w, m, rows, members.size(), out.report, delta);
+  }
+  // Health after the fact: a degraded request still completed, but a
+  // primary failure is what the canary / post-promotion watch act on.
   if (primary_errored) m.health->primary_errors.fetch_add(1, std::memory_order_relaxed);
   m.health->completed.fetch_add(members.size(), std::memory_order_relaxed);
   return out;
 }
 
-RunReport ForestServer::classify_members(const Classifier& clf, const Dataset& rows,
+RunReport ForestServer::classify_members(const PlanStep& step, const Dataset& rows,
                                          const std::vector<Request>& members,
                                          const trace::Span& span) const {
   // Cancellation policy: a run may only be cancelled when every member
@@ -788,14 +785,14 @@ RunReport ForestServer::classify_members(const Classifier& clf, const Dataset& r
   }
   RunReport r;
   if (!loosest) {
-    r = clf.classify(rows);
+    r = step.classifier->classify(rows, step.variant);
   } else {
     // Time-boxed execution: chunked, cancel polled between chunks, so an
     // expired dispatch stops burning the backend after at most one chunk.
     const TimePoint deadline = *loosest;
-    Classifier::StreamReport s =
-        clf.classify_stream(rows, options_.deadline_chunk_size,
-                            [deadline] { return SteadyClock::now() >= deadline; }, span);
+    Classifier::StreamReport s = step.classifier->classify_stream(
+        rows, options_.deadline_chunk_size,
+        [deadline] { return SteadyClock::now() >= deadline; }, span, step.variant);
     if (!s.completed) {
       throw DeadlineError("deadline expired during execution (" +
                           std::to_string(s.predictions.size()) + " of " +
@@ -805,7 +802,6 @@ RunReport ForestServer::classify_members(const Classifier& clf, const Dataset& r
     r.predictions = std::move(s.predictions);
     r.seconds = s.total_seconds;
     r.simulated = s.simulated;
-    r.degradations = std::move(s.degradations);
     r.latency = std::move(s.chunk_latency);
     r.gpu_counters = std::move(s.gpu_counters);
     r.fpga_report = std::move(s.fpga_report);
@@ -894,7 +890,7 @@ void ForestServer::maybe_audit(std::size_t w, const WorkerModel& m, const Datase
   ++delta["audit.sampled"];
   RunReport oracle;
   try {
-    oracle = m.fallback->classify(rows);
+    oracle = m.oracle().classify(rows);
   } catch (...) {
     return;  // an oracle failure is its own incident, not replica evidence
   }
@@ -964,7 +960,7 @@ void ForestServer::watchdog_scan() {
     std::vector<Request> rescued = inf->claim();
     if (rescued.empty()) continue;  // the worker woke up and claimed first
     counters_.add("watchdog.missed_heartbeats");
-    // Answer every member on the chain's fallback step, with the full
+    // Answer every member on the plan's CPU step, with the full
     // counter/histogram/trace treatment of a normal completion plus a
     // watchdog note — never a lost response.
     for (Request& req : rescued) end_queue_wait(req, SteadyClock::now());
@@ -987,7 +983,7 @@ void ForestServer::scrub_pass() {
   for (std::size_t w = 0; w < options_.num_workers; ++w) {
     const std::shared_ptr<const WorkerModel> m = model_for(w);
     counters_.add("scrub.passes");
-    if (replica_crc32(*m->primary) == m->layout_crc) continue;
+    if (replica_crc32(m->primary()) == m->layout_crc) continue;
     counters_.add("scrub.corruptions");
     flight_event("integrity", "scrub_corruption", "worker " + std::to_string(w));
     repair_replica(w, m);
@@ -999,15 +995,16 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
   // and rescues already trust it) takes over as primary, so this worker
   // keeps answering correctly for the whole rebuild.
   auto degraded = std::make_shared<WorkerModel>(*suspect);
-  degraded->primary = suspect->fallback;
-  degraded->layout_crc = scrub_reference(*suspect->fallback);
+  const PlanStep& oracle = suspect->plan.back();
+  degraded->plan = {PlanStep{oracle.classifier, oracle.variant, ""}, oracle};
+  degraded->layout_crc = scrub_reference(degraded->primary());
   if (!install_model_if(w, suspect, degraded)) return;  // a reload got there first
   flight_event("integrity", "replica_quarantined", "worker " + std::to_string(w));
   runtimes_[w]->audit_streak.store(0, std::memory_order_relaxed);
 
   // Rebuild. Preferred source: the store's current generation, whose blob
   // CRCs are re-verified on read; otherwise recompile from the pristine
-  // in-memory forest the fallback replica carries.
+  // in-memory forest the CPU replica carries.
   std::shared_ptr<const WorkerModel> fresh;
   if (!options_.integrity.rebuild_store_dir.empty()) {
     try {
@@ -1024,7 +1021,7 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
   }
   if (!fresh) {
     try {
-      fresh = build_worker_model(suspect->fallback->forest(), nullptr, nullptr,
+      fresh = build_worker_model(suspect->oracle().forest(), nullptr, nullptr,
                                  suspect->generation, suspect->health);
     } catch (const std::exception&) {
       return;  // keep serving degraded-but-correct on the oracle
@@ -1039,24 +1036,29 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
 void ForestServer::inject_replica_corruption() {
   const std::size_t w = corrupt_rr_++ % options_.num_workers;
   const std::shared_ptr<const WorkerModel> m = model_for(w);
+  const Classifier& primary = m->primary();
   // FilBaseline has no layout to corrupt a copy of; its image is derived
   // from the forest, which the oracle shares.
-  if (m->primary->options().variant == Variant::FilBaseline) return;
-  // Keep the pristine reference CRC (copied with the rest of the model):
-  // the whole point is that the live layout now drifts from it, which
-  // only the scrubber/audits can see.
-  auto poisoned = std::make_shared<WorkerModel>(*m);
+  if (primary.options().variant == Variant::FilBaseline) return;
+  std::shared_ptr<const Classifier> corrupted;
   try {
-    if (m->primary->options().variant == Variant::Csr) {
-      poisoned->primary = std::make_shared<const Classifier>(
-          m->primary->forest(), corrupt_replica_copy(m->primary->csr()), classifier_options_);
+    if (primary.options().variant == Variant::Csr) {
+      corrupted = std::make_shared<const Classifier>(
+          primary.forest(), corrupt_replica_copy(primary.csr()), classifier_options_);
     } else {
-      poisoned->primary = std::make_shared<const Classifier>(
-          m->primary->forest(), corrupt_replica_copy(m->primary->hierarchical()),
-          classifier_options_);
+      corrupted = std::make_shared<const Classifier>(
+          primary.forest(), corrupt_replica_copy(primary.hierarchical()), classifier_options_);
     }
   } catch (const std::exception&) {
     return;  // e.g. a stump forest with no internal node: nothing to flip
+  }
+  // Keep the pristine reference CRC (copied with the rest of the model):
+  // the whole point is that the live layout now drifts from it, which
+  // only the scrubber/audits can see. Every rung that ran the primary's
+  // layout (the variant downgrade) now runs the corrupted copy.
+  auto poisoned = std::make_shared<WorkerModel>(*m);
+  for (PlanStep& step : poisoned->plan) {
+    if (step.classifier.get() == &primary) step.classifier = corrupted;
   }
   install_model_if(w, m, std::move(poisoned));
 }

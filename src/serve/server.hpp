@@ -3,8 +3,9 @@
 // Concurrent serving layer over the Classifier (docs/serving.md).
 //
 // A ForestServer owns a pool of worker threads, each holding its own
-// Classifier replica (primary backend) plus a CPU-native fallback
-// replica, fed from one bounded MPMC request queue. Robustness features,
+// degradation plan (core/degradation_plan.hpp: primary Classifier replica
+// first, CPU-native fallback replica last), fed from one bounded MPMC
+// request queue. Robustness features,
 // in request order:
 //
 //   admission   queue full -> submit() throws OverloadError immediately
@@ -14,7 +15,8 @@
 //               time-boxed during execution by chunked classification
 //               (cancel polled between chunks) — both DeadlineError.
 //   retry       transient ResourceError from the primary is retried with
-//               exponential backoff + deterministic jitter.
+//               exponential backoff + deterministic jitter, then each
+//               later step of the plan is tried once.
 //   breaker     a per-server circuit breaker trips after N consecutive
 //               primary failures; while open, requests route straight to
 //               the CPU-native fallback (bit-identical predictions, noted
@@ -43,19 +45,18 @@
 // size 1 unless micro-batching (ServerOptions::batching) coalesced more;
 // a lone request is simply a batch of one. Each dispatch fires the
 // dispatch fault sites, sheds expired members, gathers the surviving
-// rows (no copy for one member), runs one breaker -> retry -> fallback
-// chain, shadow-audits primary runs, and settles every member through
-// one completion/failure step. The watchdog's rescue is that chain's
-// fallback step, so audits and hung-worker rescue cover batches too.
+// rows (no copy for one member), walks the plan once, shadow-audits
+// device runs, and settles every member through one completion/failure
+// step. The watchdog's rescue is the plan's CPU step, so audits and
+// hung-worker rescue cover batches too.
 //
 // Composition with the fault-injection harness (util/fault): injection
-// sites fire inside worker threads, driving the retry and breaker paths
-// deterministically in tests. Degradations recorded by the per-replica
-// FallbackPolicy propagate into each response's RunReport.
+// sites fire inside worker threads, driving the retry, ladder and breaker
+// paths deterministically in tests.
 //
 // Model hot-swap memory model: each worker owns a *slot* holding a
-// shared_ptr to an immutable WorkerModel (primary + fallback replica +
-// generation + shared health counters). A worker snapshots the pointer
+// shared_ptr to an immutable WorkerModel (degradation plan + generation +
+// shared health counters). A worker snapshots the pointer
 // once per dispatch, so an in-flight request finishes entirely on the
 // model it started with; reload flips the pointers between dispatches.
 // Slots are mutex-guarded (uncontended in steady state — one lock per
@@ -77,6 +78,7 @@
 #include <vector>
 
 #include "core/classifier.hpp"
+#include "core/degradation_plan.hpp"
 #include "obs/exporter.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/rollup.hpp"
@@ -95,9 +97,9 @@ namespace hrf::serve {
 class ModelStore;
 struct LoadedModel;
 
-/// Server-level retry of transient primary-backend failures. Distinct
-/// from FallbackPolicy::max_retries (which retries *inside* one classify
-/// call): this one backs off between attempts, so a device that needs a
+/// Server-level retry of transient primary-backend failures: the only
+/// retry budget a request has (later steps of the degradation plan are
+/// tried once). Backs off between attempts, so a device that needs a
 /// moment to recover is not hammered.
 struct RetryPolicy {
   int max_retries = 2;                 // extra primary attempts per request
@@ -176,7 +178,7 @@ struct ServerOptions {
 struct ServeResult {
   RunReport report;            // predictions + degradation trail
   int retries = 0;             // server-level retry attempts spent
-  bool via_fallback = false;   // breaker routed this to the CPU replica
+  bool via_fallback = false;   // served by the plan's CPU replica
   double queue_seconds = 0.0;  // submit -> dispatch
   double service_seconds = 0.0;
 };
@@ -238,9 +240,8 @@ struct DrainReport {
 
 class ForestServer {
  public:
-  /// Builds per-worker primary replicas from (forest, classifier_options)
-  /// and per-worker CPU-native fallback replicas, then starts the worker
-  /// pool (paused when options.start_paused).
+  /// Builds one degradation plan per worker, then starts the worker pool
+  /// (paused when options.start_paused).
   ForestServer(Forest forest, ClassifierOptions classifier_options, ServerOptions options);
 
   /// Serves the store's current generation (precompiled layout blob);
@@ -359,12 +360,12 @@ class ForestServer {
     std::atomic<std::uint64_t> primary_errors{0};  // primary exhausted retries
   };
 
-  /// An immutable model installation for one worker: the primary replica,
-  /// its CPU-native fallback twin, and the generation they came from.
-  /// Swapped wholesale — a dispatch sees one WorkerModel end to end.
+  /// An immutable model installation for one worker: its degradation
+  /// plan (whose CPU step is also the shadow audits' oracle) and the
+  /// generation it came from. Swapped wholesale — a dispatch sees one
+  /// WorkerModel end to end.
   struct WorkerModel {
-    std::shared_ptr<const Classifier> primary;
-    std::shared_ptr<const Classifier> fallback;
+    DegradationPlan plan;
     std::uint64_t generation = 0;
     std::shared_ptr<ModelHealth> health;
     /// Reference CRC of the primary's resident layout and gpu-sim device
@@ -372,6 +373,8 @@ class ForestServer {
     /// install — ctor, reload, repair — recaptures it for free). The
     /// scrubber recomputes the live CRC and compares; 0 when it is off.
     std::uint32_t layout_crc = 0;
+    const Classifier& primary() const { return *plan.front().classifier; }
+    const Classifier& oracle() const { return *plan.back().classifier; }
   };
 
   /// One worker's swap point. The mutex is uncontended except during a
@@ -386,7 +389,7 @@ class ForestServer {
                ServerOptions options);
   void validate_options() const;
   void start_workers();
-  /// Builds one worker's replica pair from a forest and optional
+  /// Builds one worker's degradation plan from a forest and optional
   /// precompiled layout (ConfigError on shape/kind mismatch).
   std::shared_ptr<const WorkerModel> build_worker_model(
       const Forest& forest, const CsrForest* csr, const HierarchicalForest* hier,
@@ -394,10 +397,6 @@ class ForestServer {
 
   std::shared_ptr<const WorkerModel> model_for(std::size_t w) const;
   void install_model(std::size_t w, std::shared_ptr<const WorkerModel> m);
-
-  /// Folds one successful run into the rollup registry under the
-  /// classifier that actually served it (primary or fallback replica).
-  void record_run(const Classifier& clf, std::uint64_t generation, const RunReport& report);
 
   void record_reload(const ReloadReport& rep);
 
@@ -420,26 +419,27 @@ class ForestServer {
   bool dispatch(std::size_t w, std::vector<Request> batch);
   /// Stamps a dequeued request's queue wait (histogram, queue span).
   void end_queue_wait(Request& req, TimePoint now);
-  /// Runs `live` as one classify on worker w's replica pair — rows
-  /// gathered once (none for a lone member), one breaker -> retry ->
-  /// fallback chain, a shadow audit of primary runs — and settles every
-  /// member. A watchdog `rescue` skips straight to the fallback step. A
+  /// Runs `live` as one classify on worker w's plan — rows gathered once
+  /// (none for a lone member), one walk of the plan, a shadow audit of
+  /// device runs — and settles every member. A watchdog `rescue` skips
+  /// straight to the plan's CPU step. A
   /// non-deadline fault a batch cannot pin on one member (e.g. a
   /// malformed row failing combined validation) re-runs each member
   /// alone, so a poison request never fails its batchmates.
   void run_dispatch(std::size_t w, std::vector<Request> live, CounterDeltas delta, bool rescue);
-  /// The breaker -> retry -> fallback chain over `rows`. Backoff is
-  /// time-boxed by the tightest member deadline: a nap that would outlive
-  /// it skips straight to the fallback. Throws DeadlineError on cancel.
+  /// Walks the plan over `rows`: breaker + retry on step 0, then one try
+  /// per step; an open breaker (or a rescue) jumps to the CPU step. A
+  /// backoff nap that would outlive the tightest member deadline ends the
+  /// retries. Throws DeadlineError on cancel.
   ServeResult run_chain(std::size_t w, const WorkerModel& m, const Dataset& rows,
                         const std::vector<Request>& members, const trace::Span& span,
                         CounterDeltas& delta, bool rescue);
-  /// One classify of `rows` on `clf`: chunked and cancellable at the
+  /// One classify of `rows` on `step`: chunked and cancellable at the
   /// *loosest* member deadline when every member carries one (cancelling
   /// then strands no member that still had budget; DeadlineError), one
   /// classify() call otherwise. Chunk child spans hang off `span`; backend
   /// counter attributes are stamped onto it.
-  RunReport classify_members(const Classifier& clf, const Dataset& rows,
+  RunReport classify_members(const PlanStep& step, const Dataset& rows,
                              const std::vector<Request>& members, const trace::Span& span) const;
   /// Settles every member of one dispatch: counters first (one add_batch,
   /// so a woken client reads them), then per member its histograms, root
@@ -493,9 +493,9 @@ class ForestServer {
   /// The shared monitor thread: corrupt:replica injection, watchdog
   /// scans, audit-requested repairs, and timed scrub passes.
   void monitor_loop();
-  /// Rescues a hung worker's claimed batch: answered by the dispatch
-  /// chain's fallback step with a watchdog note (never a lost response),
-  /// and the thread replaced.
+  /// Rescues a hung worker's claimed batch: answered by the plan's CPU
+  /// step with a watchdog note (never a lost response), and the thread
+  /// replaced.
   void watchdog_scan();
   /// Re-verifies every replica's CRC against its reference.
   void scrub_pass();
@@ -506,7 +506,7 @@ class ForestServer {
   /// Quarantines worker w's replica (the CPU oracle serves as primary)
   /// and rebuilds the real primary — from the configured store's current
   /// generation when possible, else recompiled from the pristine forest
-  /// the fallback replica holds. No-op if the slot moved on (a reload).
+  /// the CPU replica holds. No-op if the slot moved on (a reload).
   void repair_replica(std::size_t w, std::shared_ptr<const WorkerModel> suspect);
   /// corrupt:replica payload: copy-clobber-swap one worker's layout,
   /// keeping the reference CRC so the scrubber sees the drift.

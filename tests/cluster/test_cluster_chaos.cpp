@@ -167,7 +167,6 @@ TEST(ClusterChaos, NoisyNeighborSurgeIsShedWhileVictimsHoldSlo) {
   ClassifierOptions copt;
   copt.backend = Backend::CpuNative;
   copt.variant = Variant::Independent;
-  copt.fallback.enabled = false;
   serve::ServerOptions sopt;
   sopt.num_workers = 2;
   // Capacity 5 at weights 2:2:1 reserves 2+2 victim slots per shard and
@@ -305,7 +304,6 @@ TEST(ClusterChaos, AutoscaleWaveServesThroughResizesAndAKill) {
   ClassifierOptions copt;
   copt.backend = Backend::CpuNative;
   copt.variant = Variant::Independent;
-  copt.fallback.enabled = false;
   serve::ServerOptions sopt;
   sopt.num_workers = 1;
   sopt.queue_capacity = 64;
@@ -464,7 +462,6 @@ TEST(ClusterChaos, DegradedModeStaysWithinSlo) {
   copt.backend = Backend::GpuSim;
   copt.variant = Variant::Hybrid;
   copt.layout.subtree_depth = 4;
-  copt.fallback.enabled = false;
   serve::ServerOptions sopt;
   sopt.num_workers = 1;
   sopt.queue_capacity = 64;

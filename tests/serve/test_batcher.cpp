@@ -164,7 +164,6 @@ ClassifierOptions gpu_hybrid_options() {
   opt.layout.subtree_depth = 4;
   opt.gpu = gpusim::DeviceConfig::titan_xp();
   opt.gpu.num_sms = 4;
-  opt.fallback.enabled = false;
   return opt;
 }
 

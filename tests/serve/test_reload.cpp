@@ -50,9 +50,6 @@ ClassifierOptions gpu_hybrid_options() {
   opt.layout.subtree_depth = 4;
   opt.gpu = gpusim::DeviceConfig::titan_xp();
   opt.gpu.num_sms = 4;
-  // Failures must reach the server (retry / breaker / health counters),
-  // so the in-classifier fallback chain stays off.
-  opt.fallback.enabled = false;
   return opt;
 }
 

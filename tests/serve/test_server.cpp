@@ -39,9 +39,6 @@ ClassifierOptions gpu_hybrid_options() {
   opt.layout.subtree_depth = 4;
   opt.gpu = gpusim::DeviceConfig::titan_xp();
   opt.gpu.num_sms = 4;
-  // Failures must reach the server's retry + breaker, so the in-classifier
-  // chain stays off here (its composition is covered separately below).
-  opt.fallback.enabled = false;
   return opt;
 }
 
@@ -311,17 +308,48 @@ TEST_F(ForestServerTest, InvalidQueriesFailTheRequestNotTheServer) {
   EXPECT_TRUE(server.healthy());
 }
 
-TEST_F(ForestServerTest, InClassifierFallbackPolicyDegradationsPropagate) {
+TEST_F(ForestServerTest, PersistentFaultSpendsOneRetryBudgetAndTripsTheBreaker) {
+  // One degradation chain: a dispatch pays step 0's retry budget plus one
+  // try of the variant downgrade, each a single device bring-up, and every
+  // primary failure reaches the breaker, which opens once failure_threshold
+  // of them piled up.
   FaultInjector::global().arm("resource:gpu", -1);
-  ClassifierOptions copt = gpu_hybrid_options();
-  copt.fallback.enabled = true;  // the classifier absorbs the fault itself
-  ForestServer server(forest_, copt, fast_server(1));
+  constexpr int kRetries = 2;
+  constexpr std::uint64_t kAttempts = 1 + kRetries;
+  constexpr int kDispatchesToTrip = 3;
+  ServerOptions sopt = fast_server(1);
+  sopt.retry.max_retries = kRetries;
+  sopt.breaker.failure_threshold = kDispatchesToTrip * static_cast<int>(kAttempts);
+  sopt.breaker.open_seconds = 60.0;
+  ForestServer server(forest_, gpu_hybrid_options(), sopt);
+  const FaultInjector& inj = FaultInjector::global();
+  const std::uint64_t before = inj.fired("resource:gpu");  // cumulative per process
+  const auto fired = [&] { return inj.fired("resource:gpu") - before; };
 
-  ServeResult res = server.submit(queries_).get();
-  EXPECT_EQ(res.report.predictions, reference_);
-  EXPECT_FALSE(res.via_fallback);  // the server-level breaker never engaged
-  EXPECT_TRUE(res.report.degraded());  // but the policy's trail is visible
-  EXPECT_EQ(server.stats().fallback_served, 0u);
+  std::uint64_t expected = 0;
+  for (int d = 1; d <= kDispatchesToTrip; ++d) {
+    EXPECT_EQ(server.breaker_state(), CircuitState::Closed);
+    const ServeResult res = server.submit(queries_).get();
+    EXPECT_EQ(res.report.predictions, reference_);
+    EXPECT_TRUE(res.via_fallback);
+    EXPECT_EQ(res.retries, kRetries);
+    // (1 + R) primary attempts, then one independent downgrade try — which
+    // the dispatch that trips the breaker skips: an open breaker sends it
+    // straight to the CPU step.
+    expected += kAttempts + (d < kDispatchesToTrip ? 1 : 0);
+    EXPECT_EQ(fired(), expected) << "dispatch " << d;
+  }
+  EXPECT_EQ(server.breaker_state(), CircuitState::Open);
+  EXPECT_EQ(server.stats().breaker_trips, 1u);
+
+  // Open: straight to the CPU step, no device bring-up at all.
+  const ServeResult skipped = server.submit(queries_).get();
+  EXPECT_EQ(skipped.report.predictions, reference_);
+  EXPECT_TRUE(skipped.via_fallback);
+  EXPECT_EQ(fired(), expected);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.breaker_short_circuited, 1u);
+  EXPECT_EQ(stats.fallback_served, static_cast<std::uint64_t>(kDispatchesToTrip + 1));
 }
 
 // The acceptance scenario: 8 concurrent clients against a persistently

@@ -18,8 +18,9 @@
 //
 // Robustness tooling (docs/robustness.md): `--inject-fault spec[,spec]`
 // arms the deterministic fault injector (e.g. resource:gpu, bitflip:layout)
-// and predict degrades along the fallback chain unless --no-fallback is
-// given; every degradation step is printed. At the serving layer,
+// and predict walks the model's degradation plan (shrink RSD -> downgrade
+// variant -> cpu-native, one try per step); every degradation step is
+// printed. At the serving layer,
 // --scrub-interval-ms / --audit-sample / --hang-timeout-ms turn on the
 // integrity monitor (replica CRC scrubbing, sampled CPU-oracle shadow
 // audits, worker watchdog); a self-heal summary prints on drain.
@@ -29,8 +30,8 @@
 // with a synthetic multi-threaded client load, then drains gracefully and
 // prints the server's counters plus per-stage latency percentiles
 // (queue-wait / execute / end-to-end histograms). With --inject-fault
-// resource:gpu:-1 and --no-fallback this demonstrates the breaker
-// tripping and traffic being served by the CPU-native fallback replicas.
+// resource:gpu:-1 this demonstrates the breaker tripping and traffic
+// being served by the CPU-native fallback replicas.
 //
 // Model lifecycle (docs/model-lifecycle.md): `publish` writes a model +
 // compiled layout into a versioned on-disk store as a new checksummed
@@ -259,9 +260,25 @@ int mode_predict(const CliArgs& args) {
   opt.variant = parse_variant(args.get("variant", "independent"));
   opt.layout.subtree_depth = static_cast<int>(args.get_int("sd", 8));
   opt.layout.root_subtree_depth = static_cast<int>(args.get_int("rsd", 0));
-  opt.fallback.enabled = !args.get_flag("no-fallback");
-  const Classifier clf = make_predict_classifier(args, opt);
-  const RunReport r = clf.classify(data);
+  // The same plan a server installs, walked with one try per step and no
+  // breaker: a ResourceError moves to the next rung, the CPU rung answers.
+  const DegradationPlan plan = build_degradation_plan(
+      std::make_shared<const Classifier>(make_predict_classifier(args, opt)));
+  RunReport r;
+  std::vector<std::string> trail;
+  for (std::size_t i = 0;; ++i) {
+    const PlanStep& step = plan[i];
+    if (i > 0) trail.push_back("degrade: " + step.note);
+    try {
+      r = step.classifier->classify(data, step.variant);
+      break;
+    } catch (const ResourceError& e) {
+      if (i + 1 == plan.size()) throw;
+      trail.push_back(std::string(to_string(step.classifier->options().backend)) + "/" +
+                      to_string(step.variant) + " failed: " + e.what());
+    }
+  }
+  r.degradations = std::move(trail);
 
   std::printf("%zu queries on %s/%s: %.5f %s\n", data.num_samples(), to_string(opt.backend),
               to_string(opt.variant), r.seconds, r.simulated ? "simulated-s" : "wall-s");
@@ -595,10 +612,6 @@ int mode_serve(const CliArgs& args) {
   opt.variant = parse_variant(args.get("variant", "independent"));
   opt.layout.subtree_depth = static_cast<int>(args.get_int("sd", 8));
   opt.layout.root_subtree_depth = static_cast<int>(args.get_int("rsd", 0));
-  // With the per-replica FallbackPolicy on (default), ResourceErrors are
-  // absorbed inside classify() and the breaker never sees them;
-  // --no-fallback hands failure handling to the server's retry + breaker.
-  opt.fallback.enabled = !args.get_flag("no-fallback");
 
   serve::ServerOptions sopt;
   sopt.num_workers = static_cast<std::size_t>(args.get_int("workers", 2));
@@ -953,7 +966,6 @@ int mode_cluster(const CliArgs& args) {
   opt.variant = parse_variant(args.get("variant", "independent"));
   opt.layout.subtree_depth = static_cast<int>(args.get_int("sd", 8));
   opt.layout.root_subtree_depth = static_cast<int>(args.get_int("rsd", 0));
-  opt.fallback.enabled = !args.get_flag("no-fallback");
 
   serve::ServerOptions sopt;
   sopt.num_workers = static_cast<std::size_t>(args.get_int("workers", 1));
@@ -1353,7 +1365,6 @@ int mode_trace(const CliArgs& args) {
   opt.variant = parse_variant(args.get("variant", "independent"));
   opt.layout.subtree_depth = static_cast<int>(args.get_int("sd", 8));
   opt.layout.root_subtree_depth = static_cast<int>(args.get_int("rsd", 0));
-  opt.fallback.enabled = !args.get_flag("no-fallback");
 
   serve::ServerOptions sopt;
   sopt.num_workers = static_cast<std::size_t>(args.get_int("workers", 2));
@@ -1492,8 +1503,6 @@ int main(int argc, char** argv) {
       .allow("shadow-queries", "serve: synthetic probe size for shadow validation")
       .allow("publish-live", "serve: model file to publish mid-traffic (hot-swap demo)")
       .allow("publish-bad", "serve: MODEL:BLOB to publish as a must-be-rejected generation")
-      .allow("no-fallback", "predict/serve: disable the in-classifier fallback chain "
-                            "(serve: failures then drive the server's retry + breaker)")
       .allow("workers", "serve: worker threads (classifier replicas)")
       .allow("queue-cap", "serve: bounded request queue capacity")
       .allow("clients", "serve: synthetic client threads")
