@@ -44,32 +44,25 @@ void BM_CpuCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_CpuCsr)->Unit(benchmark::kMillisecond);
 
+// Args: subtree depth, rows per call. 32-1024 rows is the serving range
+// (routed CPU shards, degraded-mode rungs, shadow audits); 20000 is offline.
 void BM_CpuHierarchical(benchmark::State& state) {
   const Workload& w = workload();
   HierConfig cfg;
   cfg.subtree_depth = static_cast<int>(state.range(0));
   const HierarchicalForest h = HierarchicalForest::build(w.forest, cfg);
+  const Dataset queries = make_random_queries(static_cast<std::size_t>(state.range(1)), 20, 78);
   for (auto _ : state) {
-    auto preds = cpu::classify_hierarchical(h, w.queries);
+    auto preds = cpu::classify_hierarchical(h, queries);
     benchmark::DoNotOptimize(preds.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(w.queries.num_samples()));
+                          static_cast<std::int64_t>(queries.num_samples()));
 }
-BENCHMARK(BM_CpuHierarchical)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_CpuHierarchicalBlocked(benchmark::State& state) {
-  const Workload& w = workload();
-  HierConfig cfg;
-  cfg.subtree_depth = 6;
-  const HierarchicalForest h = HierarchicalForest::build(w.forest, cfg);
-  for (auto _ : state) {
-    auto preds = cpu::classify_hierarchical_blocked(h, w.queries,
-                                                    static_cast<std::size_t>(state.range(0)));
-    benchmark::DoNotOptimize(preds.data());
-  }
-}
-BENCHMARK(BM_CpuHierarchicalBlocked)->Arg(512)->Arg(4096)->Arg(32768)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CpuHierarchical)
+    ->ArgNames({"sd", "rows"})
+    ->ArgsProduct({{4, 6, 8}, {32, 256, 1024, 20'000}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PointerForest(benchmark::State& state) {
   const Workload& w = workload();

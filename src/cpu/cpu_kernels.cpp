@@ -6,6 +6,80 @@
 
 namespace hrf::cpu {
 
+namespace {
+
+/// Adds one vote per (row, tree) for rows [lo, hi) into `votes` (k per row).
+/// Lane state is kept as parallel arrays, one entry per row in flight.
+void vote_rows(const HierarchicalForest& forest, const Dataset& queries, std::size_t lo,
+               std::size_t hi, std::uint32_t* votes) {
+  constexpr std::size_t G = kInterleaveGroup;
+  const std::int32_t* fid = forest.feature_id().data();
+  const float* val = forest.value().data();
+  const std::int32_t* conn = forest.subtree_connection().data();
+  const std::uint32_t* node_offset = forest.subtree_node_offsets().data();
+  const std::uint8_t* depth = forest.subtree_depths().data();
+  const std::uint32_t* conn_offset = forest.connection_offsets().data();
+  const float* x = queries.features().data();
+  const std::size_t nf = queries.num_features();
+  const auto k = static_cast<std::size_t>(forest.num_classes());
+  const auto bottom_first_of = [&](std::uint32_t st) {
+    return (std::uint32_t{1} << (depth[st] - 1)) - 1;
+  };
+
+  std::size_t row[G];
+  std::uint32_t subtree[G], offset[G], bottom_first[G], p[G];
+  for (std::size_t t = 0; t < forest.num_trees(); ++t) {
+    const std::uint32_t root = forest.root_subtree(t);
+    const std::uint32_t root_offset = node_offset[root];
+    const std::uint32_t root_bottom_first = bottom_first_of(root);
+    const auto start = [&](std::size_t l, std::size_t r) {
+      row[l] = r;
+      subtree[l] = root;
+      offset[l] = root_offset;
+      bottom_first[l] = root_bottom_first;
+      p[l] = 0;
+    };
+    std::size_t next = lo;
+    std::size_t live = 0;
+    for (; live < G && next < hi; ++live) start(live, next++);
+    while (live > 0) {
+      for (std::size_t l = 0; l < live;) {
+        const std::uint32_t slot = offset[l] + p[l];
+        const std::int32_t f = fid[slot];
+        if (f == kLeafFeature) {
+          ++votes[row[l] * k + static_cast<std::uint8_t>(val[slot])];
+          if (next < hi) {  // the lane takes the next row, from the root
+            start(l++, next++);
+          } else {  // no rows left: swap-remove the lane
+            --live;
+            row[l] = row[live];
+            subtree[l] = subtree[live];
+            offset[l] = offset[live];
+            bottom_first[l] = bottom_first[live];
+            p[l] = p[live];
+          }
+          continue;
+        }
+        const std::uint32_t right = !(x[row[l] * nf + static_cast<std::size_t>(f)] < val[slot]);
+        if (p[l] >= bottom_first[l]) {
+          // Inner node on the bottom level: hop to the connected subtree.
+          const auto st = static_cast<std::uint32_t>(
+              conn[conn_offset[subtree[l]] + 2 * (p[l] - bottom_first[l]) + right]);
+          subtree[l] = st;
+          offset[l] = node_offset[st];
+          bottom_first[l] = bottom_first_of(st);
+          p[l] = 0;
+        } else {
+          p[l] = 2 * p[l] + 1 + right;
+        }
+        ++l;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> classify_csr(const CsrForest& csr, const Dataset& queries) {
   require(csr.num_features() == queries.num_features(), "query width != forest features");
   const std::size_t nq = queries.num_samples();
@@ -21,42 +95,21 @@ std::vector<std::uint8_t> classify_hierarchical(const HierarchicalForest& forest
                                                 const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const std::size_t nq = queries.num_samples();
-  std::vector<std::uint8_t> out(nq);
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < nq; ++i) {
-    out[i] = forest.classify(queries.sample(i));
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> classify_hierarchical_blocked(const HierarchicalForest& forest,
-                                                        const Dataset& queries,
-                                                        std::size_t query_block) {
-  require(forest.num_features() == queries.num_features(), "query width != forest features");
-  require(query_block >= 1, "query_block must be >= 1");
-  const std::size_t nq = queries.num_samples();
-  const std::size_t nt = forest.num_trees();
   const auto k = static_cast<std::size_t>(forest.num_classes());
   std::vector<std::uint32_t> votes(nq * k, 0);
-
-  // Process queries in blocks; within a block, iterate trees in the outer
-  // loop so each tree's hot subtrees are reused across the whole block.
-#pragma omp parallel for schedule(dynamic)
-  for (std::size_t b = 0; b < (nq + query_block - 1) / query_block; ++b) {
-    const std::size_t lo = b * query_block;
-    const std::size_t hi = lo + query_block < nq ? lo + query_block : nq;
-    for (std::size_t t = 0; t < nt; ++t) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto cls =
-            static_cast<std::uint8_t>(forest.traverse_tree(t, queries.sample(i)));
-        ++votes[i * k + cls];
-      }
-    }
-  }
-
   std::vector<std::uint8_t> out(nq);
-  for (std::size_t i = 0; i < nq; ++i) {
-    out[i] = Forest::vote_winner({votes.data() + i * k, k});
+#pragma omp parallel
+  {
+    // Each thread owns one contiguous row range, walks every tree over it,
+    // then reduces its own rows' votes.
+    const auto threads = static_cast<std::size_t>(omp_get_num_threads());
+    const auto thread = static_cast<std::size_t>(omp_get_thread_num());
+    const std::size_t lo = nq * thread / threads;
+    const std::size_t hi = nq * (thread + 1) / threads;
+    vote_rows(forest, queries, lo, hi, votes.data());
+    for (std::size_t i = lo; i < hi; ++i) {
+      out[i] = Forest::vote_winner({votes.data() + i * k, k});
+    }
   }
   return out;
 }

@@ -200,16 +200,22 @@ TEST(ClusterChaos, NoisyNeighborSurgeIsShedWhileVictimsHoldSlo) {
   const double p95_limit = std::max(
       2.0 * std::max({healthy_a.p95_seconds, healthy_b.p95_seconds, 1e-3}), 0.010);
 
-  // --- surge: 4 spinning clients vs 2+2 victim clients -------------------
+  // --- surge: closed-loop surge clients vs 2+2 victim clients ------------
   // The >= 10x attempt ratio is enforced by the post-victim drain loop
-  // below, not by the client count, so four surgers suffice; more would
-  // only add scheduler contention that muddies the victims' p95.
+  // below, not by the client count. The count is what puts the surge over
+  // its quota: each client holds one request at a time, a shard takes up
+  // to num_workers surge requests in service plus one queued, and a
+  // quota-shed attempt fails over to the next shard, so a client only sees
+  // QuotaError while the surge fills several shards at once. One client
+  // per shard beyond that capacity keeps the surge over its quota however
+  // fast or slow the shards serve.
+  const std::size_t surge_clients = clopt.num_shards * (sopt.num_workers + 2);
   FaultInjector::global().arm("surge:tenant", -1);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> surge_ok{0}, surge_shed{0}, surge_deadline{0}, surge_other{0};
   std::atomic<std::uint64_t> surge_key{100'000};
   std::vector<std::thread> surgers;
-  for (int c = 0; c < 4; ++c) {
+  for (std::size_t c = 0; c < surge_clients; ++c) {
     surgers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         QueryOptions qopt;

@@ -57,8 +57,14 @@ TEST_P(DifferentialFuzz, AllEncodingsAgree) {
   // CPU backends.
   ASSERT_EQ(cpu::classify_csr(csr, queries), reference) << "seed=" << seed;
   ASSERT_EQ(cpu::classify_hierarchical(hier, queries), reference) << "seed=" << seed;
-  ASSERT_EQ(cpu::classify_hierarchical_blocked(hier, queries, 1 + rng.bounded(64)), reference)
-      << "seed=" << seed;
+  // A second, small batch of 1..4G rows (G = the interleave group): partial
+  // groups, whole groups and tails.
+  const Dataset few =
+      make_random_queries(1 + rng.bounded(4 * cpu::kInterleaveGroup), spec.num_features,
+                          seed * 11 + 3);
+  ASSERT_EQ(cpu::classify_hierarchical(hier, few),
+            forest.classify_batch(few.features(), few.num_samples()))
+      << "rows=" << few.num_samples() << " seed=" << seed;
 
   // Simulated devices (hybrid only when the root subtree fits smem).
   gpusim::Device d1(small_gpu());

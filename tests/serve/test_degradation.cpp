@@ -87,6 +87,43 @@ TEST_F(Degradation, PersistentGpuFaultFallsBackToCpu) {
   EXPECT_EQ(d[3], "degrade: backend gpu-sim -> cpu-native fallback (independent)");
 }
 
+// The cpu-native rung runs cpu::classify_hierarchical, the interleaved
+// kernel: requests smaller than its row group, and many groups long, must
+// come back oracle-equal through it.
+TEST_F(Degradation, CpuRungAnswersEveryRequestSizeLikeTheOracle) {
+  FaultInjector::global().arm("resource:gpu", -1);
+  serve::ForestServer server(forest_, base_options(Backend::GpuSim, Variant::Hybrid),
+                             one_worker());
+  for (const std::size_t rows : {1, 4, 256}) {
+    const Dataset q = make_random_queries(rows, 7, 40 + rows);
+    const serve::ServeResult r = server.submit(q).get();
+    EXPECT_EQ(r.report.predictions, forest_.classify_batch(q.features(), rows)) << rows;
+    EXPECT_TRUE(r.via_fallback) << rows;
+    EXPECT_FALSE(r.report.simulated) << rows;
+    ASSERT_FALSE(r.report.degradations.empty()) << rows;
+    EXPECT_EQ(r.report.degradations.back(),
+              "degrade: backend gpu-sim -> cpu-native fallback (independent)");
+  }
+}
+
+// Shadow audits re-run each answer on the plan's cpu-native step, so the
+// interleaved kernel is the audit oracle here: it must agree with the
+// gpu-sim hybrid kernel on every request.
+TEST_F(Degradation, ShadowAuditsThroughTheCpuStepFindNoMismatch) {
+  serve::ServerOptions sopt = one_worker();
+  sopt.integrity.audit_sample_every = 1;
+  serve::ForestServer server(forest_, base_options(Backend::GpuSim, Variant::Hybrid), sopt);
+  for (const std::size_t rows : {1, 4, 256}) {
+    const Dataset q = make_random_queries(rows, 7, 40 + rows);
+    const serve::ServeResult r = server.submit(q).get();
+    EXPECT_EQ(r.report.predictions, forest_.classify_batch(q.features(), rows)) << rows;
+    EXPECT_FALSE(r.via_fallback) << rows;
+    EXPECT_TRUE(r.report.degradations.empty()) << rows;
+  }
+  EXPECT_EQ(server.self_heal().audit_sampled, 3u);
+  EXPECT_EQ(server.self_heal().audit_mismatches, 0u);
+}
+
 TEST_F(Degradation, TransientGpuFaultRecoversViaRetry) {
   FaultInjector::global().arm("resource:gpu", 1);  // fails once, then clean
   const serve::ServeResult r = serve(base_options(Backend::GpuSim, Variant::Hybrid));
