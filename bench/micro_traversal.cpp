@@ -2,12 +2,16 @@
 // over the CSR vs hierarchical layouts. The hierarchical layout's cache
 // behaviour helps real CPUs for the same reason it helps the simulated
 // GPU — fewer dependent indirections per step and subtree-local accesses.
+// BM_GpuSimHybrid times the simulator itself: host cost, not modeled time.
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "cpu/cpu_kernels.hpp"
 #include "data/synthetic.hpp"
 #include "forest/random_forest_gen.hpp"
+#include "gpukernels/kernels.hpp"
 
 namespace {
 
@@ -72,5 +76,30 @@ void BM_PointerForest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PointerForest)->Unit(benchmark::kMillisecond);
+
+// Host cost of one simulated gpu-sim/hybrid launch as serving pays it: a
+// fresh device plus the kernel over a resident DeviceImage. The forest has
+// the perfbench shape (100 trees, depth 20, HIGGS width); rows per call
+// 32 (a small serving batch) and 1024 (an offline block).
+void BM_GpuSimHybrid(benchmark::State& state) {
+  static const Forest forest = make_random_forest(
+      {.num_trees = 100, .max_depth = 20, .branch_prob = 0.72, .num_features = 28, .seed = 5});
+  static const HierarchicalForest hier = HierarchicalForest::build(forest, HierConfig{});
+  static const gpukernels::DeviceImage image(hier);
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const Dataset queries = make_random_queries(rows, 28, 6);
+  std::chrono::nanoseconds host{0};
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    gpusim::Device device(gpusim::DeviceConfig::titan_xp());
+    auto r = gpukernels::run_hybrid(device, hier, image, queries);
+    benchmark::DoNotOptimize(r.predictions.data());
+    host += std::chrono::steady_clock::now() - t0;
+  }
+  state.counters["host_ns_per_row"] =
+      static_cast<double>(host.count()) /
+      (static_cast<double>(state.iterations()) * static_cast<double>(rows));
+}
+BENCHMARK(BM_GpuSimHybrid)->ArgName("rows")->Arg(32)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "gpukernels/common.hpp"
-#include "util/math.hpp"
 
 namespace hrf::gpukernels {
 
@@ -19,12 +18,7 @@ KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest
                                 const DeviceImage& image, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const detail::QueryView q(device, queries);
-  const std::span<const PackedNode> packed = detail::image_nodes(forest, image);
-  const gpusim::DeviceArray<PackedNode> nodes(device, packed);
-  const gpusim::DeviceArray<std::uint32_t> node_offset(device, forest.subtree_node_offsets());
-  const gpusim::DeviceArray<std::uint8_t> subtree_depth(device, forest.subtree_depths());
-  const gpusim::DeviceArray<std::uint32_t> conn_offset(device, forest.connection_offsets());
-  const gpusim::DeviceArray<std::int32_t> connection(device, forest.subtree_connection());
+  const detail::DeviceSubtrees subtrees(device, forest, image);
 
   const auto& cfg = device.config();
   const auto k = static_cast<std::size_t>(forest.num_classes());
@@ -32,106 +26,25 @@ KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest
   // Global vote matrix: with blocks partitioned by TREE, different blocks
   // update the same query's votes -> global atomics instead of registers.
   const gpusim::DeviceArray<std::uint32_t> votes_buf(device, votes);
-
-  struct Lane {
-    std::uint32_t subtree = 0;
-    std::uint32_t pos = 0;
-    std::uint32_t off = 0;
-    std::uint32_t bottom_first = 0;
-    std::uint32_t coff = 0;
-  };
+  detail::SubtreeWalk walk(device, subtrees, q, votes, k);
+  std::uint64_t vote_addrs[kWarpSize] = {};
 
   // Grid: one block per tree; each block's warps sweep all queries.
   for (std::size_t t = 0; t < forest.num_trees(); ++t) {
     const int sm = static_cast<int>(t % static_cast<std::size_t>(cfg.num_sms));
     for (std::size_t first = 0; first < q.count(); first += kWarpSize) {
-      std::uint32_t warp_mask = 0;
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (first + static_cast<std::size_t>(l) < q.count()) warp_mask |= 1u << l;
-      }
-      Lane lanes[kWarpSize];
-      std::uint64_t addrs[kWarpSize] = {};
-
-      const auto enter_subtree = [&](std::uint32_t mask) {
-        for (int l = 0; l < kWarpSize; ++l) addrs[l] = node_offset.addr(lanes[l].subtree);
-        device.warp_load(sm, addrs, mask, sizeof(std::uint32_t));
-        for (int l = 0; l < kWarpSize; ++l) addrs[l] = subtree_depth.addr(lanes[l].subtree);
-        device.warp_load(sm, addrs, mask, sizeof(std::uint8_t));
-        for (int l = 0; l < kWarpSize; ++l) addrs[l] = conn_offset.addr(lanes[l].subtree);
-        device.warp_load(sm, addrs, mask, sizeof(std::uint32_t));
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (!(mask & (1u << l))) continue;
-          Lane& ln = lanes[l];
-          ln.pos = 0;
-          ln.off = node_offset[ln.subtree];
-          ln.bottom_first = static_cast<std::uint32_t>(pow2(subtree_depth[ln.subtree] - 1) - 1);
-          ln.coff = conn_offset[ln.subtree];
-        }
-      };
-
-      for (int l = 0; l < kWarpSize; ++l) lanes[l].subtree = forest.root_subtree(t);
-      enter_subtree(warp_mask);
-
-      std::uint32_t active = warp_mask;
-      while (active != 0) {
-        for (int l = 0; l < kWarpSize; ++l) addrs[l] = nodes.addr(lanes[l].off + lanes[l].pos);
-        device.warp_load(sm, addrs, active, sizeof(PackedNode));
-
-        std::uint32_t leaf_mask = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          if ((active & (1u << l)) &&
-              packed[lanes[l].off + lanes[l].pos].feature == kLeafFeature) {
-            leaf_mask |= 1u << l;
-          }
-        }
-        device.warp_branch(leaf_mask, active);
-        if (leaf_mask != 0) {
-          // atomicAdd on the global vote matrix: one scattered read +
-          // write per finishing lane — Optimization 2's structural cost.
-          for (int l = 0; l < kWarpSize; ++l) {
-            if (!(leaf_mask & (1u << l))) continue;
-            const std::size_t qi = first + static_cast<std::size_t>(l);
-            const auto cls =
-                static_cast<std::uint8_t>(packed[lanes[l].off + lanes[l].pos].value);
-            ++votes[qi * k + cls];
-            addrs[l] = votes_buf.addr(qi * k + cls);
-          }
-          device.warp_atomic_rmw(sm, addrs, leaf_mask, sizeof(std::uint32_t));
-        }
-        active &= ~leaf_mask;
-        if (active == 0) break;
-
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (!(active & (1u << l))) continue;
-          const auto f = static_cast<std::size_t>(packed[lanes[l].off + lanes[l].pos].feature);
-          addrs[l] = q.addr(first + static_cast<std::size_t>(l), f);
-        }
-        device.warp_load(sm, addrs, active, sizeof(float));
-
-        std::uint32_t hop_mask = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (!(active & (1u << l))) continue;
-          Lane& ln = lanes[l];
-          const PackedNode& n = packed[ln.off + ln.pos];
-          const bool go_left = q.value(first + static_cast<std::size_t>(l),
-                                       static_cast<std::size_t>(n.feature)) < n.value;
-          if (ln.pos >= ln.bottom_first) {
-            hop_mask |= 1u << l;
-            const std::uint32_t ci = ln.coff + 2 * (ln.pos - ln.bottom_first) + (go_left ? 0u : 1u);
-            addrs[l] = connection.addr(ci);
-            ln.subtree = static_cast<std::uint32_t>(connection[ci]);
-          } else {
-            ln.pos = 2 * ln.pos + (go_left ? 1u : 2u);
-          }
-        }
-        device.add_instructions(1);
-        device.warp_branch(hop_mask, active);
-        if (hop_mask != 0) {
-          device.warp_load(sm, addrs, hop_mask, sizeof(std::int32_t));
-          enter_subtree(hop_mask);
-        }
-        device.add_instructions(static_cast<std::uint64_t>(cfg.instructions_per_step));
-      }
+      const std::uint32_t warp_mask = detail::lane_mask(q.count() - first);
+      detail::for_each_lane(warp_mask, [&](int l) { walk.subtree[l] = forest.root_subtree(t); });
+      walk.enter(sm, warp_mask);
+      walk.run(sm, first, warp_mask, [&](std::uint32_t leaf_mask) {
+        // atomicAdd on the global vote matrix: one scattered read + write
+        // per finishing lane — Optimization 2's structural cost.
+        detail::for_each_lane(leaf_mask, [&](int l) {
+          vote_addrs[l] = votes_buf.addr((first + static_cast<std::size_t>(l)) * k +
+                                         walk.leaf_class(l));
+        });
+        device.warp_atomic_rmw(sm, vote_addrs, leaf_mask, sizeof(std::uint32_t));
+      });
     }
   }
 

@@ -46,6 +46,8 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
 
   // Per-lane traversal state, indexed [warp][lane] within the block.
   std::vector<std::uint32_t> pending(block_size);
+  std::uint64_t addrs[kWarpSize] = {};
+  std::uint64_t hop_addrs[kWarpSize] = {};
 
   for (std::size_t b = 0; b < num_blocks; ++b) {
     const int sm = static_cast<int>(b % static_cast<std::size_t>(cfg.num_sms));
@@ -68,21 +70,14 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
         }
 
         // Cooperative, coalesced staging of the whole batch.
-        {
-          std::uint64_t addrs[kWarpSize];
-          const std::uint32_t base_off = forest.subtree_node_offset(batch_first);
-          for (std::size_t chunk = 0; chunk < batch_nodes; chunk += kWarpSize) {
-            std::uint32_t mask = 0;
-            for (int l = 0; l < kWarpSize; ++l) {
-              const std::size_t i = chunk + static_cast<std::size_t>(l);
-              if (i < batch_nodes) {
-                mask |= 1u << l;
-                addrs[l] = nodes.addr(base_off + i);
-              }
-            }
-            device.warp_load(sm, addrs, mask, sizeof(PackedNode));
-            device.smem_store(1);
-          }
+        const std::uint32_t base_off = forest.subtree_node_offset(batch_first);
+        for (std::size_t chunk = 0; chunk < batch_nodes; chunk += kWarpSize) {
+          const std::uint32_t mask = detail::lane_mask(batch_nodes - chunk);
+          detail::for_each_lane(mask, [&](int l) {
+            addrs[l] = nodes.addr(base_off + chunk + static_cast<std::size_t>(l));
+          });
+          device.warp_load(sm, addrs, mask, sizeof(PackedNode));
+          device.smem_store(1);
         }
 
         // Walk every query through every subtree of the batch.
@@ -95,77 +90,57 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
           for (std::size_t w = 0; w < warps_per_block; ++w) {
             const std::size_t first = b * block_size + w * kWarpSize;
             if (first >= q.count()) break;
-            std::uint32_t warp_mask = 0;
-            for (int l = 0; l < kWarpSize; ++l) {
-              if (first + static_cast<std::size_t>(l) < q.count()) warp_mask |= 1u << l;
-            }
+            const std::uint32_t warp_mask = detail::lane_mask(q.count() - first);
+            std::uint32_t* const lane_pending = pending.data() + w * kWarpSize;
 
             // Presence guard: every lane pays this branch for every
             // subtree — the variant's structural overhead.
             std::uint32_t present = 0;
-            for (int l = 0; l < kWarpSize; ++l) {
-              if ((warp_mask & (1u << l)) &&
-                  pending[w * kWarpSize + static_cast<std::size_t>(l)] == st) {
-                present |= 1u << l;
-              }
-            }
+            detail::for_each_lane(warp_mask, [&](int l) {
+              if (lane_pending[l] == st) present |= 1u << l;
+            });
             device.warp_branch(present, warp_mask);
             device.add_instructions(1);
             if (present == 0) continue;
 
             std::uint32_t pos[kWarpSize] = {};
             std::uint32_t active = present;
-            std::uint64_t addrs[kWarpSize] = {};
             int steps_taken = 0;
             while (active != 0) {
               ++steps_taken;
-              device.smem_load(1);
+              // One host pass per step; the device calls below replay it in order.
               std::uint32_t leaf_mask = 0;
-              for (int l = 0; l < kWarpSize; ++l) {
-                if ((active & (1u << l)) && packed[off + pos[l]].feature == kLeafFeature) {
-                  leaf_mask |= 1u << l;
-                }
-              }
-              device.warp_branch(leaf_mask, active);
-              for (int l = 0; l < kWarpSize; ++l) {
-                if (leaf_mask & (1u << l)) {
-                  ++votes[(first + static_cast<std::size_t>(l)) * k +
-                          static_cast<std::uint8_t>(packed[off + pos[l]].value)];
-                  pending[w * kWarpSize + static_cast<std::size_t>(l)] = kDone;
-                }
-              }
-              active &= ~leaf_mask;
-              if (active == 0) break;
-
-              for (int l = 0; l < kWarpSize; ++l) {
-                if (!(active & (1u << l))) continue;
-                const auto f = static_cast<std::size_t>(packed[off + pos[l]].feature);
-                addrs[l] = q.addr(first + static_cast<std::size_t>(l), f);
-              }
-              device.warp_load(sm, addrs, active, sizeof(float));
-
-              std::uint32_t left_mask = 0;
               std::uint32_t hop_mask = 0;
-              for (int l = 0; l < kWarpSize; ++l) {
-                if (!(active & (1u << l))) continue;
+              detail::for_each_lane(active, [&](int l) {
                 const PackedNode& n = packed[off + pos[l]];
-                const bool go_left =
-                    q.value(first + static_cast<std::size_t>(l),
-                            static_cast<std::size_t>(n.feature)) < n.value;
-                if (go_left) left_mask |= 1u << l;
+                const std::size_t row = first + static_cast<std::size_t>(l);
+                if (n.feature == kLeafFeature) {
+                  leaf_mask |= 1u << l;
+                  ++votes[row * k + static_cast<std::uint8_t>(n.value)];
+                  lane_pending[l] = kDone;
+                  return;
+                }
+                const auto f = static_cast<std::size_t>(n.feature);
+                addrs[l] = q.addr(row, f);
+                const std::uint32_t right = !(q.value(row, f) < n.value);
                 if (pos[l] >= bottom_first) {
                   hop_mask |= 1u << l;
-                  const std::uint32_t ci = coff + 2 * (pos[l] - bottom_first) + (go_left ? 0u : 1u);
-                  addrs[l] = connection.addr(ci);
-                  pending[w * kWarpSize + static_cast<std::size_t>(l)] =
-                      static_cast<std::uint32_t>(connection[ci]);
+                  const std::uint32_t ci = coff + 2 * (pos[l] - bottom_first) + right;
+                  hop_addrs[l] = connection.addr(ci);
+                  lane_pending[l] = static_cast<std::uint32_t>(connection[ci]);
                 } else {
-                  pos[l] = 2 * pos[l] + (go_left ? 1u : 2u);
+                  pos[l] = 2 * pos[l] + 1 + right;
                 }
-              }
+              });
+
+              device.smem_load(1);
+              device.warp_branch(leaf_mask, active);
+              active &= ~leaf_mask;
+              if (active == 0) break;
+              device.warp_load(sm, addrs, active, sizeof(float));
               device.add_instructions(1);  // left/right pick compiles to a predicated select
               device.warp_branch(hop_mask, active);
-              if (hop_mask != 0) device.warp_load(sm, addrs, hop_mask, sizeof(std::int32_t));
+              if (hop_mask != 0) device.warp_load(sm, hop_addrs, hop_mask, sizeof(std::int32_t));
               active &= ~hop_mask;
               device.add_instructions(static_cast<std::uint64_t>(cfg.instructions_per_step));
             }

@@ -24,69 +24,61 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, const Dataset
   const auto k = static_cast<std::size_t>(csr.num_classes());
   std::vector<std::uint32_t> votes(q.count() * k, 0);
 
+  const auto instructions_per_step = static_cast<std::uint64_t>(cfg.instructions_per_step);
   detail::for_each_warp(cfg, q.count(), [&](int sm, std::size_t first, std::uint32_t warp_mask) {
     std::uint32_t lane_node[kWarpSize] = {};
-    std::uint64_t addrs[kWarpSize] = {};
+    std::uint64_t fid_addrs[kWarpSize] = {};
+    std::uint64_t value_addrs[kWarpSize] = {};
+    std::uint64_t feature_addrs[kWarpSize] = {};
+    std::uint64_t idx_addrs[kWarpSize] = {};
+    std::uint64_t child_addrs[kWarpSize] = {};
 
     for (std::size_t t = 0; t < csr.num_trees(); ++t) {
       // Uniform per-warp read of the tree root (one lane broadcasts).
-      addrs[0] = tree_root.addr(t);
-      device.warp_load(sm, {addrs, 1}, 1u, sizeof(std::int32_t));
+      const std::uint64_t root_addr = tree_root.addr(t);
+      device.warp_load(sm, {&root_addr, 1}, 1u, sizeof(std::int32_t));
       const auto root = static_cast<std::uint32_t>(tree_root[t]);
-      for (int l = 0; l < kWarpSize; ++l) lane_node[l] = root;
+      detail::for_each_lane(warp_mask, [&](int l) { lane_node[l] = root; });
 
       std::uint32_t active = warp_mask;
       while (active != 0) {
-        // feature_id[n] and value[n] for all active lanes.
-        for (int l = 0; l < kWarpSize; ++l) addrs[l] = feature_id.addr(lane_node[l]);
-        device.warp_load(sm, addrs, active, sizeof(std::int32_t));
-        for (int l = 0; l < kWarpSize; ++l) addrs[l] = value.addr(lane_node[l]);
-        device.warp_load(sm, addrs, active, sizeof(float));
-
-        // Leaf check splits the warp when some lanes are done.
+        // feature_id[n] and value[n] for all active lanes; the leaf check
+        // splits the warp when some lanes are done.
         std::uint32_t leaf_mask = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          if ((active & (1u << l)) && feature_id[lane_node[l]] == kLeafFeature) {
+        detail::for_each_lane(active, [&](int l) {
+          const std::uint32_t n = lane_node[l];
+          fid_addrs[l] = feature_id.addr(n);
+          value_addrs[l] = value.addr(n);
+          if (feature_id[n] == kLeafFeature) {
             leaf_mask |= 1u << l;
-          }
-        }
-        device.warp_branch(leaf_mask, active);
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (leaf_mask & (1u << l)) {
             ++votes[(first + static_cast<std::size_t>(l)) * k +
-                    static_cast<std::uint8_t>(value[lane_node[l]])];
+                    static_cast<std::uint8_t>(value[n])];
           }
-        }
+        });
+        device.warp_load(sm, fid_addrs, active, sizeof(std::int32_t));
+        device.warp_load(sm, value_addrs, active, sizeof(float));
+        device.warp_branch(leaf_mask, active);
         active &= ~leaf_mask;
         if (active == 0) break;
 
-        // Query feature for the comparison.
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (active & (1u << l)) {
-            addrs[l] = q.addr(first + static_cast<std::size_t>(l),
-                              static_cast<std::size_t>(feature_id[lane_node[l]]));
-          }
-        }
-        device.warp_load(sm, addrs, active, sizeof(float));
-
-        // Indirect topology: children_arr_idx[n] then children_arr[idx+dir].
-        for (int l = 0; l < kWarpSize; ++l) addrs[l] = children_arr_idx.addr(lane_node[l]);
-        device.warp_load(sm, addrs, active, sizeof(std::int32_t));
-
-        std::uint32_t left_mask = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (!(active & (1u << l))) continue;
+        // Query feature for the comparison, then the indirect topology:
+        // children_arr_idx[n] and children_arr[idx + dir].
+        detail::for_each_lane(active, [&](int l) {
           const std::uint32_t n = lane_node[l];
+          const std::size_t row = first + static_cast<std::size_t>(l);
           const auto f = static_cast<std::size_t>(feature_id[n]);
-          const bool go_left = q.value(first + static_cast<std::size_t>(l), f) < value[n];
-          if (go_left) left_mask |= 1u << l;
-          const auto idx = static_cast<std::size_t>(children_arr_idx[n]) + (go_left ? 0u : 1u);
-          addrs[l] = children_arr.addr(idx);
+          feature_addrs[l] = q.addr(row, f);
+          idx_addrs[l] = children_arr_idx.addr(n);
+          const auto idx = static_cast<std::size_t>(children_arr_idx[n]) +
+                           !(q.value(row, f) < value[n]);
+          child_addrs[l] = children_arr.addr(idx);
           lane_node[l] = static_cast<std::uint32_t>(children_arr[idx]);
-        }
+        });
+        device.warp_load(sm, feature_addrs, active, sizeof(float));
+        device.warp_load(sm, idx_addrs, active, sizeof(std::int32_t));
         device.add_instructions(1);  // left/right pick compiles to a predicated select
-        device.warp_load(sm, addrs, active, sizeof(std::int32_t));
-        device.add_instructions(static_cast<std::uint64_t>(cfg.instructions_per_step));
+        device.warp_load(sm, child_addrs, active, sizeof(std::int32_t));
+        device.add_instructions(instructions_per_step);
       }
     }
   });

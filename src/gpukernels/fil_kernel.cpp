@@ -30,56 +30,43 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
   const auto k = static_cast<std::size_t>(forest.num_classes());
   std::vector<std::uint32_t> votes(q.count() * k, 0);
 
+  const auto instructions_per_step = static_cast<std::uint64_t>(cfg.instructions_per_step);
   detail::for_each_warp(cfg, q.count(), [&](int sm, std::size_t first, std::uint32_t warp_mask) {
-    std::uint64_t addrs[kWarpSize] = {};
+    std::uint64_t node_addrs[kWarpSize] = {};
+    std::uint64_t feature_addrs[kWarpSize] = {};
     std::uint32_t lane_node[kWarpSize] = {};
 
     for (std::size_t t = 0; t < forest.tree_count(); ++t) {
-      addrs[0] = tree_offset.addr(t);
-      device.warp_load(sm, {addrs, 1}, 1u, sizeof(std::uint32_t));
+      const std::uint64_t offset_addr = tree_offset.addr(t);
+      device.warp_load(sm, {&offset_addr, 1}, 1u, sizeof(std::uint32_t));
       const std::uint32_t base = fil_tree_offset[t];
-      for (int l = 0; l < kWarpSize; ++l) lane_node[l] = base;
+      detail::for_each_lane(warp_mask, [&](int l) { lane_node[l] = base; });
 
       std::uint32_t active = warp_mask;
       while (active != 0) {
-        for (int l = 0; l < kWarpSize; ++l) addrs[l] = nodes.addr(lane_node[l]);
-        device.warp_load(sm, addrs, active, sizeof(FilNode));
-
+        // One host pass per step; the device calls below replay it in order.
         std::uint32_t leaf_mask = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          if ((active & (1u << l)) && fil_nodes[lane_node[l]].feature == kLeafFeature) {
+        detail::for_each_lane(active, [&](int l) {
+          node_addrs[l] = nodes.addr(lane_node[l]);
+          const FilNode& n = fil_nodes[lane_node[l]];
+          const std::size_t row = first + static_cast<std::size_t>(l);
+          if (n.feature == kLeafFeature) {
             leaf_mask |= 1u << l;
+            ++votes[row * k + static_cast<std::uint8_t>(n.value)];
+            return;
           }
-        }
+          const auto f = static_cast<std::size_t>(n.feature);
+          feature_addrs[l] = q.addr(row, f);
+          lane_node[l] = base + static_cast<std::uint32_t>(n.left) + !(q.value(row, f) < n.value);
+        });
+        device.warp_load(sm, node_addrs, active, sizeof(FilNode));
         device.warp_branch(leaf_mask, active);
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (leaf_mask & (1u << l)) {
-            ++votes[(first + static_cast<std::size_t>(l)) * k +
-                    static_cast<std::uint8_t>(fil_nodes[lane_node[l]].value)];
-          }
-        }
         active &= ~leaf_mask;
         if (active == 0) break;
 
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (!(active & (1u << l))) continue;
-          const FilNode& n = fil_nodes[lane_node[l]];
-          addrs[l] = q.addr(first + static_cast<std::size_t>(l),
-                            static_cast<std::size_t>(n.feature));
-        }
-        device.warp_load(sm, addrs, active, sizeof(float));
-
-        std::uint32_t left_mask = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (!(active & (1u << l))) continue;
-          const FilNode& n = fil_nodes[lane_node[l]];
-          const bool go_left = q.value(first + static_cast<std::size_t>(l),
-                                       static_cast<std::size_t>(n.feature)) < n.value;
-          if (go_left) left_mask |= 1u << l;
-          lane_node[l] = base + static_cast<std::uint32_t>(n.left) + (go_left ? 0u : 1u);
-        }
+        device.warp_load(sm, feature_addrs, active, sizeof(float));
         device.add_instructions(1);  // left/right pick compiles to a predicated select
-        device.add_instructions(static_cast<std::uint64_t>(cfg.instructions_per_step));
+        device.add_instructions(instructions_per_step);
       }
     }
   });

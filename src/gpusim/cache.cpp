@@ -1,41 +1,26 @@
 #include "gpusim/cache.hpp"
 
+#include <bit>
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace hrf::gpusim {
 
-namespace {
-bool is_pow2(std::size_t x) { return x && (x & (x - 1)) == 0; }
-}  // namespace
-
 Cache::Cache(std::size_t capacity_bytes, int ways, std::size_t line_bytes)
-    : capacity_(capacity_bytes), line_(line_bytes), ways_(ways) {
-  require(is_pow2(line_bytes), "cache line size must be a power of two");
+    : capacity_(capacity_bytes),
+      line_(line_bytes),
+      line_shift_(std::countr_zero(line_bytes)),
+      ways_(ways) {
+  require(std::has_single_bit(line_bytes), "cache line size must be a power of two");
   require(ways >= 1, "cache needs at least one way");
   const std::size_t lines = capacity_bytes / line_bytes;
   require(lines >= static_cast<std::size_t>(ways), "cache smaller than one set");
   require(lines % static_cast<std::size_t>(ways) == 0, "ways must divide line count");
   sets_ = lines / static_cast<std::size_t>(ways);
+  require(sets_ <= 0xffffffffu, "cache has more than 2^32 - 1 sets");
+  mod_magic_ = std::numeric_limits<std::uint64_t>::max() / sets_ + 1;
   tags_.assign(lines, 0);
-}
-
-bool Cache::access(std::uint64_t addr) {
-  const std::uint64_t tag = addr / line_;  // line id doubles as the tag
-  const std::size_t set = static_cast<std::size_t>(tag) % sets_;
-  std::uint64_t* way = tags_.data() + set * static_cast<std::size_t>(ways_);
-
-  for (int i = 0; i < ways_; ++i) {
-    if (way[i] == tag + 1) {  // +1: tag 0 is the empty marker
-      // Move to front (LRU order maintained by shifting).
-      for (int j = i; j > 0; --j) way[j] = way[j - 1];
-      way[0] = tag + 1;
-      return true;
-    }
-  }
-  // Miss: install at front, evict the last way.
-  for (int j = ways_ - 1; j > 0; --j) way[j] = way[j - 1];
-  way[0] = tag + 1;
-  return false;
 }
 
 void Cache::flush() { tags_.assign(tags_.size(), 0); }

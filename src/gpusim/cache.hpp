@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -15,10 +16,22 @@ class Cache {
   /// count (capacity need not be a power of two — the TITAN Xp L2 is 3 MB).
   Cache(std::size_t capacity_bytes, int ways, std::size_t line_bytes);
 
-  /// Touches the line containing `line_addr` (already line-aligned tag or a
-  /// byte address; alignment is applied internally). Returns true on hit.
+  /// Touches the line containing byte address `addr`. Returns true on hit.
   /// On miss the line is installed, evicting the set's LRU line.
-  bool access(std::uint64_t addr);
+  bool access(std::uint64_t addr) { return access_line(addr >> line_shift_); }
+
+  /// access() for a line id (byte address / line size).
+  bool access_line(std::uint64_t line) {
+    std::uint64_t* way = tags_.data() + set_of(line) * static_cast<std::size_t>(ways_);
+    const std::uint64_t tag = line + 1;  // +1: tag 0 is the empty marker
+    // Stop at the last way: on a miss that is the LRU line being evicted.
+    int i = 0;
+    while (i < ways_ - 1 && way[i] != tag) ++i;
+    const bool hit = way[i] == tag;
+    std::copy_backward(way, way + i, way + i + 1);  // LRU order: front = most recent
+    way[0] = tag;
+    return hit;
+  }
 
   void flush();
 
@@ -28,12 +41,25 @@ class Cache {
   std::size_t num_sets() const { return sets_; }
 
  private:
+  /// line % sets_. Set counts are rarely powers of two (96 for the TITAN
+  /// Xp L1, 1536 for its L2), so 32-bit line ids, which cover a 512 GB
+  /// address space, take an exact multiply-based remainder instead of a
+  /// division (Lemire, Kaser & Kurz, "Faster remainder by direct
+  /// computation", 2019).
+  std::size_t set_of(std::uint64_t line) const {
+    if (line > 0xffffffffu) return static_cast<std::size_t>(line % sets_);
+    const std::uint64_t low = mod_magic_ * line;
+    return static_cast<std::size_t>((static_cast<unsigned __int128>(low) * sets_) >> 64);
+  }
+
   std::size_t capacity_;
   std::size_t line_;
+  int line_shift_;
   int ways_;
   std::size_t sets_;
+  std::uint64_t mod_magic_;  // 2^64 / sets_, rounded up
   // Per set: `ways_` tags in LRU order (front = most recent). Tag 0 means
-  // empty (the simulator's address space starts above 0).
+  // empty.
   std::vector<std::uint64_t> tags_;
 };
 

@@ -1,6 +1,7 @@
 #include "gpusim/device.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -10,6 +11,7 @@ namespace hrf::gpusim {
 
 Device::Device(const DeviceConfig& config)
     : cfg_(config),
+      line_shift_(std::countr_zero(config.line_bytes)),
       l2_(config.l2_bytes, config.l2_ways, config.line_bytes),
       next_addr_(1 << 12) {  // leave page zero unused so address 0 is invalid
   fault_point("resource:gpu");  // models cuInit/cudaMalloc failing at launch
@@ -27,41 +29,37 @@ std::uint64_t Device::alloc(std::size_t bytes) {
   return base;
 }
 
-void Device::warp_load(int sm, std::span<const std::uint64_t> addrs, std::uint32_t active_mask,
-                       std::size_t elem_bytes, LoadHint hint) {
-  if (active_mask == 0) return;
+int Device::coalesce(std::span<const std::uint64_t> addrs, std::uint32_t active_mask,
+                     std::uint64_t (&lines)[32]) const {
+  if (addrs.size() < 32) active_mask &= (1u << addrs.size()) - 1;
+  // Elements are naturally aligned and smaller than a line, so no element
+  // straddles two lines and a warp touches at most 32.
+  int n = 0;
+  std::uint64_t max_line = 0;
+  for (; active_mask != 0; active_mask &= active_mask - 1) {
+    const std::uint64_t line = addrs[static_cast<std::size_t>(std::countr_zero(active_mask))] >>
+                               line_shift_;
+    if (n == 0 || line > max_line) {
+      max_line = line;  // above every line so far, so not among them
+    } else if (std::find(lines, lines + n, line) != lines + n) {
+      continue;
+    }
+    lines[n++] = line;
+  }
+  return n;
+}
+
+void Device::load_lines(int sm, const std::uint64_t* lines, int n, LoadHint hint) {
   ++counters_.gld_requests;
   ++counters_.warp_instructions;
-
-  // Coalesce: distinct 128-byte lines across active lanes. A warp touches
-  // at most warp_size lines (elements are naturally aligned and smaller
-  // than a line, so no element straddles two lines).
-  std::uint64_t lines[32];
-  int n = 0;
-  const std::size_t count = addrs.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!(active_mask & (1u << i))) continue;
-    const std::uint64_t line = addrs[i] / cfg_.line_bytes;
-    bool seen = false;
-    for (int j = 0; j < n; ++j) {
-      if (lines[j] == line) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) lines[n++] = line;
-  }
-  (void)elem_bytes;
-
   counters_.gld_transactions += static_cast<std::uint64_t>(n);
   Cache& l1 = l1_[static_cast<std::size_t>(sm % cfg_.num_sms)];
   for (int j = 0; j < n; ++j) {
-    const std::uint64_t byte_addr = lines[j] * cfg_.line_bytes;
-    if (cfg_.l1_for_global_loads && l1.access(byte_addr)) {
+    if (cfg_.l1_for_global_loads && l1.access_line(lines[j])) {
       ++counters_.l1_hits;
-    } else if (l2_.access(byte_addr)) {
+    } else if (l2_.access_line(lines[j])) {
       ++counters_.l2_hits;
-    } else if (hint == LoadHint::kTemporal && !temporal_lines_.insert(byte_addr).second) {
+    } else if (hint == LoadHint::kTemporal && !temporal_lines_.insert(lines[j]).second) {
       ++counters_.l2_hits;  // re-touch by another concurrently resident block
     } else {
       ++counters_.dram_transactions;
@@ -69,39 +67,40 @@ void Device::warp_load(int sm, std::span<const std::uint64_t> addrs, std::uint32
   }
 }
 
+void Device::store_lines(int n) {
+  ++counters_.gst_requests;
+  ++counters_.warp_instructions;
+  counters_.gst_transactions += static_cast<std::uint64_t>(n);
+}
+
+void Device::warp_load(int sm, std::span<const std::uint64_t> addrs, std::uint32_t active_mask,
+                       std::size_t elem_bytes, LoadHint hint) {
+  (void)elem_bytes;
+  if (active_mask == 0) return;
+  std::uint64_t lines[32];
+  load_lines(sm, lines, coalesce(addrs, active_mask, lines), hint);
+}
+
 void Device::warp_store(int sm, std::span<const std::uint64_t> addrs, std::uint32_t active_mask,
                         std::size_t elem_bytes) {
   (void)sm;
   (void)elem_bytes;
   if (active_mask == 0) return;
-  ++counters_.gst_requests;
-  ++counters_.warp_instructions;
   std::uint64_t lines[32];
-  int n = 0;
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    if (!(active_mask & (1u << i))) continue;
-    const std::uint64_t line = addrs[i] / cfg_.line_bytes;
-    bool seen = false;
-    for (int j = 0; j < n; ++j) {
-      if (lines[j] == line) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) lines[n++] = line;
-  }
-  counters_.gst_transactions += static_cast<std::uint64_t>(n);
+  store_lines(coalesce(addrs, active_mask, lines));
 }
 
 void Device::warp_atomic_rmw(int sm, std::span<const std::uint64_t> addrs,
                              std::uint32_t active_mask, std::size_t elem_bytes) {
+  (void)elem_bytes;
   if (active_mask == 0) return;
   // The read half probes the caches like a load; the write half counts
   // store traffic; each distinct line is one serialized atomic.
-  const std::uint64_t before = counters_.gld_transactions;
-  warp_load(sm, addrs, active_mask, elem_bytes);
-  counters_.atomic_transactions += counters_.gld_transactions - before;
-  warp_store(sm, addrs, active_mask, elem_bytes);
+  std::uint64_t lines[32];
+  const int n = coalesce(addrs, active_mask, lines);
+  load_lines(sm, lines, n, LoadHint::kDefault);
+  counters_.atomic_transactions += static_cast<std::uint64_t>(n);
+  store_lines(n);
 }
 
 void Device::smem_load(std::uint64_t count) {

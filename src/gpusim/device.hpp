@@ -99,11 +99,24 @@ class Device {
   Timing estimate() const;
 
  private:
+  /// Writes the distinct line ids touched by the lanes of `active_mask`
+  /// (lanes past addrs.size() ignored) to `lines` in first-appearance
+  /// order, which is the order the caches see them; returns their count.
+  /// Work is O(active lanes) while line ids ascend, as they do for
+  /// consecutive rows or nodes, and O(active lanes x lines) otherwise.
+  int coalesce(std::span<const std::uint64_t> addrs, std::uint32_t active_mask,
+               std::uint64_t (&lines)[32]) const;
+  /// Counts one load request of `n` transactions and probes the caches.
+  void load_lines(int sm, const std::uint64_t* lines, int n, LoadHint hint);
+  /// Counts one store request of `n` transactions.
+  void store_lines(int n);
+
   DeviceConfig cfg_;
+  int line_shift_;  // log2(cfg_.line_bytes)
   Counters counters_;
   std::vector<Cache> l1_;  // one per SM
   Cache l2_;
-  std::unordered_set<std::uint64_t> temporal_lines_;  // see LoadHint::kTemporal
+  std::unordered_set<std::uint64_t> temporal_lines_;  // line ids; see LoadHint::kTemporal
   std::uint64_t next_addr_;
 };
 

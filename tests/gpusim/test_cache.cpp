@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "reference_model.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hrf::gpusim {
 namespace {
@@ -81,6 +87,68 @@ TEST(Cache, LargeAddressesWork) {
   const std::uint64_t big = 0x7fffffff0000ULL;
   EXPECT_FALSE(c.access(big));
   EXPECT_TRUE(c.access(big + 1));
+}
+
+// The two TITAN Xp geometries: 96 sets (L1) and 1536 sets (L2), neither a
+// power of two, so the set index is the multiply-based remainder.
+struct Geometry {
+  std::size_t capacity;
+  int ways;
+};
+constexpr Geometry kL1{48 * 1024, 4};
+constexpr Geometry kL2{3 * 1024 * 1024, 16};
+
+// Plays `lines` through the cache and the division-based reference and
+// requires the same hit/miss answer at every access.
+void expect_same_hits(Geometry g, const std::vector<std::uint64_t>& lines) {
+  Cache c(g.capacity, g.ways, 128);
+  reference::Cache ref(g.capacity, g.ways, 128);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const bool want = ref.access(lines[i] * 128);
+    // Alternate the two entry points: they must index the same set.
+    const bool got = i % 2 ? c.access_line(lines[i]) : c.access(lines[i] * 128 + i % 128);
+    ASSERT_EQ(got, want) << "access " << i << ", line " << lines[i];
+  }
+}
+
+TEST(Cache, SetIndexMatchesDivisionOnRandomLines) {
+  for (const Geometry g : {kL1, kL2}) {
+    SCOPED_TRACE(std::to_string(g.capacity / 128 / static_cast<std::size_t>(g.ways)) + " sets");
+    Xoshiro256 rng(17);
+    std::vector<std::uint64_t> lines;
+    // Line ids below, around and above 2^32, drawn from small windows so
+    // that lines recur and both hits and evictions happen. Near 2^56 a
+    // multiply-based remainder with a 64-bit reciprocal is no longer exact.
+    for (const std::uint64_t base : {std::uint64_t{32}, (std::uint64_t{1} << 32) - 2048,
+                                     std::uint64_t{1} << 40, std::uint64_t{1} << 56}) {
+      for (int i = 0; i < 20000; ++i) lines.push_back(base + rng.bounded(4096));
+    }
+    expect_same_hits(g, lines);
+  }
+}
+
+TEST(Cache, SetIndexIsExactAcrossThe32BitBoundary) {
+  // ways + 1 lines that share one set under `%` evict the first of them;
+  // each chain straddles or starts at a boundary line id.
+  for (const Geometry g : {kL1, kL2}) {
+    const std::uint64_t sets = g.capacity / 128 / static_cast<std::size_t>(g.ways);
+    for (const std::uint64_t anchor : {(std::uint64_t{1} << 32) - 1, std::uint64_t{1} << 32,
+                                       std::uint64_t{1} << 40, std::uint64_t{1} << 56}) {
+      SCOPED_TRACE(std::to_string(sets) + " sets, anchor " + std::to_string(anchor));
+      std::vector<std::uint64_t> lines;
+      const std::uint64_t first = anchor - sets * static_cast<std::uint64_t>(g.ways / 2);
+      for (int k = 0; k <= g.ways; ++k) lines.push_back(first + sets * static_cast<std::uint64_t>(k));
+      lines.push_back(first);       // evicted: misses
+      lines.push_back(anchor);      // still resident: hits
+      lines.push_back(anchor + 1);  // the next set: misses
+      expect_same_hits(g, lines);
+
+      Cache c(g.capacity, g.ways, 128);
+      for (const std::uint64_t line : lines) c.access_line(line);
+      EXPECT_TRUE(c.access_line(anchor));
+      EXPECT_FALSE(c.access_line(first + sets));  // evicted by the re-touch of `first`
+    }
+  }
 }
 
 }  // namespace

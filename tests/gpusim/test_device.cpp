@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <string>
 
 #include "gpusim/device_array.hpp"
+#include "reference_model.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hrf::gpusim {
 namespace {
@@ -259,6 +263,86 @@ TEST(Device, TemporalHintFirstTouchStillPaysDram) {
   for (int l = 0; l < 32; ++l) addrs[l] = base + static_cast<std::uint64_t>(l) * 128;
   d.warp_load(0, addrs, 0xffffffffu, 8, Device::LoadHint::kTemporal);
   EXPECT_EQ(d.counters().dram_transactions, 32u);
+}
+
+TEST(Device, MaskBitsPastTheAddressSpanAreIgnored) {
+  Device d(tiny_config());
+  const std::uint64_t base = d.alloc(1 << 16);
+  const std::array<std::uint64_t, 3> addrs{base, base + 4096, base + 8192};
+  d.warp_load(0, addrs, 0xfffffff9u, 4);  // lanes 0 and 3-31; only lane 0 exists
+  EXPECT_EQ(d.counters().gld_requests, 1u);
+  EXPECT_EQ(d.counters().gld_transactions, 1u);
+  d.warp_load(0, addrs, 0xfffffff8u, 4);  // no existing lane: a request, no transaction
+  EXPECT_EQ(d.counters().gld_requests, 2u);
+  EXPECT_EQ(d.counters().gld_transactions, 1u);
+}
+
+// Random warp operations of each address shape, replayed on the device and
+// on the reference model (tests/gpusim/reference_model.hpp); every counter
+// must agree after every operation, so the transaction count, the L1 / L2 /
+// DRAM split and the LRU state behind later hits all match.
+TEST(Device, CoalescingMatchesTheReferenceModel) {
+  DeviceConfig cfg = tiny_config();
+  cfg.l1_bytes = 4 * 1024;  // 8 sets x 4 ways: evictions within a few ops
+  cfg.l2_bytes = 96 * 1024;
+  Device d(cfg);
+  reference::Device ref(cfg);
+  Xoshiro256 rng(23);
+
+  std::array<std::uint64_t, 32> addrs{};
+  // Bases below 2^32 lines, just under and above it, and at 2^40 lines.
+  const std::uint64_t bases[] = {std::uint64_t{1} << 20, ((std::uint64_t{1} << 32) - 16) * 128,
+                                 std::uint64_t{1} << 47};
+  using Shape = std::function<std::uint64_t(std::uint64_t base, int lane)>;
+  const Shape shapes[] = {
+      // ascending, element-sized and line-sized strides (feature reads,
+      // root-subtree staging)
+      [&](std::uint64_t b, int l) { return b + static_cast<std::uint64_t>(l) * 112; },
+      [&](std::uint64_t b, int l) { return b + static_cast<std::uint64_t>(l) * 128; },
+      // descending
+      [&](std::uint64_t b, int l) { return b + static_cast<std::uint64_t>(31 - l) * 200; },
+      // duplicate-heavy: four lines, any order
+      [&](std::uint64_t b, int) { return b + rng.bounded(4) * 128 + rng.bounded(32) * 4; },
+      // all lanes on one line
+      [&](std::uint64_t b, int) { return b + rng.bounded(128); },
+      // scattered over a few hundred lines
+      [&](std::uint64_t b, int) { return b + rng.bounded(400) * 128 + rng.bounded(16) * 8; },
+  };
+
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t base = bases[rng.bounded(3)] + rng.bounded(64) * 128;
+    const Shape& shape = shapes[rng.bounded(std::size(shapes))];
+    for (int l = 0; l < 32; ++l) addrs[static_cast<std::size_t>(l)] = shape(base, l);
+    // Full, sparse and random masks; spans shorter than 32 keep mask bits
+    // past their end, which must be ignored.
+    const std::uint32_t masks[] = {0xffffffffu,
+                                   static_cast<std::uint32_t>(rng.next() & rng.next() & rng.next()),
+                                   static_cast<std::uint32_t>(rng.next())};
+    const std::uint32_t mask = masks[rng.bounded(3)];
+    const std::size_t lanes = rng.bernoulli(0.25) ? 1 + rng.bounded(31) : 32;
+    const std::span<const std::uint64_t> span(addrs.data(), lanes);
+    const int sm = static_cast<int>(rng.bounded(4));  // wraps the 2 SMs
+    const auto hint = rng.bernoulli(0.2) ? Device::LoadHint::kTemporal : Device::LoadHint::kDefault;
+    switch (rng.bounded(4)) {
+      case 0:
+      case 1:
+        d.warp_load(sm, span, mask, 4, hint);
+        ref.warp_load(sm, span, mask, hint);
+        break;
+      case 2:
+        d.warp_store(sm, span, mask, 4);
+        ref.warp_store(span, mask);
+        break;
+      default:
+        d.warp_atomic_rmw(sm, span, mask, 4);
+        ref.warp_atomic_rmw(sm, span, mask);
+        break;
+    }
+    ASSERT_EQ(d.counters(), ref.counters()) << "after op " << op;
+  }
+  EXPECT_GT(d.counters().l1_hits, 0u);
+  EXPECT_GT(d.counters().l2_hits, 0u);
+  EXPECT_GT(d.counters().dram_transactions, 0u);
 }
 
 }  // namespace

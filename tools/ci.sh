@@ -2,7 +2,8 @@
 # Single-entry CI pipeline: builds the plain tree, then runs the tier-1
 # correctness gate, the metrics-schema gate, the incident-bundle schema
 # gate, the chaos matrix (ctest -L chaos plus the tools/chaos.sh CLI
-# harness), and the ThreadSanitizer concurrency suites — and emits a
+# harness), the simulator suites under ASan+UBSan, and the
+# ThreadSanitizer concurrency suites — and emits a
 # machine-readable JSON report with one pass/fail entry per step, so a
 # CI job can publish structured results instead of scraping logs.
 #
@@ -101,6 +102,20 @@ step_chaos() {
   tools/chaos.sh build/tools/hrf_cli
 }
 
+# The simulator and kernel suites under ASan+UBSan: the coalescer and the
+# kernels index per-lane arrays by set bits of a warp mask without bounds
+# checks, so an out-of-range lane shows up here first.
+SIM_SUITES=(test_cache test_device test_gpu_kernels test_ablation_kernels
+            test_golden_counters test_fuzz_differential)
+step_sanitize_sim() {
+  local t
+  cmake -B build-asan -S . -DHRF_BUILD_BENCHES=OFF "-DHRF_SANITIZE=address;undefined" &&
+  cmake --build build-asan -j "$JOBS" --target "${SIM_SUITES[@]}" || return
+  for t in "${SIM_SUITES[@]}"; do
+    build-asan/tests/"$t" --gtest_brief=1 || return
+  done
+}
+
 step_tsan() {
   tools/check.sh --tsan-only
 }
@@ -110,6 +125,7 @@ run_step tier1 step_tier1
 run_step metrics-schema step_metrics_schema
 run_step incident-schema step_incident_schema
 run_step chaos step_chaos
+run_step sanitize-sim step_sanitize_sim
 run_step tsan step_tsan
 
 OVERALL=0
