@@ -6,21 +6,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
+#include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "cluster/cluster.hpp"
 #include "data/synthetic.hpp"
-#include "obs/monitor.hpp"
-#include "serve/server.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/histogram.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -65,6 +61,51 @@ RandomForestSpec forest_from_json(const json::Value& f) {
   return spec;
 }
 
+using Values = std::vector<std::pair<std::string, double>>;
+
+/// The modeled numbers of one simulated run, as raw doubles.
+Values modeled_values(const RunReport& run, std::size_t rows) {
+  Values v;
+  v.emplace_back("ns_per_query", run.seconds * 1e9 / static_cast<double>(rows));
+  if (run.gpu_timing) {
+    const gpusim::Timing& t = *run.gpu_timing;
+    v.insert(v.end(), {{"seconds", t.seconds},
+                       {"cycles", t.cycles},
+                       {"compute_cycles", t.compute_cycles},
+                       {"dram_cycles", t.dram_cycles},
+                       {"l2_cycles", t.l2_cycles},
+                       {"atomic_cycles", t.atomic_cycles}});
+  }
+  if (run.gpu_counters) {
+    const gpusim::Counters& c = *run.gpu_counters;
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {"gld_requests", c.gld_requests},
+        {"gst_requests", c.gst_requests},
+        {"gld_transactions", c.gld_transactions},
+        {"gst_transactions", c.gst_transactions},
+        {"l1_hits", c.l1_hits},
+        {"l2_hits", c.l2_hits},
+        {"dram_transactions", c.dram_transactions},
+        {"smem_loads", c.smem_loads},
+        {"smem_stores", c.smem_stores},
+        {"branches", c.branches},
+        {"divergent_branches", c.divergent_branches},
+        {"atomic_transactions", c.atomic_transactions},
+        {"warp_instructions", c.warp_instructions}};
+    for (const auto& [name, count] : counts) {
+      v.emplace_back(name, static_cast<double>(count));
+    }
+  }
+  if (run.fpga_report) {
+    const fpgasim::FpgaReport& f = *run.fpga_report;
+    v.insert(v.end(), {{"seconds", f.seconds},
+                       {"pipeline_cycles", f.pipeline_cycles},
+                       {"total_cycles", f.total_cycles},
+                       {"stall_pct", f.stall_pct}});
+  }
+  return v;
+}
+
 }  // namespace
 
 Backend backend_from_name(const std::string& name) {
@@ -82,6 +123,39 @@ Variant variant_from_name(const std::string& name) {
   if (name == "fil" || name == "fil-baseline") return Variant::FilBaseline;
   throw ConfigError("unknown variant '" + name +
                     "' (csr|independent|collaborative|hybrid|fil)");
+}
+
+const char* to_string(Unit unit) { return unit == Unit::Modeled ? "modeled" : "wall"; }
+
+BenchCase& BenchCase::set(const std::string& name, double value) {
+  for (auto& [n, v] : values) {
+    if (n == name) {
+      v = value;
+      return *this;
+    }
+  }
+  values.emplace_back(name, value);
+  return *this;
+}
+
+const double* BenchCase::find(const std::string& name) const {
+  for (const auto& [n, v] : values) {
+    if (n == name) return &v;
+  }
+  return nullptr;
+}
+
+double BenchCase::value(const std::string& name) const {
+  const double* v = find(name);
+  if (v == nullptr) throw Error("bench case '" + key + "' has no value '" + name + "'");
+  return *v;
+}
+
+const BenchCase* BenchReport::find(const std::string& key) const {
+  for (const BenchCase& c : cases) {
+    if (c.key == key) return &c;
+  }
+  return nullptr;
 }
 
 EnvFingerprint EnvFingerprint::capture() {
@@ -118,6 +192,7 @@ BenchReport run_sweep(const SweepOptions& options) {
   report.warmup_runs = options.warmup_runs;
   report.repeat_runs = options.repeat_runs;
   report.forest = options.forest;
+  report.layout = options.layout;
   report.query_seed = options.query_seed;
 
   const Forest forest = make_random_forest(options.forest);
@@ -141,34 +216,47 @@ BenchReport run_sweep(const SweepOptions& options) {
         const Dataset q = head(queries, batch);
         for (int w = 0; w < options.warmup_runs; ++w) (void)clf.classify(q);
 
-        // The histogram records whole-batch latencies (ns-scale integers
-        // with plenty of resolution); per-query figures divide afterwards
-        // so sub-ns per-query rates (a wide GPU absorbing a small batch
-        // in one wave) do not truncate to zero.
-        LatencyHistogram hist;
-        bool simulated = true;
+        BenchCase c;
+        c.key = std::string(to_string(variant)) + "/" + to_string(backend) + "/" +
+                std::to_string(batch);
+        // Per-query ns of each repeat: the backend's own seconds for
+        // cpu-native (wall clock), the host's wall clock around the call
+        // for the simulated backends.
+        std::vector<double> ns;
+        Values modeled;
+        bool simulated = false;
         for (int r = 0; r < options.repeat_runs; ++r) {
+          WallTimer wall;
           const RunReport run = clf.classify(q);
+          const double host_seconds = wall.seconds();
           simulated = run.simulated;
-          hist.record_seconds(run.seconds);
+          ns.push_back((simulated ? host_seconds : run.seconds) * 1e9 /
+                       static_cast<double>(batch));
+          if (!simulated) continue;
+          Values v = modeled_values(run, batch);
+          if (r == 0) {
+            modeled = std::move(v);
+          } else if (v != modeled) {
+            throw Error("bench case " + c.key + ": repeat " + std::to_string(r) +
+                        " changed a modeled value; the simulated backend is not deterministic");
+          }
         }
-        const HistogramSnapshot snap = hist.snapshot();
-        const auto per_query = [&](double batch_ns) {
-          return batch_ns / static_cast<double>(q.num_samples());
-        };
-
-        CaseResult c;
-        c.variant = to_string(variant);
-        c.backend = to_string(backend);
-        c.batch = batch;
-        c.repeats = options.repeat_runs;
-        c.simulated = simulated;
-        c.p50_ns_per_query = per_query(snap.percentile_ns(50));
-        c.p95_ns_per_query = per_query(snap.percentile_ns(95));
-        c.p99_ns_per_query = per_query(snap.percentile_ns(99));
-        c.max_ns_per_query = per_query(static_cast<double>(snap.max_ns));
-        c.mean_ns_per_query = per_query(snap.mean_ns());
-        c.throughput_qps = c.p50_ns_per_query > 0.0 ? 1e9 / c.p50_ns_per_query : 0.0;
+        if (simulated) {
+          c.unit = Unit::Modeled;
+          c.values = std::move(modeled);
+          c.set(kHostNsPerQuery, percentile(ns, 50.0));
+        } else {
+          c.unit = Unit::Wall;
+          const double p50 = percentile(ns, 50.0);
+          double sum = 0.0;
+          for (const double x : ns) sum += x;
+          c.set("p50_ns", p50)
+              .set("p95_ns", percentile(ns, 95.0))
+              .set("p99_ns", percentile(ns, 99.0))
+              .set("max_ns", *std::max_element(ns.begin(), ns.end()))
+              .set("mean_ns", sum / static_cast<double>(ns.size()))
+              .set("qps", p50 > 0.0 ? 1e9 / p50 : 0.0);
+        }
         report.cases.push_back(std::move(c));
       }
     }
@@ -176,188 +264,176 @@ BenchReport run_sweep(const SweepOptions& options) {
   return report;
 }
 
-TraceOverheadResult measure_trace_overhead(const TraceOverheadOptions& options) {
-  require(options.requests >= 1, "trace overhead needs at least one request");
-  require(options.batch >= 1, "trace overhead batch must be >= 1");
-  require(options.num_workers >= 1, "trace overhead needs at least one worker");
-  require(options.chunk_size >= 1, "trace overhead chunk size must be >= 1");
+double LoopStats::p95_ns() const { return percentile(latencies_ns, 95.0); }
 
-  const Forest forest = make_random_forest(options.forest);
-  const Dataset queries =
-      make_random_queries(options.batch, options.forest.num_features, options.query_seed);
-
-  // Both runs take the chunked (deadline) execution path — the deadline is
-  // generous enough never to fire — so sampling rate is the only variable.
-  // Per-request latency is timed at the submit().get() boundary with the
-  // wall clock directly: the server's power-of-two histogram buckets are
-  // ~8% wide at the 100us scale, coarser than the effect being measured.
-  const auto serve_p95_ns = [&](double sampling) {
-    ClassifierOptions copt;
-    copt.variant = Variant::Independent;
-    copt.backend = Backend::CpuNative;
-    serve::ServerOptions sopt;
-    sopt.num_workers = options.num_workers;
-    sopt.queue_capacity = std::max<std::size_t>(8, options.num_workers * 2);
-    sopt.default_deadline_seconds = 30.0;
-    sopt.deadline_chunk_size = options.chunk_size;
-    sopt.trace_sampling = sampling;
-    sopt.trace_capacity = 64;
-    serve::ForestServer server(forest, copt, sopt);
-    for (std::size_t r = 0; r < options.requests / 4; ++r) {
-      (void)server.submit(queries).get();  // warmup: page-in, pool spin-up
-    }
-    std::vector<double> samples;
-    samples.reserve(options.requests);
-    for (std::size_t r = 0; r < options.requests; ++r) {
-      WallTimer t;
-      (void)server.submit(queries).get();
-      samples.push_back(t.seconds() * 1e9);
-    }
-    server.shutdown();
-    std::sort(samples.begin(), samples.end());
-    return samples[static_cast<std::size_t>(0.95 * static_cast<double>(samples.size() - 1))];
-  };
-
-  TraceOverheadResult result;
-  result.requests = options.requests;
-  result.batch = options.batch;
-  // Interleaved best-of-5: wall-clock p95 on a shared host spikes upward
-  // only, so the min over repeats converges on the true cost of each mode.
-  result.p95_off_ns = std::numeric_limits<double>::infinity();
-  result.p95_on_ns = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 5; ++rep) {
-    result.p95_off_ns = std::min(result.p95_off_ns, serve_p95_ns(0.0));
-    result.p95_on_ns = std::min(result.p95_on_ns, serve_p95_ns(1.0));
-  }
-  result.ratio = result.p95_off_ns > 0.0 ? result.p95_on_ns / result.p95_off_ns : 0.0;
-  return result;
+double LoopStats::qps() const {
+  return seconds > 0.0 ? static_cast<double>(latencies_ns.size()) / seconds : 0.0;
 }
 
-AuditOverheadResult measure_audit_overhead(const AuditOverheadOptions& options) {
-  require(options.requests >= 1, "audit overhead needs at least one request");
-  require(options.batch >= 1, "audit overhead batch must be >= 1");
-  require(options.num_workers >= 1, "audit overhead needs at least one worker");
-  require(options.sample_every >= 1, "audit overhead sample_every must be >= 1");
-
-  const Forest forest = make_random_forest(options.forest);
-  const Dataset queries =
-      make_random_queries(options.batch, options.forest.num_features, options.query_seed);
-
-  // Same measurement shape as the tracing case: identical execution path
-  // both runs, wall clock at the submit().get() boundary, and the audit
-  // sampling rate is the only variable. The "on" run also carries the
-  // integrity monitor thread, so its (tiny) wakeup cost is in the number.
-  const auto serve_p95_ns = [&](std::size_t sample_every) {
-    ClassifierOptions copt;
-    copt.variant = Variant::Independent;
-    copt.backend = Backend::CpuNative;
-    serve::ServerOptions sopt;
-    sopt.num_workers = options.num_workers;
-    sopt.queue_capacity = std::max<std::size_t>(8, options.num_workers * 2);
-    sopt.default_deadline_seconds = 30.0;
-    sopt.integrity.audit_sample_every = sample_every;
-    serve::ForestServer server(forest, copt, sopt);
-    for (std::size_t r = 0; r < options.requests / 4; ++r) {
-      (void)server.submit(queries).get();  // warmup: page-in, pool spin-up
-    }
-    std::vector<double> samples;
-    samples.reserve(options.requests);
-    for (std::size_t r = 0; r < options.requests; ++r) {
-      WallTimer t;
-      (void)server.submit(queries).get();
-      samples.push_back(t.seconds() * 1e9);
-    }
-    server.shutdown();
-    std::sort(samples.begin(), samples.end());
-    return samples[static_cast<std::size_t>(0.95 * static_cast<double>(samples.size() - 1))];
-  };
-
-  AuditOverheadResult result;
-  result.requests = options.requests;
-  result.batch = options.batch;
-  result.sample_every = options.sample_every;
-  // Interleaved best-of-5 min, for the same upward-spike-only reason as
-  // the tracing case.
-  result.p95_off_ns = std::numeric_limits<double>::infinity();
-  result.p95_on_ns = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 5; ++rep) {
-    result.p95_off_ns = std::min(result.p95_off_ns, serve_p95_ns(0));
-    result.p95_on_ns = std::min(result.p95_on_ns, serve_p95_ns(options.sample_every));
+LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)>& more,
+                      const std::function<void(std::size_t client, std::size_t i)>& call) {
+  require(clients >= 1, "closed loop needs at least one client");
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::uint64_t> failed{0};
+  std::vector<std::vector<double>> latencies(clients);
+  WallTimer wall;
+  std::vector<std::thread> threads;
+  threads.reserve(clients);
+  for (std::size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (!more(i)) return;
+        WallTimer t;
+        try {
+          call(c, i);
+          latencies[c].push_back(t.seconds() * 1e9);
+        } catch (const Error&) {
+          failed.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
   }
-  result.ratio = result.p95_off_ns > 0.0 ? result.p95_on_ns / result.p95_off_ns : 0.0;
-  return result;
+  for (std::thread& t : threads) t.join();
+
+  LoopStats stats;
+  stats.seconds = wall.seconds();
+  stats.failed = failed.load();
+  for (const std::vector<double>& v : latencies) {
+    stats.latencies_ns.insert(stats.latencies_ns.end(), v.begin(), v.end());
+  }
+  return stats;
 }
 
-ObsOverheadResult measure_obs_overhead(const ObsOverheadOptions& options) {
-  require(options.requests >= 1, "obs overhead needs at least one request");
-  require(options.batch >= 1, "obs overhead batch must be >= 1");
-  require(options.num_workers >= 1, "obs overhead needs at least one worker");
-  require(options.interval_seconds > 0.0, "obs overhead interval must be > 0");
+AbResult measure_ab(const AbOptions& options) {
+  require(options.requests >= 1, "A/B case needs at least one request");
+  require(options.clients >= 1, "A/B case needs at least one client");
+  require(options.rows >= 1, "A/B case rows must be >= 1");
 
   const Forest forest = make_random_forest(options.forest);
   const Dataset queries =
-      make_random_queries(options.batch, options.forest.num_features, options.query_seed);
+      make_random_queries(options.rows, options.forest.num_features, options.query_seed);
+  // A monitored arm must see two ticks; the other arm serves as long, so
+  // both p95s come from runs of comparable length.
+  double min_seconds = 0.0;
+  for (const AbArm* arm : {&options.off, &options.on}) {
+    if (arm->monitor) min_seconds = std::max(min_seconds, 2.0 * arm->monitor->interval_seconds);
+  }
 
-  // Same measurement shape as the tracing/audit cases: identical
-  // execution path both runs, wall clock at the submit().get() boundary.
-  // The "on" run wires a FlightRecorder into the server and runs a live
-  // Monitor thread (windowed sampling + armed SLO engine, no incident
-  // dir) — the full production observability configuration.
-  const auto serve_p95_ns = [&](bool armed) {
-    ClassifierOptions copt;
-    copt.variant = Variant::Independent;
-    copt.backend = Backend::CpuNative;
-    serve::ServerOptions sopt;
-    sopt.num_workers = options.num_workers;
-    sopt.queue_capacity = std::max<std::size_t>(8, options.num_workers * 2);
-    sopt.default_deadline_seconds = 30.0;
+  AbResult result;
+  result.p95_off_ns = std::numeric_limits<double>::infinity();
+  result.p95_on_ns = std::numeric_limits<double>::infinity();
+  std::optional<std::uint64_t> windows;  // fewest over the monitored runs
+  const auto run_arm = [&](const AbArm& arm, double* p95_ns, double* qps) {
     obs::FlightRecorder recorder(512);
-    if (armed) sopt.flight_recorder = &recorder;
-    serve::ForestServer server(forest, copt, sopt);
+    serve::ServerOptions sopt = arm.server;
+    if (arm.monitor) sopt.flight_recorder = &recorder;
+    serve::ForestServer server(forest, options.classifier, sopt);
+    for (std::size_t r = 0; r < options.requests / 4; ++r) {
+      (void)server.submit(queries).get();  // warmup: page-in, pool spin-up
+    }
     std::optional<obs::Monitor> monitor;
-    if (armed) {
-      obs::MonitorOptions mopt;
-      mopt.interval_seconds = options.interval_seconds;
-      mopt.slo_enabled = true;
-      monitor.emplace(std::move(mopt), [&server] { return server.metrics_snapshot(); },
+    if (arm.monitor) {
+      monitor.emplace(*arm.monitor, [&server] { return server.metrics_snapshot(); },
                       &recorder);
     }
-    for (std::size_t r = 0; r < options.requests / 4; ++r) {
-      (void)server.submit(queries).get();  // warmup: page-in, pool spin-up
+    WallTimer wall;
+    const LoopStats stats = closed_loop(
+        options.clients,
+        [&](std::size_t i) {
+          // Two ticks record the first window.
+          return i < options.requests || wall.seconds() < min_seconds ||
+                 (monitor && monitor->windows_recorded() < 1);
+        },
+        [&](std::size_t, std::size_t) { (void)server.submit(queries).get(); });
+    if (monitor) {
+      monitor->stop();
+      windows = std::min(windows.value_or(std::numeric_limits<std::uint64_t>::max()),
+                         monitor->windows_recorded());
     }
-    std::vector<double> samples;
-    samples.reserve(options.requests);
-    for (std::size_t r = 0; r < options.requests; ++r) {
-      WallTimer t;
-      (void)server.submit(queries).get();
-      samples.push_back(t.seconds() * 1e9);
-    }
-    if (monitor) monitor->stop();
     server.shutdown();
-    std::sort(samples.begin(), samples.end());
-    return samples[static_cast<std::size_t>(0.95 * static_cast<double>(samples.size() - 1))];
+    *p95_ns = std::min(*p95_ns, stats.p95_ns());
+    *qps = std::max(*qps, stats.qps());
   };
-
-  ObsOverheadResult result;
-  result.requests = options.requests;
-  result.batch = options.batch;
-  result.interval_seconds = options.interval_seconds;
-  // Interleaved best-of-5 min, for the same upward-spike-only reason as
-  // the tracing case.
-  result.p95_off_ns = std::numeric_limits<double>::infinity();
-  result.p95_on_ns = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 5; ++rep) {
-    result.p95_off_ns = std::min(result.p95_off_ns, serve_p95_ns(false));
-    result.p95_on_ns = std::min(result.p95_on_ns, serve_p95_ns(true));
+    run_arm(options.off, &result.p95_off_ns, &result.qps_off);
+    run_arm(options.on, &result.p95_on_ns, &result.qps_on);
   }
-  result.ratio = result.p95_off_ns > 0.0 ? result.p95_on_ns / result.p95_off_ns : 0.0;
+  result.monitor_windows = windows.value_or(0);
   return result;
 }
 
-ClusterBenchResult measure_cluster(const ClusterBenchOptions& options) {
+BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_seed) {
+  AbOptions opt;
+  opt.requests = requests;
+  opt.query_seed = query_seed;
+  opt.off.server.num_workers = 2;
+  opt.off.server.queue_capacity = 8;
+  opt.off.server.default_deadline_seconds = 30.0;
+  opt.on = opt.off;
+
+  BenchCase c;
+  switch (which) {
+    case AbCase::Trace:
+      // Both arms take the chunked (deadline) path, which a 30 s deadline
+      // never cuts short, so the sampling rate is the only variable.
+      c.key = "trace";
+      opt.off.server.trace_capacity = opt.on.server.trace_capacity = 64;
+      opt.on.server.trace_sampling = 1.0;
+      break;
+    case AbCase::Audit:
+      // At 1/32 the audited tail sits above the 95th percentile, so the
+      // gate measures the steady-state cost of the machinery (and the
+      // integrity monitor thread), not the oracle pass itself.
+      c.key = "audit";
+      opt.on.server.integrity.audit_sample_every = 32;
+      break;
+    case AbCase::Obs: {
+      // The full production observability configuration at its default
+      // cadence: recorder wired into the server, windowed sampling and an
+      // armed SLO engine, no incident dir.
+      c.key = "obs";
+      obs::MonitorOptions mopt;
+      mopt.slo_enabled = true;
+      opt.on.monitor = mopt;
+      break;
+    }
+    case AbCase::Batch: {
+      // The paper's amortization case: hybrid on the simulated GPU, where
+      // every classify pays the same stage-1 root-subtree staging whether
+      // it carries 4 rows or a full warp's worth — the per-dispatch fixed
+      // cost micro-batching exists to share.
+      c.key = "batch";
+      opt.classifier.variant = Variant::Hybrid;
+      opt.classifier.backend = Backend::GpuSim;
+      opt.classifier.layout.subtree_depth = 4;
+      opt.clients = 32;
+      opt.requests = opt.clients * 10;
+      opt.rows = 4;
+      opt.off.server.queue_capacity = opt.clients * 2;
+      opt.on = opt.off;
+      opt.on.server.batching.max_requests = 16;
+      opt.on.server.batching.max_wait_seconds = 500e-6;
+      const AbResult r = measure_ab(opt);
+      c.set("p95_ns", r.p95_on_ns)
+          .set("p95_unbatched_ns", r.p95_off_ns)
+          .set("qps", r.qps_on)
+          .set("qps_unbatched", r.qps_off)
+          .set("speedup", r.qps_off > 0.0 ? r.qps_on / r.qps_off : 0.0);
+      return c;
+    }
+  }
+  const AbResult r = measure_ab(opt);
+  c.set("p95_off_ns", r.p95_off_ns)
+      .set("p95_on_ns", r.p95_on_ns)
+      .set("ratio", r.p95_off_ns > 0.0 ? r.p95_on_ns / r.p95_off_ns : 0.0);
+  if (which == AbCase::Obs) c.set("monitor_windows", static_cast<double>(r.monitor_windows));
+  return c;
+}
+
+BenchCase measure_cluster(const ClusterBenchOptions& options) {
   require(options.shards >= 1, "cluster bench needs at least one shard");
   require(options.requests >= 1, "cluster bench needs at least one request");
-  require(options.clients >= 1, "cluster bench needs at least one client");
   require(options.batch >= 1, "cluster bench batch must be >= 1");
   require(options.workers_per_shard >= 1, "cluster bench needs >= 1 worker per shard");
 
@@ -379,44 +455,28 @@ ClusterBenchResult measure_cluster(const ClusterBenchOptions& options) {
   clopt.start_probes = false;
   cluster::ClusterRouter router(forest, copt, sopt, clopt);
 
+  const auto query = [&](std::uint64_t key) {
+    cluster::QueryOptions qopt;
+    qopt.key = key;
+    (void)router.query(queries, qopt);
+  };
   // Warmup: touch every shard once (keys walk the ring).
-  for (std::size_t s = 0; s < options.shards; ++s) {
-    (void)router.query(queries, {.key = s});
-  }
+  for (std::size_t s = 0; s < options.shards; ++s) query(s);
 
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> completed{0};
-  WallTimer wall;
-  std::vector<std::thread> clients;
-  clients.reserve(options.clients);
-  for (std::size_t c = 0; c < options.clients; ++c) {
-    clients.emplace_back([&, c] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= options.requests) return;
-        (void)router.query(queries, {.key = c * 1000003ULL + i});
-        completed.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double seconds = wall.seconds();
-  const HistogramSnapshot route = router.route_latency();
+  const LoopStats stats = closed_loop(
+      options.clients, [&](std::size_t i) { return i < options.requests; },
+      [&](std::size_t c, std::size_t i) { query(c * 1000003ULL + i); });
   router.shutdown();
 
-  ClusterBenchResult result;
-  result.shards = options.shards;
-  result.requests = options.requests;
-  result.batch = options.batch;
-  result.p95_ns = route.percentile_ns(95);
-  result.qps = seconds > 0.0 ? static_cast<double>(completed.load()) / seconds : 0.0;
-  return result;
+  BenchCase c;
+  c.key = "cluster";
+  c.set("p95_ns", stats.p95_ns()).set("qps", stats.qps());
+  return c;
 }
 
-NoisyNeighborResult measure_noisy_neighbor(const NoisyNeighborOptions& options) {
+BenchCase measure_noisy_neighbor(const NoisyNeighborOptions& options) {
   require(options.shards >= 1, "noisy bench needs at least one shard");
   require(options.requests >= 1, "noisy bench needs at least one victim request");
-  require(options.clients >= 1, "noisy bench needs at least one victim client");
   require(options.surge_clients >= 1, "noisy bench needs at least one surge client");
   require(options.batch >= 1, "noisy bench batch must be >= 1");
   require(options.workers_per_shard >= 1, "noisy bench needs >= 1 worker per shard");
@@ -443,12 +503,17 @@ NoisyNeighborResult measure_noisy_neighbor(const NoisyNeighborOptions& options) 
   clopt.start_probes = false;
   cluster::ClusterRouter router(forest, copt, sopt, clopt);
 
-  for (std::size_t s = 0; s < options.shards; ++s) {
-    (void)router.query(queries, {.key = s, .tenant = "victim"});
-  }
+  const auto query = [&](std::uint64_t key, const char* tenant) {
+    cluster::QueryOptions qopt;
+    qopt.key = key;
+    qopt.tenant = tenant;
+    (void)router.query(queries, qopt);
+  };
+  for (std::size_t s = 0; s < options.shards; ++s) query(s, "victim");
 
-  // The surge runs for the whole victim measurement: spinning clients
-  // whose admitted requests stall a worker (surge:tenant fault site).
+  // The surge is background load for the whole victim measurement, not a
+  // measured client: spinning threads whose admitted requests stall a
+  // worker (surge:tenant fault site).
   FaultInjector::global().arm("surge:tenant", -1);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> shed{0};
@@ -458,11 +523,8 @@ NoisyNeighborResult measure_noisy_neighbor(const NoisyNeighborOptions& options) 
   for (std::size_t c = 0; c < options.surge_clients; ++c) {
     surgers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        cluster::QueryOptions qopt;
-        qopt.key = surge_key.fetch_add(1, std::memory_order_relaxed);
-        qopt.tenant = "surger";
         try {
-          (void)router.query(queries, qopt);
+          query(surge_key.fetch_add(1, std::memory_order_relaxed), "surger");
         } catch (const QuotaError&) {
           shed.fetch_add(1, std::memory_order_relaxed);
           std::this_thread::sleep_for(std::chrono::microseconds(20));
@@ -473,126 +535,22 @@ NoisyNeighborResult measure_noisy_neighbor(const NoisyNeighborOptions& options) 
     });
   }
 
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> ok{0}, failed{0};
-  std::vector<std::vector<double>> latencies(options.clients);
-  WallTimer wall;
-  std::vector<std::thread> victims;
-  victims.reserve(options.clients);
-  for (std::size_t c = 0; c < options.clients; ++c) {
-    victims.emplace_back([&, c] {
-      latencies[c].reserve(options.requests / options.clients + 1);
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= options.requests) return;
-        cluster::QueryOptions qopt;
-        qopt.key = c * 1000003ULL + i;
-        qopt.tenant = "victim";
-        WallTimer t;
-        try {
-          (void)router.query(queries, qopt);
-          latencies[c].push_back(t.seconds() * 1e9);
-          ok.fetch_add(1, std::memory_order_relaxed);
-        } catch (const Error&) {
-          failed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& t : victims) t.join();
-  const double seconds = wall.seconds();
+  const LoopStats stats = closed_loop(
+      options.clients, [&](std::size_t i) { return i < options.requests; },
+      [&](std::size_t c, std::size_t i) { query(c * 1000003ULL + i, "victim"); });
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : surgers) t.join();
   FaultInjector::global().disarm("surge:tenant");
   router.shutdown();
 
-  std::vector<double> all;
-  for (const std::vector<double>& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  NoisyNeighborResult result;
-  result.shards = options.shards;
-  result.requests = options.requests;
-  result.batch = options.batch;
-  result.victim_p95_ns = all.empty() ? 0.0 : percentile(all, 95.0);
-  const std::uint64_t attempts = ok.load() + failed.load();
-  result.victim_success =
-      attempts > 0 ? static_cast<double>(ok.load()) / static_cast<double>(attempts) : 0.0;
-  result.surger_shed = shed.load();
-  result.victim_qps = seconds > 0.0 ? static_cast<double>(ok.load()) / seconds : 0.0;
-  return result;
-}
-
-BatchBenchResult measure_batch(const BatchBenchOptions& options) {
-  require(options.clients >= 1, "batch bench needs at least one client");
-  require(options.requests >= 1, "batch bench needs at least one request");
-  require(options.rows >= 1, "batch bench rows must be >= 1");
-  require(options.workers >= 1, "batch bench needs >= 1 worker");
-  require(options.batch_max >= 2, "batch bench needs micro-batching on (batch_max >= 2)");
-
-  const Forest forest = make_random_forest(options.forest);
-  const Dataset queries =
-      make_random_queries(options.rows, options.forest.num_features, options.query_seed);
-
-  // The paper's amortization case: hybrid on the simulated GPU, where
-  // every classify pays the same stage-1 root-subtree staging whether it
-  // carries 8 rows or a full warp's worth — exactly the per-dispatch
-  // fixed cost micro-batching exists to share.
-  ClassifierOptions copt;
-  copt.variant = Variant::Hybrid;
-  copt.backend = Backend::GpuSim;
-  copt.layout.subtree_depth = 4;
-
-  // One identical run per configuration; only the batching knobs differ.
-  const auto run = [&](const serve::BatchOptions& batching, double* p95_ns, double* qps) {
-    serve::ServerOptions sopt;
-    sopt.num_workers = options.workers;
-    sopt.queue_capacity = std::max<std::size_t>(16, options.clients * 2);
-    sopt.default_deadline_seconds = 30.0;
-    sopt.batching = batching;
-    serve::ForestServer server(forest, copt, sopt);
-    for (std::size_t i = 0; i < options.workers; ++i) (void)server.submit(queries).get();
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::vector<std::vector<double>> latencies(options.clients);
-    WallTimer wall;
-    std::vector<std::thread> clients;
-    clients.reserve(options.clients);
-    for (std::size_t c = 0; c < options.clients; ++c) {
-      clients.emplace_back([&, c] {
-        latencies[c].reserve(options.requests / options.clients + 1);
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= options.requests) return;
-          WallTimer t;
-          (void)server.submit(queries).get();
-          latencies[c].push_back(t.seconds() * 1e9);
-          completed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    const double seconds = wall.seconds();
-    server.shutdown();
-
-    std::vector<double> all;
-    for (const std::vector<double>& v : latencies) all.insert(all.end(), v.begin(), v.end());
-    *p95_ns = all.empty() ? 0.0 : percentile(all, 95.0);
-    *qps = seconds > 0.0 ? static_cast<double>(completed.load()) / seconds : 0.0;
-  };
-
-  BatchBenchResult result;
-  result.clients = options.clients;
-  result.requests = options.requests;
-  result.rows = options.rows;
-  result.batch_max = options.batch_max;
-  serve::BatchOptions off;  // max_requests 1: batching disabled
-  run(off, &result.p95_unbatched_ns, &result.qps_unbatched);
-  serve::BatchOptions on;
-  on.max_requests = options.batch_max;
-  on.max_wait_seconds = options.batch_wait_seconds;
-  run(on, &result.p95_batched_ns, &result.qps_batched);
-  result.speedup = result.qps_unbatched > 0.0 ? result.qps_batched / result.qps_unbatched : 0.0;
-  return result;
+  const double attempts = static_cast<double>(stats.latencies_ns.size() + stats.failed);
+  BenchCase c;
+  c.key = "noisy";
+  c.set("p95_ns", stats.p95_ns())
+      .set("success", static_cast<double>(stats.latencies_ns.size()) / attempts)
+      .set("surger_shed", static_cast<double>(shed.load()))
+      .set("qps", stats.qps());
+  return c;
 }
 
 json::Value to_json(const BenchReport& report) {
@@ -614,92 +572,22 @@ json::Value to_json(const BenchReport& report) {
   policy["query_seed"] = report.query_seed;
   root["policy"] = std::move(policy);
   root["forest"] = forest_to_json(report.forest);
+  json::Value layout = json::Value::object();
+  layout["subtree_depth"] = report.layout.subtree_depth;
+  layout["root_subtree_depth"] = report.layout.root_subtree_depth;
+  root["layout"] = std::move(layout);
 
   json::Value cases = json::Value::array();
-  for (const CaseResult& c : report.cases) {
+  for (const BenchCase& c : report.cases) {
     json::Value jc = json::Value::object();
-    jc["variant"] = c.variant;
-    jc["backend"] = c.backend;
-    jc["batch"] = c.batch;
-    jc["repeats"] = c.repeats;
-    jc["simulated"] = c.simulated;
-    jc["p50_ns_per_query"] = c.p50_ns_per_query;
-    jc["p95_ns_per_query"] = c.p95_ns_per_query;
-    jc["p99_ns_per_query"] = c.p99_ns_per_query;
-    jc["max_ns_per_query"] = c.max_ns_per_query;
-    jc["mean_ns_per_query"] = c.mean_ns_per_query;
-    jc["throughput_qps"] = c.throughput_qps;
+    jc["key"] = c.key;
+    jc["unit"] = to_string(c.unit);
+    json::Value values = json::Value::object();
+    for (const auto& [name, value] : c.values) values[name] = value;
+    jc["values"] = std::move(values);
     cases.push_back(std::move(jc));
   }
   root["cases"] = std::move(cases);
-
-  if (report.trace_overhead) {
-    json::Value t = json::Value::object();
-    t["requests"] = report.trace_overhead->requests;
-    t["batch"] = report.trace_overhead->batch;
-    t["p95_off_ns"] = report.trace_overhead->p95_off_ns;
-    t["p95_on_ns"] = report.trace_overhead->p95_on_ns;
-    t["ratio"] = report.trace_overhead->ratio;
-    root["trace_overhead"] = std::move(t);
-  }
-
-  if (report.audit_overhead) {
-    json::Value a = json::Value::object();
-    a["requests"] = report.audit_overhead->requests;
-    a["batch"] = report.audit_overhead->batch;
-    a["sample_every"] = report.audit_overhead->sample_every;
-    a["p95_off_ns"] = report.audit_overhead->p95_off_ns;
-    a["p95_on_ns"] = report.audit_overhead->p95_on_ns;
-    a["ratio"] = report.audit_overhead->ratio;
-    root["audit_overhead"] = std::move(a);
-  }
-
-  if (report.obs_overhead) {
-    json::Value o = json::Value::object();
-    o["requests"] = report.obs_overhead->requests;
-    o["batch"] = report.obs_overhead->batch;
-    o["interval_seconds"] = report.obs_overhead->interval_seconds;
-    o["p95_off_ns"] = report.obs_overhead->p95_off_ns;
-    o["p95_on_ns"] = report.obs_overhead->p95_on_ns;
-    o["ratio"] = report.obs_overhead->ratio;
-    root["obs_overhead"] = std::move(o);
-  }
-
-  if (report.cluster) {
-    json::Value c = json::Value::object();
-    c["shards"] = report.cluster->shards;
-    c["requests"] = report.cluster->requests;
-    c["batch"] = report.cluster->batch;
-    c["p95_ns"] = report.cluster->p95_ns;
-    c["qps"] = report.cluster->qps;
-    root["cluster"] = std::move(c);
-  }
-
-  if (report.noisy) {
-    json::Value n = json::Value::object();
-    n["shards"] = report.noisy->shards;
-    n["requests"] = report.noisy->requests;
-    n["batch"] = report.noisy->batch;
-    n["victim_p95_ns"] = report.noisy->victim_p95_ns;
-    n["victim_success"] = report.noisy->victim_success;
-    n["surger_shed"] = report.noisy->surger_shed;
-    n["victim_qps"] = report.noisy->victim_qps;
-    root["noisy"] = std::move(n);
-  }
-
-  if (report.batch) {
-    json::Value b = json::Value::object();
-    b["clients"] = report.batch->clients;
-    b["requests"] = report.batch->requests;
-    b["rows"] = report.batch->rows;
-    b["batch_max"] = report.batch->batch_max;
-    b["p95_unbatched_ns"] = report.batch->p95_unbatched_ns;
-    b["p95_batched_ns"] = report.batch->p95_batched_ns;
-    b["qps_unbatched"] = report.batch->qps_unbatched;
-    b["qps_batched"] = report.batch->qps_batched;
-    b["speedup"] = report.batch->speedup;
-    root["batch"] = std::move(b);
-  }
   return root;
 }
 
@@ -729,91 +617,25 @@ BenchReport report_from_json(const json::Value& v) {
   report.repeat_runs = static_cast<int>(policy.get("repeat_runs").as_number());
   report.query_seed = static_cast<std::uint64_t>(policy.get("query_seed").as_number());
   report.forest = forest_from_json(v.get("forest"));
+  const json::Value& layout = v.get("layout");
+  report.layout.subtree_depth = static_cast<int>(layout.get("subtree_depth").as_number());
+  report.layout.root_subtree_depth =
+      static_cast<int>(layout.get("root_subtree_depth").as_number());
 
   const json::Value& cases = v.get("cases");
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const json::Value& jc = cases.at(i);
-    CaseResult c;
-    c.variant = jc.get("variant").as_string();
-    c.backend = jc.get("backend").as_string();
-    c.batch = static_cast<std::size_t>(jc.get("batch").as_number());
-    c.repeats = static_cast<int>(jc.get("repeats").as_number());
-    c.simulated = jc.get("simulated").as_bool();
-    c.p50_ns_per_query = jc.get("p50_ns_per_query").as_number();
-    c.p95_ns_per_query = jc.get("p95_ns_per_query").as_number();
-    c.p99_ns_per_query = jc.get("p99_ns_per_query").as_number();
-    c.max_ns_per_query = jc.get("max_ns_per_query").as_number();
-    c.mean_ns_per_query = jc.get("mean_ns_per_query").as_number();
-    c.throughput_qps = jc.get("throughput_qps").as_number();
+    BenchCase c;
+    c.key = jc.get("key").as_string();
+    const std::string unit = jc.get("unit").as_string();
+    if (unit != "modeled" && unit != "wall") {
+      throw FormatError("bench case '" + c.key + "' has unknown unit '" + unit + "'");
+    }
+    c.unit = unit == "modeled" ? Unit::Modeled : Unit::Wall;
+    for (const auto& [name, value] : jc.get("values").members()) {
+      c.values.emplace_back(name, value.as_number());
+    }
     report.cases.push_back(std::move(c));
-  }
-
-  if (const json::Value* t = v.find("trace_overhead")) {
-    TraceOverheadResult res;
-    res.requests = static_cast<std::size_t>(t->get("requests").as_number());
-    res.batch = static_cast<std::size_t>(t->get("batch").as_number());
-    res.p95_off_ns = t->get("p95_off_ns").as_number();
-    res.p95_on_ns = t->get("p95_on_ns").as_number();
-    res.ratio = t->get("ratio").as_number();
-    report.trace_overhead = res;
-  }
-
-  if (const json::Value* a = v.find("audit_overhead")) {
-    AuditOverheadResult res;
-    res.requests = static_cast<std::size_t>(a->get("requests").as_number());
-    res.batch = static_cast<std::size_t>(a->get("batch").as_number());
-    res.sample_every = static_cast<std::size_t>(a->get("sample_every").as_number());
-    res.p95_off_ns = a->get("p95_off_ns").as_number();
-    res.p95_on_ns = a->get("p95_on_ns").as_number();
-    res.ratio = a->get("ratio").as_number();
-    report.audit_overhead = res;
-  }
-
-  if (const json::Value* o = v.find("obs_overhead")) {
-    ObsOverheadResult res;
-    res.requests = static_cast<std::size_t>(o->get("requests").as_number());
-    res.batch = static_cast<std::size_t>(o->get("batch").as_number());
-    res.interval_seconds = o->get("interval_seconds").as_number();
-    res.p95_off_ns = o->get("p95_off_ns").as_number();
-    res.p95_on_ns = o->get("p95_on_ns").as_number();
-    res.ratio = o->get("ratio").as_number();
-    report.obs_overhead = res;
-  }
-
-  if (const json::Value* c = v.find("cluster")) {
-    ClusterBenchResult res;
-    res.shards = static_cast<std::size_t>(c->get("shards").as_number());
-    res.requests = static_cast<std::size_t>(c->get("requests").as_number());
-    res.batch = static_cast<std::size_t>(c->get("batch").as_number());
-    res.p95_ns = c->get("p95_ns").as_number();
-    res.qps = c->get("qps").as_number();
-    report.cluster = res;
-  }
-
-  if (const json::Value* n = v.find("noisy")) {
-    NoisyNeighborResult res;
-    res.shards = static_cast<std::size_t>(n->get("shards").as_number());
-    res.requests = static_cast<std::size_t>(n->get("requests").as_number());
-    res.batch = static_cast<std::size_t>(n->get("batch").as_number());
-    res.victim_p95_ns = n->get("victim_p95_ns").as_number();
-    res.victim_success = n->get("victim_success").as_number();
-    res.surger_shed = static_cast<std::uint64_t>(n->get("surger_shed").as_number());
-    res.victim_qps = n->get("victim_qps").as_number();
-    report.noisy = res;
-  }
-
-  if (const json::Value* b = v.find("batch")) {
-    BatchBenchResult res;
-    res.clients = static_cast<std::size_t>(b->get("clients").as_number());
-    res.requests = static_cast<std::size_t>(b->get("requests").as_number());
-    res.rows = static_cast<std::size_t>(b->get("rows").as_number());
-    res.batch_max = static_cast<std::size_t>(b->get("batch_max").as_number());
-    res.p95_unbatched_ns = b->get("p95_unbatched_ns").as_number();
-    res.p95_batched_ns = b->get("p95_batched_ns").as_number();
-    res.qps_unbatched = b->get("qps_unbatched").as_number();
-    res.qps_batched = b->get("qps_batched").as_number();
-    res.speedup = b->get("speedup").as_number();
-    report.batch = res;
   }
   return report;
 }
@@ -837,75 +659,52 @@ CompareResult compare_reports(const BenchReport& baseline, const BenchReport& cu
                               double tolerance, double trace_tolerance) {
   require(tolerance >= 0.0, "tolerance must be >= 0");
   require(trace_tolerance >= 0.0, "trace_tolerance must be >= 0");
+  constexpr double kAbsent = std::numeric_limits<double>::quiet_NaN();
+  char rule[64];
   CompareResult result;
-  if (current.trace_overhead) {
-    result.trace_overhead_ratio = current.trace_overhead->ratio;
-    result.trace_overhead_ok = result.trace_overhead_ratio <= 1.0 + trace_tolerance;
-  }
-  if (current.audit_overhead) {
-    result.audit_overhead_ratio = current.audit_overhead->ratio;
-    result.audit_overhead_ok = result.audit_overhead_ratio <= 1.0 + trace_tolerance;
-  }
-  if (current.obs_overhead) {
-    result.obs_overhead_ratio = current.obs_overhead->ratio;
-    result.obs_overhead_ok = result.obs_overhead_ratio <= 1.0 + trace_tolerance;
-  }
-  if (baseline.cluster) {
-    if (!current.cluster) {
-      result.missing_cases.push_back("cluster");
-    } else {
-      ++result.compared;
-      if (baseline.cluster->p95_ns > 0.0 &&
-          current.cluster->p95_ns > baseline.cluster->p95_ns * (1.0 + tolerance)) {
-        result.regressions.push_back({"cluster", baseline.cluster->p95_ns,
-                                      current.cluster->p95_ns,
-                                      current.cluster->p95_ns / baseline.cluster->p95_ns});
-      }
-    }
-  }
-  if (baseline.noisy) {
-    if (!current.noisy) {
-      result.missing_cases.push_back("noisy");
-    } else {
-      ++result.compared;
-      if (baseline.noisy->victim_p95_ns > 0.0 &&
-          current.noisy->victim_p95_ns > baseline.noisy->victim_p95_ns * (1.0 + tolerance)) {
-        result.regressions.push_back(
-            {"noisy", baseline.noisy->victim_p95_ns, current.noisy->victim_p95_ns,
-             current.noisy->victim_p95_ns / baseline.noisy->victim_p95_ns});
-      }
-    }
-  }
-  if (baseline.batch) {
-    if (!current.batch) {
-      result.missing_cases.push_back("batch");
-    } else {
-      ++result.compared;
-      if (baseline.batch->p95_batched_ns > 0.0 &&
-          current.batch->p95_batched_ns > baseline.batch->p95_batched_ns * (1.0 + tolerance)) {
-        result.regressions.push_back(
-            {"batch", baseline.batch->p95_batched_ns, current.batch->p95_batched_ns,
-             current.batch->p95_batched_ns / baseline.batch->p95_batched_ns});
-      }
-    }
-  }
-  for (const CaseResult& base : baseline.cases) {
-    const CaseResult* cur = nullptr;
-    for (const CaseResult& c : current.cases) {
-      if (c.variant == base.variant && c.backend == base.backend && c.batch == base.batch) {
-        cur = &c;
-        break;
-      }
-    }
+  for (const BenchCase& base : baseline.cases) {
+    const BenchCase* cur = current.find(base.key);
     if (cur == nullptr) {
-      result.missing_cases.push_back(base.key());
+      result.missing_cases.push_back(base.key);
       continue;
     }
     ++result.compared;
-    if (base.p95_ns_per_query > 0.0 &&
-        cur->p95_ns_per_query > base.p95_ns_per_query * (1.0 + tolerance)) {
-      result.regressions.push_back({base.key(), base.p95_ns_per_query, cur->p95_ns_per_query,
-                                    cur->p95_ns_per_query / base.p95_ns_per_query});
+    if (cur->unit != base.unit) {
+      result.regressions.push_back({base.key, "unit", kAbsent, kAbsent,
+                                    std::string("unit changed from ") + to_string(base.unit)});
+      continue;
+    }
+    switch (base.unit) {
+      case Unit::Modeled:
+        for (const auto& [name, value] : base.values) {
+          if (name == kHostNsPerQuery) continue;
+          const double* now = cur->find(name);
+          if (now == nullptr || *now != value) {
+            result.regressions.push_back({base.key, name, value, now ? *now : kAbsent,
+                                          "modeled values must match exactly"});
+          }
+        }
+        break;
+      case Unit::Wall: {
+        const double* base_p95 = base.find("p95_ns");
+        const double* cur_p95 = cur->find("p95_ns");
+        if (base_p95 != nullptr && *base_p95 > 0.0 &&
+            (cur_p95 == nullptr || *cur_p95 > *base_p95 * (1.0 + tolerance))) {
+          std::snprintf(rule, sizeof rule, "p95 <= %.2fx baseline", 1.0 + tolerance);
+          result.regressions.push_back(
+              {base.key, "p95_ns", *base_p95, cur_p95 ? *cur_p95 : kAbsent, rule});
+        }
+        break;
+      }
+    }
+  }
+  // A/B cases carry their own baseline (the "off" arm), so they are gated
+  // whether or not the baseline report has them.
+  for (const BenchCase& c : current.cases) {
+    const double* ratio = c.find("ratio");
+    if (c.unit == Unit::Wall && ratio != nullptr && *ratio > 1.0 + trace_tolerance) {
+      std::snprintf(rule, sizeof rule, "on/off p95 ratio <= %.2f", 1.0 + trace_tolerance);
+      result.regressions.push_back({c.key, "ratio", 1.0, *ratio, rule});
     }
   }
   return result;

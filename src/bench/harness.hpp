@@ -2,43 +2,69 @@
 
 // Machine-readable benchmark harness + regression gate (docs/benchmarking.md).
 //
-// run_sweep() measures every valid {variant x backend x batch} combination
-// over one synthetic random forest, with an explicit warmup/repeat policy,
-// and produces a schema-versioned report (BENCH_hrf.json) carrying an
-// environment fingerprint and per-configuration ns/query percentiles +
-// throughput. compare_reports() is the regression gate: it matches cases
-// by (variant, backend, batch) and flags any whose p95 ns/query grew by
-// more than the tolerance — `hrf_cli bench --compare old.json` turns that
-// into a nonzero exit code, so perf PRs land against a recorded baseline
-// instead of a reviewer's memory.
+// A BenchReport (BENCH_hrf.json) is an environment fingerprint plus a list
+// of cases. Every case has a key, a unit and named values, and its unit
+// decides how compare_reports() gates it:
 //
-// Simulated backends (GpuSim/FpgaSim) report *modeled* seconds, which are
-// deterministic in (forest seed, query seed): two runs of the same build
-// produce byte-identical case numbers, making the gate noise-free where
-// the paper's comparisons live. CpuNative cases measure wall clock and
-// inherit host noise; gate those with a wider tolerance.
+//  * modeled — gpu-sim/fpga-sim device time and counters. They are pure
+//    functions of (forest, layout, queries), so every value must equal the
+//    baseline's exactly; an improvement fails too, and a changed model
+//    lands with a regenerated baseline. The one exception is
+//    `host_ns_per_query`, the simulator's own wall time, which is reported
+//    and never gated.
+//  * wall — host wall clock. A case carrying `ratio` is an A/B case whose
+//    two arms ran interleaved in one process; it fails when the ratio
+//    exceeds 1 + trace_tolerance. A case carrying `p95_ns` fails when its
+//    p95 exceeds baseline * (1 + tolerance).
+//
+// `hrf_cli --mode bench --compare old.json` turns a failed gate into a
+// nonzero exit code.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.hpp"
 #include "forest/random_forest_gen.hpp"
+#include "obs/monitor.hpp"
+#include "serve/server.hpp"
 #include "util/json.hpp"
 
 namespace hrf::bench {
 
 /// Current BENCH_hrf.json schema version. Bump on any field change;
-/// compare_reports() refuses to diff across versions.
-inline constexpr int kSchemaVersion = 1;
+/// report_from_json() refuses every other version.
+inline constexpr int kSchemaVersion = 2;
 inline constexpr const char* kSchemaName = "hrf-bench";
+
+/// The wall-time value a modeled case reports but never gates.
+inline constexpr const char* kHostNsPerQuery = "host_ns_per_query";
 
 /// Name <-> enum mapping shared by the CLI and the JSON report.
 /// Accepts the canonical to_string() names plus the CLI's short aliases
 /// ("cpu", "fil"); throws ConfigError on anything else.
 Backend backend_from_name(const std::string& name);
 Variant variant_from_name(const std::string& name);
+
+enum class Unit { Modeled, Wall };
+const char* to_string(Unit unit);
+
+/// One measured case: a key, a unit and named values in insertion order.
+struct BenchCase {
+  std::string key;
+  Unit unit = Unit::Wall;
+  std::vector<std::pair<std::string, double>> values;
+
+  /// Sets `name` (appended when new).
+  BenchCase& set(const std::string& name, double value);
+  /// nullptr when the case has no value `name`.
+  const double* find(const std::string& name) const;
+  /// Throws Error when the case has no value `name`.
+  double value(const std::string& name) const;
+};
 
 struct SweepOptions {
   std::vector<Variant> variants{Variant::Csr, Variant::Independent, Variant::Collaborative,
@@ -55,23 +81,6 @@ struct SweepOptions {
   std::uint64_t query_seed = 42;
 };
 
-/// One measured configuration.
-struct CaseResult {
-  std::string variant;
-  std::string backend;
-  std::size_t batch = 0;
-  int repeats = 0;
-  bool simulated = true;
-  double p50_ns_per_query = 0.0;
-  double p95_ns_per_query = 0.0;
-  double p99_ns_per_query = 0.0;
-  double max_ns_per_query = 0.0;
-  double mean_ns_per_query = 0.0;
-  double throughput_qps = 0.0;  // 1e9 / p50 ns/query
-
-  std::string key() const { return variant + "/" + backend + "/" + std::to_string(batch); }
-};
-
 /// Where the numbers came from — enough to spot an apples-to-oranges
 /// comparison (different host, compiler, or thread count) in review.
 struct EnvFingerprint {
@@ -84,100 +93,108 @@ struct EnvFingerprint {
   static EnvFingerprint capture();
 };
 
-/// Tracing-overhead micro-benchmark (docs/observability.md): the same
-/// serving workload is driven twice through a ForestServer — sampling 0.0
-/// (tracing compiled in but every trace declined) and 1.0 (every request
-/// fully traced, per-chunk spans included) — and the end-to-end p95s are
-/// compared. Both runs use the identical chunked execution path, so the
-/// ratio isolates the tracer's own cost.
-struct TraceOverheadOptions {
-  std::size_t requests = 200;
-  // Large enough that one request is ~1ms of real work: the tracer's cost
-  // is a few microseconds per request, and the gate must measure it above
-  // the host's scheduler jitter (~10us tail), not inside it.
-  std::size_t batch = 1024;
-  std::size_t num_workers = 2;
-  std::size_t chunk_size = 256;
+struct BenchReport {
+  int schema_version = kSchemaVersion;
+  EnvFingerprint env;
+  int warmup_runs = 0;
+  int repeat_runs = 0;
+  RandomForestSpec forest;
+  HierConfig layout;
+  std::uint64_t query_seed = 0;
+  std::vector<BenchCase> cases;
+
+  /// nullptr when the report has no case `key`.
+  const BenchCase* find(const std::string& key) const;
+};
+
+/// Runs the sweep, skipping invalid combinations (collaborative/hybrid
+/// on cpu-native model on-chip memory and do not exist there). Case keys
+/// are `variant/backend/batch`.
+///  * gpu-sim and fpga-sim cases are modeled: `ns_per_query`, plus the
+///    gpusim::Timing doubles and every gpusim::Counters field (gpu-sim) or
+///    the FpgaReport seconds, cycle counts and stall_pct (fpga-sim), all
+///    as raw doubles; and `host_ns_per_query`, the median wall time across
+///    repeats. Throws Error when two repeats disagree on a modeled value.
+///  * cpu-native cases are wall: p50/p95/p99/max/mean ns per query over
+///    the repeats (`p50_ns`...) and `qps` = 1e9 / p50.
+BenchReport run_sweep(const SweepOptions& options);
+
+/// Wall-clock record of one closed-loop run.
+struct LoopStats {
+  std::vector<double> latencies_ns;  // one per call that returned
+  std::uint64_t failed = 0;          // calls that threw hrf::Error
+  double seconds = 0.0;              // wall time of the whole run
+
+  double p95_ns() const;
+  double qps() const;  // returned calls per wall second
+};
+
+/// Closed-loop client load: `clients` threads take request indices 0, 1,
+/// 2, ... from one shared counter while `more(i)` holds, and time each
+/// `call(client, i)` at the call boundary.
+LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)>& more,
+                      const std::function<void(std::size_t client, std::size_t i)>& call);
+
+/// One arm of an A/B case.
+struct AbArm {
+  serve::ServerOptions server;
+  /// When set, the arm wires a FlightRecorder into its server and runs an
+  /// obs::Monitor with these options. It then keeps serving until the
+  /// monitor has ticked at least twice (one full window), and both arms
+  /// serve for at least two monitor intervals.
+  std::optional<obs::MonitorOptions> monitor;
+};
+
+struct AbOptions {
+  AbArm off;
+  AbArm on;
+  ClassifierOptions classifier{.variant = Variant::Independent,
+                               .backend = Backend::CpuNative};
+  std::size_t requests = 200;  // timed requests per arm per run
+  std::size_t clients = 1;     // closed-loop client threads
+  /// Rows per request: 1024 makes one request ~1 ms of real work, so a
+  /// cost of a few microseconds shows above the host's scheduler jitter
+  /// (~10 us tail) rather than inside it.
+  std::size_t rows = 1024;
   RandomForestSpec forest{.num_trees = 20, .max_depth = 10, .num_features = 16};
   std::uint64_t query_seed = 42;
 };
 
-struct TraceOverheadResult {
-  std::size_t requests = 0;
-  std::size_t batch = 0;
-  double p95_off_ns = 0.0;  // end-to-end p95, sampling 0.0
-  double p95_on_ns = 0.0;   // end-to-end p95, sampling 1.0
-  double ratio = 0.0;       // on / off; <= 1 + tolerance to pass the gate
+struct AbResult {
+  /// Best of 5 interleaved runs per arm (off, on, off, on, ...): wall-clock
+  /// latency on a shared host spikes upward only, so the lowest p95 and
+  /// the highest qps converge on each arm's true cost.
+  double p95_off_ns = 0.0;
+  double p95_on_ns = 0.0;
+  double qps_off = 0.0;
+  double qps_on = 0.0;
+  /// Fewest windows any monitored run recorded (0 without a monitor).
+  std::uint64_t monitor_windows = 0;
 };
 
-TraceOverheadResult measure_trace_overhead(const TraceOverheadOptions& options);
+/// The two-arm driver: both arms serve one forest and one query batch
+/// through a fresh ForestServer per run, behind `clients` closed-loop
+/// clients, after a warmup of requests / 4.
+AbResult measure_ab(const AbOptions& options);
 
-/// Shadow-audit overhead micro-benchmark (docs/robustness.md): the same
-/// serving workload is driven twice through a ForestServer — integrity
-/// audits off, then sampling every `sample_every`-th request through the
-/// CPU-oracle re-execution + compare path — and the end-to-end p95s are
-/// compared. An audited request pays a full oracle pass, so the *sampled*
-/// rate is what keeps the p95 flat; this case pins that claim the same
-/// way the tracing case pins the tracer's cost.
-struct AuditOverheadOptions {
-  std::size_t requests = 200;
-  std::size_t batch = 1024;
-  std::size_t num_workers = 2;
-  /// Every Nth request is shadow-audited in the "on" run. At 1/32 the
-  /// audited tail sits above the 95th percentile, so the gate measures
-  /// the steady-state cost of the machinery, not the oracle itself.
-  std::size_t sample_every = 32;
-  RandomForestSpec forest{.num_trees = 20, .max_depth = 10, .num_features = 16};
-  std::uint64_t query_seed = 42;
-};
+/// The A/B cases, each one measure_ab() call recorded under its own key:
+///  * "trace" — trace sampling 0.0 vs 1.0 on the chunked serve path;
+///  * "audit" — shadow audits off vs every 32nd request;
+///  * "obs"   — bare vs flight recorder + monitor + SLO engine at 250 ms;
+///  * "batch" — micro-batching off vs on, gpu-sim/hybrid, 32 clients of
+///    4-row requests, 10 requests per client.
+/// trace/audit/obs record `p95_off_ns`, `p95_on_ns` and the gated
+/// `ratio` (obs also `monitor_windows`); `requests` is their timed
+/// requests per arm. batch records its batched `p95_ns` (gated against
+/// the baseline), `p95_unbatched_ns`, `qps`, `qps_unbatched` and
+/// `speedup`.
+enum class AbCase { Trace, Audit, Obs, Batch };
+BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_seed);
 
-struct AuditOverheadResult {
-  std::size_t requests = 0;
-  std::size_t batch = 0;
-  std::size_t sample_every = 0;
-  double p95_off_ns = 0.0;  // end-to-end p95, audits off
-  double p95_on_ns = 0.0;   // end-to-end p95, audits sampled 1/sample_every
-  double ratio = 0.0;       // on / off; <= 1 + tolerance to pass the gate
-};
-
-AuditOverheadResult measure_audit_overhead(const AuditOverheadOptions& options);
-
-/// Observability-overhead micro-benchmark (docs/observability.md): the
-/// same serving workload is driven twice through a ForestServer — bare,
-/// and with the full third pillar armed (flight recorder wired into the
-/// server, a Monitor thread sampling windows on `interval_seconds`
-/// cadence, SLO burn-rate engine evaluating every window) — and the
-/// end-to-end p95s are compared. The monitor runs on its own thread, but
-/// each tick snapshots the same counter/histogram state the workers
-/// write, so the ratio measures the contention the pillar adds to the
-/// serving path.
-struct ObsOverheadOptions {
-  std::size_t requests = 200;
-  std::size_t batch = 1024;
-  std::size_t num_workers = 2;
-  /// Monitor cadence for the "on" run: the documented production default.
-  double interval_seconds = 0.25;
-  RandomForestSpec forest{.num_trees = 20, .max_depth = 10, .num_features = 16};
-  std::uint64_t query_seed = 42;
-};
-
-struct ObsOverheadResult {
-  std::size_t requests = 0;
-  std::size_t batch = 0;
-  double interval_seconds = 0.0;
-  double p95_off_ns = 0.0;  // end-to-end p95, monitor off
-  double p95_on_ns = 0.0;   // end-to-end p95, recorder + monitor + SLO engine on
-  double ratio = 0.0;       // on / off; <= 1 + tolerance to pass the gate
-};
-
-ObsOverheadResult measure_obs_overhead(const ObsOverheadOptions& options);
-
-/// Cluster serving micro-benchmark (docs/cluster.md): a ClusterRouter
+/// Cluster serving case (docs/cluster.md), key "cluster": a ClusterRouter
 /// fronting `shards` healthy ForestServer shards absorbs `requests`
-/// routed requests from `clients` concurrent client threads, and the
-/// router-observed end-to-end p95 plus aggregate throughput are
-/// reported. Wall-clock numbers — gate with the same tolerance as the
-/// CpuNative cases, not the simulated ones.
+/// routed requests from `clients` closed-loop clients; records the
+/// client-observed `p95_ns` and `qps`.
 struct ClusterBenchOptions {
   std::size_t shards = 4;
   std::size_t requests = 120;  // total across all clients
@@ -188,24 +205,14 @@ struct ClusterBenchOptions {
   std::uint64_t query_seed = 42;
 };
 
-struct ClusterBenchResult {
-  std::size_t shards = 0;
-  std::size_t requests = 0;
-  std::size_t batch = 0;
-  double p95_ns = 0.0;  // router-observed end-to-end p95 per request
-  double qps = 0.0;     // completed requests / wall seconds
-};
+BenchCase measure_cluster(const ClusterBenchOptions& options);
 
-ClusterBenchResult measure_cluster(const ClusterBenchOptions& options);
-
-/// Noisy-neighbor serving micro-benchmark (docs/cluster.md): a fleet with
+/// Noisy-neighbor case (docs/cluster.md), key "noisy": a fleet with
 /// per-tenant admission quotas serves a "victim" tenant while a "surger"
 /// tenant floods it from spinning clients, each admitted surge request
 /// stalling a worker for `surge_stall_seconds` (the surge:tenant fault
-/// site). The victim-observed end-to-end p95 is the number under gate:
-/// it measures how well admission isolates a tenant from a hostile
-/// co-tenant, the QoS analogue of the healthy-fleet cluster case.
-/// Wall-clock numbers — gate with the CpuNative tolerance.
+/// site). Records the victim's `p95_ns`, `success` and `qps`, and
+/// `surger_shed`, the surge requests refused by QuotaError.
 struct NoisyNeighborOptions {
   std::size_t shards = 4;
   std::size_t requests = 120;  // victim requests, total across clients
@@ -230,84 +237,7 @@ struct NoisyNeighborOptions {
   std::uint64_t query_seed = 42;
 };
 
-struct NoisyNeighborResult {
-  std::size_t shards = 0;
-  std::size_t requests = 0;
-  std::size_t batch = 0;
-  double victim_p95_ns = 0.0;      // victim end-to-end p95 under the surge
-  double victim_success = 0.0;     // victim ok / victim attempts
-  std::uint64_t surger_shed = 0;   // surge requests absorbed by QuotaError
-  double victim_qps = 0.0;         // victim completions / wall seconds
-};
-
-NoisyNeighborResult measure_noisy_neighbor(const NoisyNeighborOptions& options);
-
-/// Micro-batching serving benchmark (docs/serving.md, "Dynamic
-/// micro-batching"): one ForestServer absorbs many small concurrent
-/// requests twice — batching off, then batching on with `batch_max` —
-/// and the end-to-end p95 plus throughput of each run are reported. The
-/// batched run's p95 is the number under gate (key "batch"); `speedup`
-/// (batched qps / unbatched qps) is the paper's amortization story made
-/// measurable at the serving layer. Wall-clock numbers — gate with the
-/// CpuNative tolerance.
-struct BatchBenchOptions {
-  std::size_t clients = 32;    // concurrent client threads
-  std::size_t requests = 320;  // total per run, split across clients
-  /// Rows per request: a small warp fraction, so unbatched dispatch
-  /// under-fills the simulated device and batching has headroom.
-  std::size_t rows = 4;
-  std::size_t workers = 2;
-  std::size_t batch_max = 16;  // members per formed batch in the batched run
-  double batch_wait_seconds = 500e-6;
-  RandomForestSpec forest{.num_trees = 20, .max_depth = 10, .num_features = 16};
-  std::uint64_t query_seed = 42;
-};
-
-struct BatchBenchResult {
-  std::size_t clients = 0;
-  std::size_t requests = 0;
-  std::size_t rows = 0;
-  std::size_t batch_max = 0;
-  double p95_unbatched_ns = 0.0;  // end-to-end p95, batching off
-  double p95_batched_ns = 0.0;    // end-to-end p95, batching on (gated)
-  double qps_unbatched = 0.0;
-  double qps_batched = 0.0;
-  double speedup = 0.0;  // qps_batched / qps_unbatched
-};
-
-BatchBenchResult measure_batch(const BatchBenchOptions& options);
-
-struct BenchReport {
-  int schema_version = kSchemaVersion;
-  EnvFingerprint env;
-  int warmup_runs = 0;
-  int repeat_runs = 0;
-  RandomForestSpec forest;
-  std::uint64_t query_seed = 0;
-  std::vector<CaseResult> cases;
-  /// Present when the sweep ran with the tracing-overhead case; optional
-  /// so older baselines stay readable under the same schema version.
-  std::optional<TraceOverheadResult> trace_overhead;
-  /// Present when the sweep ran with the shadow-audit overhead case;
-  /// gated like trace_overhead (ratio vs 1 + trace_tolerance).
-  std::optional<AuditOverheadResult> audit_overhead;
-  /// Present when the sweep ran with the observability-overhead case;
-  /// gated like trace_overhead (ratio vs 1 + trace_tolerance).
-  std::optional<ObsOverheadResult> obs_overhead;
-  /// Present when the sweep ran with the cluster serving case; compared
-  /// like a regular case under the key "cluster".
-  std::optional<ClusterBenchResult> cluster;
-  /// Present when the sweep ran with the noisy-neighbor QoS case; the
-  /// victim p95 is compared under the key "noisy".
-  std::optional<NoisyNeighborResult> noisy;
-  /// Present when the sweep ran with the micro-batching serve case; the
-  /// batched p95 is compared under the key "batch".
-  std::optional<BatchBenchResult> batch;
-};
-
-/// Runs the sweep, skipping invalid combinations (collaborative/hybrid
-/// on cpu-native model on-chip memory and do not exist there).
-BenchReport run_sweep(const SweepOptions& options);
+BenchCase measure_noisy_neighbor(const NoisyNeighborOptions& options);
 
 json::Value to_json(const BenchReport& report);
 /// Throws FormatError on schema name/version mismatch or missing fields.
@@ -316,48 +246,28 @@ BenchReport report_from_json(const json::Value& v);
 void save_report(const BenchReport& report, const std::string& path);
 BenchReport load_report(const std::string& path);
 
-/// One flagged p95 regression.
+/// One failed gate.
 struct Regression {
   std::string key;
-  double baseline_p95 = 0.0;
-  double current_p95 = 0.0;
-  double ratio = 0.0;  // current / baseline
+  std::string value;      // the gated value's name
+  double baseline = 0.0;  // the baseline's value (1.0 for an A/B ratio)
+  double current = 0.0;   // NaN when the current case lacks the value
+  std::string rule;       // the gate that failed, for the console
 };
 
 struct CompareResult {
-  int compared = 0;                        // cases present in both reports
-  std::vector<Regression> regressions;     // p95 grew past tolerance
+  int compared = 0;                        // baseline cases present in current
+  std::vector<Regression> regressions;     // failed gates
   std::vector<std::string> missing_cases;  // in baseline but not current
-  /// Tracing-overhead gate: fails when the current report carries a
-  /// trace_overhead case whose on/off p95 ratio exceeds 1 + trace_tolerance.
-  bool trace_overhead_ok = true;
-  double trace_overhead_ratio = 0.0;  // 0 when the case is absent
-  /// Shadow-audit overhead gate: same shape and tolerance as the tracing
-  /// gate, applied to the current report's audit_overhead ratio.
-  bool audit_overhead_ok = true;
-  double audit_overhead_ratio = 0.0;  // 0 when the case is absent
-  /// Observability-overhead gate: same shape and tolerance again, applied
-  /// to the current report's obs_overhead ratio (monitor + recorder +
-  /// SLO engine must cost <= trace_tolerance of serve p95).
-  bool obs_overhead_ok = true;
-  double obs_overhead_ratio = 0.0;  // 0 when the case is absent
 
-  bool passed() const {
-    return regressions.empty() && missing_cases.empty() && trace_overhead_ok &&
-           audit_overhead_ok && obs_overhead_ok;
-  }
+  bool passed() const { return regressions.empty() && missing_cases.empty(); }
 };
 
-/// Flags current cases whose p95 ns/query exceeds baseline * (1 + tolerance).
-/// tolerance 0.25 = fail on >25% p95 growth. Cases only in `current` are
-/// new coverage, not failures; cases only in `baseline` are missing.
-/// trace_tolerance gates the current report's own trace_overhead AND
-/// audit_overhead ratios (tracing everything / sampled shadow audits must
-/// each cost < 5% serve p95 by default).
-/// A baseline cluster case is matched under the key "cluster", a
-/// baseline noisy-neighbor case under the key "noisy" (victim p95), and
-/// a baseline micro-batching case under the key "batch" (batched p95),
-/// all with the same p95 gate (missing from `current` = missing case).
+/// Gates `current` against `baseline` by unit (see the top of this file).
+/// tolerance 0.25 = fail on >25% p95 growth of a wall case; trace_tolerance
+/// 0.05 = fail an A/B case whose on/off ratio exceeds 1.05. Cases only in
+/// `current` are new coverage, not failures (their A/B ratio is still
+/// gated); cases only in `baseline` are missing.
 CompareResult compare_reports(const BenchReport& baseline, const BenchReport& current,
                               double tolerance, double trace_tolerance = 0.05);
 

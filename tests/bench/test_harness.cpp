@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -43,168 +46,214 @@ TEST(BenchHarness, SweepSkipsInvalidCombos) {
   const BenchReport report = run_sweep(opt);
   // cpu-native supports csr+independent only; fpga-sim supports all four.
   EXPECT_EQ(report.cases.size(), 6u);
-  for (const CaseResult& c : report.cases) {
-    EXPECT_FALSE(c.backend == "cpu-native" &&
-                 (c.variant == "collaborative" || c.variant == "hybrid"))
-        << c.key();
-  }
+  EXPECT_EQ(report.find("collaborative/cpu-native/32"), nullptr);
+  EXPECT_EQ(report.find("hybrid/cpu-native/32"), nullptr);
+  EXPECT_NE(report.find("hybrid/fpga-sim/32"), nullptr);
 }
 
 TEST(BenchHarness, CasesCarryPopulatedMetrics) {
-  const BenchReport report = run_sweep(tiny_sweep());
-  ASSERT_EQ(report.cases.size(), 1u);
-  const CaseResult& c = report.cases[0];
-  EXPECT_EQ(c.key(), "hybrid/fpga-sim/32");
-  EXPECT_TRUE(c.simulated);
-  EXPECT_EQ(c.repeats, 2);
-  EXPECT_GT(c.p50_ns_per_query, 0.0);
-  EXPECT_GE(c.p95_ns_per_query, c.p50_ns_per_query);
-  EXPECT_GE(c.p99_ns_per_query, c.p95_ns_per_query);
-  EXPECT_GE(c.max_ns_per_query, c.p99_ns_per_query);
-  EXPECT_GT(c.throughput_qps, 0.0);
+  SweepOptions opt = tiny_sweep();
+  opt.variants = {Variant::Csr};
+  opt.backends = {Backend::CpuNative, Backend::GpuSim, Backend::FpgaSim};
+  const BenchReport report = run_sweep(opt);
+  ASSERT_EQ(report.cases.size(), 3u);
+
+  const BenchCase* cpu = report.find("csr/cpu-native/32");
+  ASSERT_NE(cpu, nullptr);
+  EXPECT_EQ(cpu->unit, Unit::Wall);
+  EXPECT_GT(cpu->value("p50_ns"), 0.0);
+  EXPECT_GE(cpu->value("p95_ns"), cpu->value("p50_ns"));
+  EXPECT_GE(cpu->value("p99_ns"), cpu->value("p95_ns"));
+  EXPECT_GE(cpu->value("max_ns"), cpu->value("p99_ns"));
+  EXPECT_GT(cpu->value("qps"), 0.0);
+
+  const BenchCase* gpu = report.find("csr/gpu-sim/32");
+  ASSERT_NE(gpu, nullptr);
+  EXPECT_EQ(gpu->unit, Unit::Modeled);
+  EXPECT_DOUBLE_EQ(gpu->value("ns_per_query"), gpu->value("seconds") * 1e9 / 32.0);
+  EXPECT_GT(gpu->value("cycles"), 0.0);
+  EXPECT_GT(gpu->value("gld_transactions"), 0.0);
+  EXPECT_GT(gpu->value("warp_instructions"), 0.0);
+  EXPECT_GE(gpu->value("dram_transactions"), 0.0);
+  EXPECT_GT(gpu->value(kHostNsPerQuery), 0.0);
+
+  const BenchCase* fpga = report.find("csr/fpga-sim/32");
+  ASSERT_NE(fpga, nullptr);
+  EXPECT_EQ(fpga->unit, Unit::Modeled);
+  EXPECT_GT(fpga->value("seconds"), 0.0);
+  EXPECT_GT(fpga->value("total_cycles"), 0.0);
+  EXPECT_GT(fpga->value(kHostNsPerQuery), 0.0);
+  EXPECT_EQ(fpga->find("gld_transactions"), nullptr);
+
   EXPECT_FALSE(report.env.compiler.empty());
   EXPECT_GT(report.env.omp_max_threads, 0);
   EXPECT_NE(report.env.timestamp_utc.find("T"), std::string::npos);
 }
 
 TEST(BenchHarness, SimulatedSweepIsDeterministic) {
-  const BenchReport a = run_sweep(tiny_sweep());
-  const BenchReport b = run_sweep(tiny_sweep());
+  SweepOptions opt = tiny_sweep();
+  opt.backends = {Backend::GpuSim, Backend::FpgaSim};
+  const BenchReport a = run_sweep(opt);
+  const BenchReport b = run_sweep(opt);
+  // Exact gate, both directions: every modeled value identical.
+  EXPECT_TRUE(compare_reports(a, b, 0.0).passed());
+  EXPECT_TRUE(compare_reports(b, a, 0.0).passed());
+  EXPECT_EQ(compare_reports(a, b, 0.0).compared, 2);
+}
+
+// One case of each kind, with values that must survive JSON bit for bit.
+BenchReport mixed_report() {
+  BenchReport r = run_sweep(tiny_sweep());
+  r.layout.root_subtree_depth = 9;
+  BenchCase ab;
+  ab.key = "trace";
+  ab.set("p95_off_ns", 500'000.0).set("p95_on_ns", 510'000.0).set("ratio", 1.02);
+  r.cases.push_back(ab);
+  BenchCase wall;
+  wall.key = "cluster";
+  wall.set("p95_ns", 1.0 / 3.0).set("qps", 7162.7662221135606);
+  r.cases.push_back(wall);
+  return r;
+}
+
+void expect_same_cases(const BenchReport& a, const BenchReport& b) {
   ASSERT_EQ(a.cases.size(), b.cases.size());
   for (std::size_t i = 0; i < a.cases.size(); ++i) {
-    EXPECT_EQ(a.cases[i].p95_ns_per_query, b.cases[i].p95_ns_per_query) << a.cases[i].key();
-    EXPECT_EQ(a.cases[i].throughput_qps, b.cases[i].throughput_qps) << a.cases[i].key();
+    EXPECT_EQ(a.cases[i].key, b.cases[i].key);
+    EXPECT_EQ(a.cases[i].unit, b.cases[i].unit);
+    EXPECT_EQ(a.cases[i].values, b.cases[i].values) << a.cases[i].key;
   }
 }
 
 TEST(BenchHarness, JsonRoundTripPreservesReport) {
-  const BenchReport report = run_sweep(tiny_sweep());
+  const BenchReport report = mixed_report();
   const BenchReport back = report_from_json(to_json(report));
-  ASSERT_EQ(back.cases.size(), report.cases.size());
   EXPECT_EQ(back.schema_version, kSchemaVersion);
   EXPECT_EQ(back.env.hostname, report.env.hostname);
   EXPECT_EQ(back.warmup_runs, report.warmup_runs);
   EXPECT_EQ(back.repeat_runs, report.repeat_runs);
   EXPECT_EQ(back.forest.num_trees, report.forest.num_trees);
-  EXPECT_EQ(back.cases[0].key(), report.cases[0].key());
-  EXPECT_EQ(back.cases[0].p95_ns_per_query, report.cases[0].p95_ns_per_query);
-  EXPECT_EQ(back.cases[0].simulated, report.cases[0].simulated);
+  EXPECT_EQ(back.layout.subtree_depth, report.layout.subtree_depth);
+  EXPECT_EQ(back.layout.root_subtree_depth, 9);
+  expect_same_cases(report, back);
 }
 
 TEST(BenchHarness, SaveLoadRoundTrips) {
-  const BenchReport report = run_sweep(tiny_sweep());
+  const BenchReport report = mixed_report();
   const std::string path = testing::TempDir() + "/hrf_bench_roundtrip.json";
   save_report(report, path);
-  const BenchReport back = load_report(path);
-  EXPECT_EQ(back.cases.size(), report.cases.size());
-  EXPECT_EQ(back.cases[0].p99_ns_per_query, report.cases[0].p99_ns_per_query);
+  expect_same_cases(report, load_report(path));
   std::remove(path.c_str());
 }
 
 TEST(BenchHarness, SchemaMismatchesAreRejected) {
   const BenchReport report = run_sweep(tiny_sweep());
-  json::Value wrong_version = to_json(report);
-  wrong_version["schema_version"] = kSchemaVersion + 1;
-  EXPECT_THROW(report_from_json(wrong_version), FormatError);
+  json::Value v1 = to_json(report);
+  v1["schema_version"] = 1;  // a pre-unit baseline
+  try {
+    report_from_json(v1);
+    FAIL() << "a v1 report must be rejected";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("regenerate the baseline"), std::string::npos);
+  }
 
   json::Value wrong_schema = to_json(report);
   wrong_schema["schema"] = "not-a-bench";
   EXPECT_THROW(report_from_json(wrong_schema), FormatError);
 
-  json::Value missing = to_json(report);
-  missing["cases"] = json::Value::array();
-  EXPECT_EQ(report_from_json(missing).cases.size(), 0u);  // empty is valid
+  json::Value wrong_unit = to_json(report);
+  json::Value bad_case = json::Value::object();
+  bad_case["key"] = "x";
+  bad_case["unit"] = "furlongs";
+  bad_case["values"] = json::Value::object();
+  wrong_unit["cases"].push_back(std::move(bad_case));
+  EXPECT_THROW(report_from_json(wrong_unit), FormatError);
+
+  json::Value empty = to_json(report);
+  empty["cases"] = json::Value::array();
+  EXPECT_EQ(report_from_json(empty).cases.size(), 0u);  // empty is valid
+}
+
+TEST(BenchHarness, MeasureTraceOverheadProducesSaneNumbers) {
+  const BenchCase c = run_ab_case(AbCase::Trace, 8, 42);  // smoke-scale
+  EXPECT_EQ(c.key, "trace");
+  EXPECT_EQ(c.unit, Unit::Wall);
+  EXPECT_GT(c.value("p95_off_ns"), 0.0);
+  EXPECT_GT(c.value("p95_on_ns"), 0.0);
+  EXPECT_DOUBLE_EQ(c.value("ratio"), c.value("p95_on_ns") / c.value("p95_off_ns"));
+}
+
+TEST(BenchHarness, MeasureAuditOverheadProducesSaneNumbers) {
+  const BenchCase c = run_ab_case(AbCase::Audit, 8, 42);  // smoke-scale
+  EXPECT_EQ(c.key, "audit");
+  EXPECT_GT(c.value("p95_off_ns"), 0.0);
+  EXPECT_GT(c.value("p95_on_ns"), 0.0);
+  EXPECT_GT(c.value("ratio"), 0.0);
+}
+
+TEST(BenchHarness, ObsArmRunsUntilTheMonitorTicks) {
+  // 8 requests take a few ms; the armed arm must still serve through two
+  // 250 ms monitor ticks, so every run records at least one window.
+  const BenchCase c = run_ab_case(AbCase::Obs, 8, 42);
+  EXPECT_EQ(c.key, "obs");
+  EXPECT_GE(c.value("monitor_windows"), 1.0);
+  EXPECT_GT(c.value("ratio"), 0.0);
+}
+
+TEST(BenchHarness, ClosedLoopCountsEveryRequestOnce) {
+  std::atomic<int> calls{0};
+  const LoopStats s = closed_loop(
+      3, [](std::size_t i) { return i < 40; },
+      [&](std::size_t, std::size_t i) {
+        calls.fetch_add(1);
+        if (i % 10 == 0) throw Error("refused");
+      });
+  EXPECT_EQ(calls.load(), 40);
+  EXPECT_EQ(s.latencies_ns.size(), 36u);
+  EXPECT_EQ(s.failed, 4u);
+  EXPECT_GT(s.qps(), 0.0);
+}
+
+// Tier-1 pin of the committed baseline: its gpu-sim and fpga-sim cases,
+// re-run with the forest, layout and policy stored in the file, must
+// reproduce every modeled value exactly. This is the only exact pin of
+// the fpga-sim model through Classifier; test_golden_counters pins the
+// gpu kernels only.
+TEST(BenchHarness, CommittedBaselineModeledCasesReproduce) {
+  const BenchReport committed = load_report(HRF_BENCH_BASELINE);
+  BenchReport baseline = committed;
+  baseline.cases.clear();
+  for (const BenchCase& c : committed.cases) {
+    if (c.unit == Unit::Modeled) baseline.cases.push_back(c);
+  }
+  ASSERT_EQ(baseline.cases.size(), 16u);
+
+  SweepOptions opt;
+  opt.backends = {Backend::GpuSim, Backend::FpgaSim};
+  opt.warmup_runs = committed.warmup_runs;
+  opt.repeat_runs = committed.repeat_runs;
+  opt.forest = committed.forest;
+  opt.layout = committed.layout;
+  opt.query_seed = committed.query_seed;
+  const CompareResult cmp = compare_reports(baseline, run_sweep(opt), 0.0);
+  for (const Regression& r : cmp.regressions) {
+    ADD_FAILURE() << r.key << " " << r.value << ": " << r.baseline << " -> " << r.current;
+  }
+  EXPECT_TRUE(cmp.missing_cases.empty());
+  EXPECT_EQ(cmp.compared, 16);
+}
+
+BenchCase wall_case(const std::string& key, double p95) {
+  BenchCase c;
+  c.key = key;
+  c.set("p95_ns", p95);
+  return c;
 }
 
 BenchReport two_case_report() {
   BenchReport r;
-  CaseResult a;
-  a.variant = "hybrid";
-  a.backend = "gpu-sim";
-  a.batch = 64;
-  a.p95_ns_per_query = 100.0;
-  CaseResult b = a;
-  b.backend = "fpga-sim";
-  b.p95_ns_per_query = 200.0;
-  r.cases = {a, b};
+  r.cases = {wall_case("csr/cpu-native/64", 100.0), wall_case("cluster", 200.0)};
   return r;
-}
-
-TEST(BenchHarness, TraceOverheadRoundTripsThroughJson) {
-  BenchReport report = run_sweep(tiny_sweep());
-  TraceOverheadResult t;
-  t.requests = 200;
-  t.batch = 1024;
-  t.p95_off_ns = 500'000.0;
-  t.p95_on_ns = 510'000.0;
-  t.ratio = 1.02;
-  report.trace_overhead = t;
-  const BenchReport back = report_from_json(to_json(report));
-  ASSERT_TRUE(back.trace_overhead.has_value());
-  EXPECT_EQ(back.trace_overhead->requests, 200u);
-  EXPECT_EQ(back.trace_overhead->batch, 1024u);
-  EXPECT_DOUBLE_EQ(back.trace_overhead->p95_on_ns, 510'000.0);
-  EXPECT_DOUBLE_EQ(back.trace_overhead->ratio, 1.02);
-
-  // A report without the case stays readable (older baselines).
-  report.trace_overhead.reset();
-  EXPECT_FALSE(report_from_json(to_json(report)).trace_overhead.has_value());
-}
-
-TEST(BenchHarness, MeasureTraceOverheadProducesSaneNumbers) {
-  TraceOverheadOptions opt;
-  opt.requests = 8;  // smoke-scale; the real gate runs via ctest -L bench
-  opt.batch = 64;
-  opt.num_workers = 1;
-  opt.chunk_size = 32;
-  opt.forest.num_trees = 4;
-  opt.forest.max_depth = 5;
-  opt.forest.num_features = 8;
-  const TraceOverheadResult r = measure_trace_overhead(opt);
-  EXPECT_EQ(r.requests, 8u);
-  EXPECT_GT(r.p95_off_ns, 0.0);
-  EXPECT_GT(r.p95_on_ns, 0.0);
-  EXPECT_GT(r.ratio, 0.0);
-}
-
-TEST(BenchHarness, AuditOverheadRoundTripsThroughJson) {
-  BenchReport report = run_sweep(tiny_sweep());
-  AuditOverheadResult a;
-  a.requests = 200;
-  a.batch = 1024;
-  a.sample_every = 32;
-  a.p95_off_ns = 500'000.0;
-  a.p95_on_ns = 515'000.0;
-  a.ratio = 1.03;
-  report.audit_overhead = a;
-  const BenchReport back = report_from_json(to_json(report));
-  ASSERT_TRUE(back.audit_overhead.has_value());
-  EXPECT_EQ(back.audit_overhead->requests, 200u);
-  EXPECT_EQ(back.audit_overhead->batch, 1024u);
-  EXPECT_EQ(back.audit_overhead->sample_every, 32u);
-  EXPECT_DOUBLE_EQ(back.audit_overhead->p95_on_ns, 515'000.0);
-  EXPECT_DOUBLE_EQ(back.audit_overhead->ratio, 1.03);
-
-  // A report without the case stays readable (older baselines).
-  report.audit_overhead.reset();
-  EXPECT_FALSE(report_from_json(to_json(report)).audit_overhead.has_value());
-}
-
-TEST(BenchHarness, MeasureAuditOverheadProducesSaneNumbers) {
-  AuditOverheadOptions opt;
-  opt.requests = 8;  // smoke-scale; the real gate runs via ctest -L bench
-  opt.batch = 64;
-  opt.num_workers = 1;
-  opt.sample_every = 4;
-  opt.forest.num_trees = 4;
-  opt.forest.max_depth = 5;
-  opt.forest.num_features = 8;
-  const AuditOverheadResult r = measure_audit_overhead(opt);
-  EXPECT_EQ(r.requests, 8u);
-  EXPECT_EQ(r.sample_every, 4u);
-  EXPECT_GT(r.p95_off_ns, 0.0);
-  EXPECT_GT(r.p95_on_ns, 0.0);
-  EXPECT_GT(r.ratio, 0.0);
 }
 
 TEST(BenchCompare, IdenticalReportsPass) {
@@ -219,100 +268,119 @@ TEST(BenchCompare, IdenticalReportsPass) {
 TEST(BenchCompare, GrowthWithinTolerancePasses) {
   const BenchReport base = two_case_report();
   BenchReport cur = base;
-  cur.cases[0].p95_ns_per_query = 124.0;  // +24% < 25%
+  cur.cases[0].set("p95_ns", 124.0);  // +24% < 25%
   EXPECT_TRUE(compare_reports(base, cur, 0.25).passed());
 }
 
 TEST(BenchCompare, RegressionPastToleranceFails) {
   const BenchReport base = two_case_report();
   BenchReport cur = base;
-  cur.cases[1].p95_ns_per_query = 260.0;  // +30% > 25%
+  cur.cases[1].set("p95_ns", 260.0);  // +30% > 25%
   const CompareResult cmp = compare_reports(base, cur, 0.25);
   EXPECT_FALSE(cmp.passed());
   ASSERT_EQ(cmp.regressions.size(), 1u);
-  EXPECT_EQ(cmp.regressions[0].key, "hybrid/fpga-sim/64");
-  EXPECT_NEAR(cmp.regressions[0].ratio, 1.3, 1e-9);
-}
-
-TEST(BenchCompare, TraceOverheadGateTripsPastTolerance) {
-  const BenchReport base = two_case_report();
-  BenchReport cur = base;
-  TraceOverheadResult t;
-  t.p95_off_ns = 100'000.0;
-  t.p95_on_ns = 108'000.0;
-  t.ratio = 1.08;  // 8% > 5% default
-  cur.trace_overhead = t;
-  const CompareResult cmp = compare_reports(base, cur, 0.25);
-  EXPECT_FALSE(cmp.passed());
-  EXPECT_FALSE(cmp.trace_overhead_ok);
-  EXPECT_NEAR(cmp.trace_overhead_ratio, 1.08, 1e-12);
-  // Within a widened tolerance the same report passes.
-  EXPECT_TRUE(compare_reports(base, cur, 0.25, 0.10).passed());
-}
-
-TEST(BenchCompare, TraceOverheadAbsentOrWithinToleranceIsOk) {
-  const BenchReport base = two_case_report();
-  EXPECT_TRUE(compare_reports(base, base, 0.25).trace_overhead_ok);
-  BenchReport cur = base;
-  TraceOverheadResult t;
-  t.ratio = 1.03;
-  cur.trace_overhead = t;
-  const CompareResult cmp = compare_reports(base, cur, 0.25);
-  EXPECT_TRUE(cmp.trace_overhead_ok);
-  EXPECT_TRUE(cmp.passed());
-}
-
-TEST(BenchCompare, AuditOverheadGateTripsPastTolerance) {
-  const BenchReport base = two_case_report();
-  BenchReport cur = base;
-  AuditOverheadResult a;
-  a.p95_off_ns = 100'000.0;
-  a.p95_on_ns = 109'000.0;
-  a.ratio = 1.09;  // 9% > 5% default
-  cur.audit_overhead = a;
-  const CompareResult cmp = compare_reports(base, cur, 0.25);
-  EXPECT_FALSE(cmp.passed());
-  EXPECT_FALSE(cmp.audit_overhead_ok);
-  EXPECT_NEAR(cmp.audit_overhead_ratio, 1.09, 1e-12);
-  // Within a widened tolerance the same report passes.
-  EXPECT_TRUE(compare_reports(base, cur, 0.25, 0.10).passed());
-}
-
-TEST(BenchCompare, AuditOverheadAbsentOrWithinToleranceIsOk) {
-  const BenchReport base = two_case_report();
-  EXPECT_TRUE(compare_reports(base, base, 0.25).audit_overhead_ok);
-  BenchReport cur = base;
-  AuditOverheadResult a;
-  a.ratio = 1.02;
-  cur.audit_overhead = a;
-  const CompareResult cmp = compare_reports(base, cur, 0.25);
-  EXPECT_TRUE(cmp.audit_overhead_ok);
-  EXPECT_TRUE(cmp.passed());
+  EXPECT_EQ(cmp.regressions[0].key, "cluster");
+  EXPECT_EQ(cmp.regressions[0].value, "p95_ns");
+  EXPECT_DOUBLE_EQ(cmp.regressions[0].baseline, 200.0);
+  EXPECT_DOUBLE_EQ(cmp.regressions[0].current, 260.0);
 }
 
 TEST(BenchCompare, ImprovementNeverFails) {
+  // For wall-clock cases; a modeled improvement fails (see below).
   const BenchReport base = two_case_report();
   BenchReport cur = base;
-  cur.cases[0].p95_ns_per_query = 1.0;
+  cur.cases[0].set("p95_ns", 1.0);
   EXPECT_TRUE(compare_reports(base, cur, 0.0).passed());
+}
+
+TEST(BenchCompare, ModeledCaseFailsOnAnyChange) {
+  BenchReport base = two_case_report();
+  BenchCase modeled;
+  modeled.key = "hybrid/gpu-sim/64";
+  modeled.unit = Unit::Modeled;
+  modeled.set("seconds", 7.2e-8).set("dram_transactions", 1234.0).set(kHostNsPerQuery, 900.0);
+  base.cases.push_back(modeled);
+
+  BenchReport cur = base;
+  cur.cases[0].set("p95_ns", 50.0);              // a faster wall case still passes
+  cur.cases[2].set(kHostNsPerQuery, 90'000.0);  // host time is never gated
+  EXPECT_TRUE(compare_reports(base, cur, 0.0).passed());
+
+  BenchReport ulp = cur;  // 1 ulp faster modeled seconds: an improvement
+  ulp.cases[2].set("seconds", std::nextafter(7.2e-8, 0.0));
+  const CompareResult faster = compare_reports(base, ulp, 0.25);
+  EXPECT_FALSE(faster.passed());
+  ASSERT_EQ(faster.regressions.size(), 1u);
+  EXPECT_EQ(faster.regressions[0].key, "hybrid/gpu-sim/64");
+  EXPECT_EQ(faster.regressions[0].value, "seconds");
+
+  BenchReport txn = cur;  // one extra DRAM transaction
+  txn.cases[2].set("dram_transactions", 1235.0);
+  const CompareResult more = compare_reports(base, txn, 0.25);
+  EXPECT_FALSE(more.passed());
+  ASSERT_EQ(more.regressions.size(), 1u);
+  EXPECT_EQ(more.regressions[0].value, "dram_transactions");
+
+  BenchReport dropped = cur;  // a modeled value that disappears fails too
+  dropped.cases[2].values.erase(dropped.cases[2].values.begin());
+  EXPECT_FALSE(compare_reports(base, dropped, 0.25).passed());
 }
 
 TEST(BenchCompare, MissingCaseFailsNewCaseDoesNot) {
   const BenchReport base = two_case_report();
   BenchReport cur = base;
   cur.cases.pop_back();
-  CaseResult extra;
-  extra.variant = "csr";
-  extra.backend = "cpu-native";
-  extra.batch = 8;
-  extra.p95_ns_per_query = 5.0;
-  cur.cases.push_back(extra);
+  cur.cases.push_back(wall_case("csr/cpu-native/8", 5.0));
   const CompareResult cmp = compare_reports(base, cur, 0.25);
   EXPECT_FALSE(cmp.passed());
   ASSERT_EQ(cmp.missing_cases.size(), 1u);
-  EXPECT_EQ(cmp.missing_cases[0], "hybrid/fpga-sim/64");
+  EXPECT_EQ(cmp.missing_cases[0], "cluster");
   EXPECT_EQ(cmp.compared, 1);
 }
+
+// The A/B cases share one record shape and one gate: the on/off ratio of
+// the current report, against 1 + trace_tolerance, baseline or not.
+class BenchAbCase : public testing::TestWithParam<std::string> {};
+
+TEST_P(BenchAbCase, RoundTripsAndGatesOnRatio) {
+  const BenchReport base = two_case_report();
+  BenchReport cur = base;
+  BenchCase ab;
+  ab.key = GetParam();
+  ab.set("p95_off_ns", 100'000.0).set("p95_on_ns", 108'000.0).set("ratio", 1.08);
+  cur.cases.push_back(ab);
+
+  const BenchReport back = report_from_json(to_json(cur));
+  const BenchCase* read = back.find(GetParam());
+  ASSERT_NE(read, nullptr);
+  EXPECT_EQ(read->unit, Unit::Wall);
+  EXPECT_EQ(read->values, ab.values);
+
+  // 8% > 5% default: fails, named, with or without the case in the baseline.
+  const BenchReport* baselines[] = {&base, &cur};
+  for (const BenchReport* baseline : baselines) {
+    const CompareResult cmp = compare_reports(*baseline, cur, 0.25);
+    EXPECT_FALSE(cmp.passed());
+    ASSERT_EQ(cmp.regressions.size(), 1u);
+    EXPECT_EQ(cmp.regressions[0].key, GetParam());
+    EXPECT_EQ(cmp.regressions[0].value, "ratio");
+    EXPECT_DOUBLE_EQ(cmp.regressions[0].current, 1.08);
+  }
+  // Within a widened tolerance the same report passes.
+  EXPECT_TRUE(compare_reports(base, cur, 0.25, 0.10).passed());
+
+  // Within the default tolerance, or absent, the gate is quiet.
+  cur.cases.back().set("ratio", 1.03);
+  EXPECT_TRUE(compare_reports(base, cur, 0.25).passed());
+  EXPECT_TRUE(compare_reports(base, base, 0.25).passed());
+  // A baseline case the current run lacks is missing, like any other.
+  EXPECT_FALSE(compare_reports(cur, base, 0.25).passed());
+}
+
+INSTANTIATE_TEST_SUITE_P(AbCases, BenchAbCase, testing::Values("trace", "audit", "obs"),
+                         [](const testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace hrf::bench

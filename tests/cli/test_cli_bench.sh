@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end exercise of `hrf_cli --mode bench`: run the sweep twice on
-# simulated backends (deterministic, so the numbers are byte-stable),
+# simulated backends (deterministic, so the modeled values are exact),
 # validate the emitted JSON schema, and check both sides of the --compare
 # regression gate. Usage: test_cli_bench.sh <path-to-hrf_cli>
 set -u
@@ -20,7 +20,7 @@ check() {  # check <description> <needle> <file>
 }
 
 BENCH_ARGS=(--mode bench --backends gpu-sim,fpga-sim --batches 32,64
-            --repeats 3 --trees 8 --depth 8 --features 12)
+            --repeats 3 --trees 8 --depth 8 --features 12 --sd 8)
 
 # --- Baseline run writes a schema-versioned report ------------------------
 if "$CLI" "${BENCH_ARGS[@]}" --out "$DIR/base.json" > "$DIR/base.log" 2>&1; then
@@ -33,18 +33,19 @@ fi
 [ -f "$DIR/base.json" ] || { echo "FAIL: bench wrote no report"; exit 1; }
 
 check "report carries the schema name" '"schema": "hrf-bench"' "$DIR/base.json"
-check "report carries the schema version" '"schema_version": 1' "$DIR/base.json"
+check "report carries the schema version" '"schema_version": 2' "$DIR/base.json"
 check "report fingerprints the environment" '"compiler"' "$DIR/base.json"
 check "report records the repeat policy" '"repeat_runs": 3' "$DIR/base.json"
 check "report describes the synthetic forest" '"num_trees": 8' "$DIR/base.json"
-check "cases carry p50" '"p50_ns_per_query"' "$DIR/base.json"
-check "cases carry p95" '"p95_ns_per_query"' "$DIR/base.json"
-check "cases carry p99" '"p99_ns_per_query"' "$DIR/base.json"
-check "cases carry throughput" '"throughput_qps"' "$DIR/base.json"
-check "sweep covers gpu-sim" '"backend": "gpu-sim"' "$DIR/base.json"
-check "sweep covers fpga-sim" '"backend": "fpga-sim"' "$DIR/base.json"
-check "sweep covers the hybrid variant" '"variant": "hybrid"' "$DIR/base.json"
-check "console table renders the sweep" "p95 ns/q" "$DIR/base.log"
+check "report records the layout" '"subtree_depth": 8' "$DIR/base.json"
+check "simulated cases are modeled" '"unit": "modeled"' "$DIR/base.json"
+check "modeled cases carry ns/query" '"ns_per_query"' "$DIR/base.json"
+check "gpu-sim cases carry every counter" '"dram_transactions"' "$DIR/base.json"
+check "fpga-sim cases carry cycle counts" '"total_cycles"' "$DIR/base.json"
+check "simulated cases carry host time" '"host_ns_per_query"' "$DIR/base.json"
+check "sweep covers gpu-sim" '"key": "hybrid/gpu-sim/32"' "$DIR/base.json"
+check "sweep covers fpga-sim" '"key": "hybrid/fpga-sim/64"' "$DIR/base.json"
+check "console table renders the sweep" "modeled ns/q" "$DIR/base.log"
 
 # --- Identical rerun passes the compare gate ------------------------------
 if "$CLI" "${BENCH_ARGS[@]}" --out "$DIR/rerun.json" \
@@ -57,18 +58,30 @@ else
 fi
 check "compare reports success" "bench compare vs .*: ok" "$DIR/compare_ok.log"
 
-# --- Doctored baseline (p95 forced near zero) must trip the gate ----------
-sed -E 's/"p95_ns_per_query": [0-9.eE+-]+/"p95_ns_per_query": 0.0001/' \
-    "$DIR/base.json" > "$DIR/doctored.json"
-if "$CLI" "${BENCH_ARGS[@]}" --out "$DIR/regressed.json" \
-       --compare "$DIR/doctored.json" > "$DIR/compare_fail.log" 2>&1; then
-  echo "FAIL: injected p95 regression should exit nonzero"
-  FAILURES=$((FAILURES + 1))
-else
-  echo "ok: injected p95 regression exits nonzero"
-fi
-check "regressed cases are named" "REGRESSION" "$DIR/compare_fail.log"
-check "compare reports failure" "FAILED" "$DIR/compare_fail.log"
+# --- A modeled value off by its smallest step must trip the gate ---------
+# One DRAM transaction more or fewer in the first gpu-sim case: modeled
+# numbers are gated exactly, so an "improvement" fails as well.
+for step in 1 -1; do
+  awk -v step="$step" '!done && /"dram_transactions": [0-9]+/ {
+         n = $0; sub(/.*"dram_transactions": /, "", n); sub(/[^0-9].*/, "", n)
+         sub(/"dram_transactions": [0-9]+/, "\"dram_transactions\": " (n + step)); done = 1
+       } { print }' "$DIR/base.json" > "$DIR/doctored.json"
+  if cmp -s "$DIR/base.json" "$DIR/doctored.json"; then
+    echo "FAIL: could not doctor a dram_transactions value"
+    FAILURES=$((FAILURES + 1))
+  fi
+  if "$CLI" "${BENCH_ARGS[@]}" --out "$DIR/regressed.json" \
+         --compare "$DIR/doctored.json" > "$DIR/compare_fail.log" 2>&1; then
+    echo "FAIL: dram_transactions off by $step should exit nonzero"
+    FAILURES=$((FAILURES + 1))
+  else
+    echo "ok: dram_transactions off by $step exits nonzero"
+  fi
+  check "the changed modeled value is named ($step)" \
+        "REGRESSION csr/gpu-sim/32 dram_transactions" \
+        "$DIR/compare_fail.log"
+  check "compare reports failure ($step)" "FAILED" "$DIR/compare_fail.log"
+done
 
 # --- Baseline missing a case must also fail -------------------------------
 if "$CLI" --mode bench --backends gpu-sim --batches 32 --repeats 2 \

@@ -41,8 +41,9 @@ run_step() {  # run_step <name> <function>
   fi
 }
 
+# Warnings are errors in CI: src/ builds warning-free, and stays so.
 step_build() {
-  cmake -B build -S . -DHRF_BUILD_BENCHES=OFF &&
+  cmake -B build -S . -DHRF_BUILD_BENCHES=OFF -DHRF_WERROR=ON &&
   cmake --build build -j "$JOBS"
 }
 

@@ -46,9 +46,9 @@
 //
 // Benchmarking (docs/benchmarking.md): `bench` sweeps {variant x backend
 // x batch} over a synthetic forest, writes the schema-versioned
-// BENCH_hrf.json, and `bench --compare old.json` exits nonzero when any
-// case's p95 ns/query regressed past --tolerance — the perf gate every
-// optimization PR runs against the recorded baseline.
+// BENCH_hrf.json, and `bench --compare old.json` exits nonzero when a
+// modeled case changed at all, a wall-clock p95 regressed past
+// --tolerance, or an A/B ratio exceeds 1 + --trace-tolerance.
 
 #include <algorithm>
 #include <atomic>
@@ -313,7 +313,7 @@ int mode_predict(const CliArgs& args) {
 // Benchmark-regression harness (docs/benchmarking.md): sweeps every valid
 // {variant x backend x batch} combination over a synthetic forest, writes
 // the schema-versioned BENCH_hrf.json, and with --compare gates the fresh
-// run against a recorded baseline (exit 1 on >tolerance p95 growth).
+// run against a recorded baseline by unit (exit 1 on any failed gate).
 int mode_bench(const CliArgs& args) {
   bench::SweepOptions opt;
   opt.variants.clear();
@@ -340,93 +340,58 @@ int mode_bench(const CliArgs& args) {
 
   bench::BenchReport report = bench::run_sweep(opt);
 
-  if (args.get_flag("trace-overhead")) {
-    // The overhead case keeps its own fixed forest/batch defaults (rather
-    // than inheriting the sweep's) so the ratio is comparable across runs:
-    // on a too-small workload one histogram bucket already reads as >5%.
-    bench::TraceOverheadOptions topt;
-    topt.requests = static_cast<std::size_t>(args.get_int("trace-requests", 200));
-    topt.query_seed = opt.query_seed;
-    report.trace_overhead = bench::measure_trace_overhead(topt);
-    std::printf("trace overhead: serve p95 %.0f ns (sampling 0.0) -> %.0f ns (sampling 1.0), "
-                "ratio %.3f\n",
-                report.trace_overhead->p95_off_ns, report.trace_overhead->p95_on_ns,
-                report.trace_overhead->ratio);
+  // The A/B cases keep their own fixed forest and request size (rather
+  // than inheriting the sweep's) so each ratio is comparable across runs.
+  const auto ab_requests = static_cast<std::size_t>(args.get_int("ab-requests", 200));
+  const std::pair<const char*, bench::AbCase> ab_cases[] = {
+      {"trace-overhead", bench::AbCase::Trace},
+      {"audit-bench", bench::AbCase::Audit},
+      {"obs-bench", bench::AbCase::Obs},
+      {"batch-bench", bench::AbCase::Batch}};
+  for (const auto& [flag, which] : ab_cases) {
+    if (args.get_flag(flag)) {
+      report.cases.push_back(bench::run_ab_case(which, ab_requests, opt.query_seed));
+    }
   }
-
-  if (args.get_flag("audit-bench")) {
-    bench::AuditOverheadOptions aopt;
-    aopt.requests = static_cast<std::size_t>(args.get_int("audit-requests", 200));
-    aopt.sample_every = static_cast<std::size_t>(args.get_int("audit-sample-every", 32));
-    aopt.query_seed = opt.query_seed;
-    report.audit_overhead = bench::measure_audit_overhead(aopt);
-    std::printf("audit overhead: serve p95 %.0f ns (audits off) -> %.0f ns (every %zuth "
-                "request), ratio %.3f\n",
-                report.audit_overhead->p95_off_ns, report.audit_overhead->p95_on_ns,
-                report.audit_overhead->sample_every, report.audit_overhead->ratio);
-  }
-
-  if (args.get_flag("obs-bench")) {
-    bench::ObsOverheadOptions oopt;
-    oopt.requests = static_cast<std::size_t>(args.get_int("obs-requests", 200));
-    oopt.interval_seconds = args.get_double("obs-interval-ms", 250.0) / 1e3;
-    oopt.query_seed = opt.query_seed;
-    report.obs_overhead = bench::measure_obs_overhead(oopt);
-    std::printf("obs overhead: serve p95 %.0f ns (monitor off) -> %.0f ns (windows + SLO "
-                "engine every %.0f ms), ratio %.3f\n",
-                report.obs_overhead->p95_off_ns, report.obs_overhead->p95_on_ns,
-                report.obs_overhead->interval_seconds * 1e3, report.obs_overhead->ratio);
-  }
-
   if (args.get_flag("cluster-bench")) {
     bench::ClusterBenchOptions copt;
     copt.shards = static_cast<std::size_t>(args.get_int("shards", 4));
     copt.requests = static_cast<std::size_t>(args.get_int("requests", 120));
     copt.clients = static_cast<std::size_t>(args.get_int("clients", 4));
     copt.query_seed = opt.query_seed;
-    report.cluster = bench::measure_cluster(copt);
-    std::printf("cluster bench: %zu shards, %zu requests -> p95 %.0f ns, %.0f qps\n",
-                report.cluster->shards, report.cluster->requests, report.cluster->p95_ns,
-                report.cluster->qps);
+    report.cases.push_back(bench::measure_cluster(copt));
   }
-
   if (args.get_flag("noisy-bench")) {
     bench::NoisyNeighborOptions nopt;
     nopt.shards = static_cast<std::size_t>(args.get_int("shards", 4));
     nopt.requests = static_cast<std::size_t>(args.get_int("requests", 120));
     nopt.query_seed = opt.query_seed;
-    report.noisy = bench::measure_noisy_neighbor(nopt);
-    std::printf("noisy bench: %zu shards, %zu victim requests under surge -> "
-                "victim p95 %.0f ns, success %.4f, surger shed %llu, %.0f qps\n",
-                report.noisy->shards, report.noisy->requests, report.noisy->victim_p95_ns,
-                report.noisy->victim_success,
-                static_cast<unsigned long long>(report.noisy->surger_shed),
-                report.noisy->victim_qps);
+    report.cases.push_back(bench::measure_noisy_neighbor(nopt));
   }
 
-  if (args.get_flag("batch-bench")) {
-    bench::BatchBenchOptions bopt;
-    bopt.clients = static_cast<std::size_t>(args.get_int("batch-clients", 32));
-    bopt.requests = bopt.clients * 10;
-    bopt.query_seed = opt.query_seed;
-    report.batch = bench::measure_batch(bopt);
-    std::printf("batch bench: %zu clients x %zu-row requests, batch-max %zu -> "
-                "%.0f qps unbatched, %.0f qps batched (%.2fx), p95 %.0f -> %.0f ns\n",
-                report.batch->clients, report.batch->rows, report.batch->batch_max,
-                report.batch->qps_unbatched, report.batch->qps_batched, report.batch->speedup,
-                report.batch->p95_unbatched_ns, report.batch->p95_batched_ns);
-  }
-
-  Table t({"variant", "backend", "batch", "p50 ns/q", "p95 ns/q", "p99 ns/q", "qps"});
-  for (const bench::CaseResult& c : report.cases) {
-    t.row()
-        .cell(c.variant)
-        .cell(c.backend)
-        .cell(static_cast<std::uint64_t>(c.batch))
-        .cell(c.p50_ns_per_query, 2)
-        .cell(c.p95_ns_per_query, 2)
-        .cell(c.p99_ns_per_query, 2)
-        .cell(c.throughput_qps, 0);
+  // Sweep cases (key variant/backend/batch) as a table; every other case
+  // as one line of its values.
+  Table t({"case", "unit", "modeled ns/q", "host ns/q p50", "host ns/q p95"});
+  for (const bench::BenchCase& c : report.cases) {
+    if (c.key.find('/') == std::string::npos) {
+      std::printf("%s (%s):", c.key.c_str(), bench::to_string(c.unit));
+      for (const auto& [name, value] : c.values) std::printf(" %s %.6g", name.c_str(), value);
+      std::printf("\n");
+    } else if (c.unit == bench::Unit::Modeled) {
+      t.row()
+          .cell(c.key)
+          .cell(bench::to_string(c.unit))
+          .cell(c.value("ns_per_query"), 4)
+          .cell(c.value(bench::kHostNsPerQuery), 0)
+          .cell("-");
+    } else {
+      t.row()
+          .cell(c.key)
+          .cell(bench::to_string(c.unit))
+          .cell("-")
+          .cell(c.value("p50_ns"), 0)
+          .cell(c.value("p95_ns"), 0);
+    }
   }
   print_table(std::cout, "Bench sweep (" + std::to_string(report.repeat_runs) + " repeats, " +
                              std::to_string(report.warmup_runs) + " warmup)",
@@ -445,22 +410,9 @@ int mode_bench(const CliArgs& args) {
   const bench::BenchReport baseline = bench::load_report(baseline_path);
   const bench::CompareResult cmp =
       bench::compare_reports(baseline, report, tolerance, trace_tolerance);
-  if (!cmp.trace_overhead_ok) {
-    std::printf("TRACE OVERHEAD: full sampling costs %.1f%% serve p95 (> %.0f%% allowed)\n",
-                (cmp.trace_overhead_ratio - 1.0) * 100.0, trace_tolerance * 100.0);
-  }
-  if (!cmp.audit_overhead_ok) {
-    std::printf("AUDIT OVERHEAD: sampled audits cost %.1f%% serve p95 (> %.0f%% allowed)\n",
-                (cmp.audit_overhead_ratio - 1.0) * 100.0, trace_tolerance * 100.0);
-  }
-  if (!cmp.obs_overhead_ok) {
-    std::printf("OBS OVERHEAD: monitor + SLO engine cost %.1f%% serve p95 (> %.0f%% "
-                "allowed)\n",
-                (cmp.obs_overhead_ratio - 1.0) * 100.0, trace_tolerance * 100.0);
-  }
   for (const bench::Regression& r : cmp.regressions) {
-    std::printf("REGRESSION %s: p95 %.0f -> %.0f ns/query (%.2fx > %.2fx allowed)\n",
-                r.key.c_str(), r.baseline_p95, r.current_p95, r.ratio, 1.0 + tolerance);
+    std::printf("REGRESSION %s %s: %.17g -> %.17g (%s)\n", r.key.c_str(), r.value.c_str(),
+                r.baseline, r.current, r.rule.c_str());
   }
   for (const std::string& key : cmp.missing_cases) {
     std::printf("MISSING %s: present in baseline, absent from this run\n", key.c_str());
@@ -470,8 +422,8 @@ int mode_bench(const CliArgs& args) {
                 baseline_path.c_str(), cmp.regressions.size(), cmp.missing_cases.size());
     return 1;
   }
-  std::printf("bench compare vs %s: ok (%d cases within %.0f%% p95 tolerance)\n",
-              baseline_path.c_str(), cmp.compared, tolerance * 100.0);
+  std::printf("bench compare vs %s: ok (%d cases compared)\n", baseline_path.c_str(),
+              cmp.compared);
   return 0;
 }
 
@@ -1583,22 +1535,18 @@ int main(int argc, char** argv) {
       .allow("repeats", "bench: timed runs per case (percentile sample)")
       .allow("features", "bench: synthetic forest feature count")
       .allow("compare", "bench: baseline BENCH_hrf.json to gate against")
-      .allow("tolerance", "bench: allowed fractional p95 growth (default 0.25)")
-      .allow("trace-overhead", "bench: measure serve p95 at trace sampling 0.0 vs 1.0")
-      .allow("trace-requests", "bench: requests per trace-overhead run (default 200)")
-      .allow("audit-bench", "bench: measure serve p95 with shadow audits off vs sampled")
-      .allow("audit-requests", "bench: requests per audit-overhead run (default 200)")
-      .allow("audit-sample-every", "bench: audit sampling rate for --audit-bench "
-                                   "(default 32)")
-      .allow("obs-bench", "bench: measure serve p95 with the monitor + SLO engine "
-                          "off vs armed")
-      .allow("obs-requests", "bench: requests per obs-overhead run (default 200)")
-      .allow("trace-tolerance", "bench: allowed fractional trace-overhead p95 cost "
+      .allow("tolerance", "bench: allowed fractional p95 growth of a wall-clock case "
+                          "(default 0.25)")
+      .allow("trace-overhead", "bench: A/B serve p95 at trace sampling 0.0 vs 1.0")
+      .allow("audit-bench", "bench: A/B serve p95 with shadow audits off vs 1-in-32")
+      .allow("obs-bench", "bench: A/B serve p95 with the monitor + SLO engine off vs armed")
+      .allow("batch-bench", "bench: A/B serve qps + p95 with micro-batching off vs on")
+      .allow("ab-requests", "bench: timed requests per arm of the trace/audit/obs cases "
+                            "(default 200)")
+      .allow("trace-tolerance", "bench: allowed fractional on/off p95 cost of an A/B case "
                                 "(default 0.05)")
       .allow("cluster-bench", "bench: measure routed p95 + qps over a healthy shard fleet")
       .allow("noisy-bench", "bench: measure victim p95 under a quota-shed tenant surge")
-      .allow("batch-bench", "bench: measure serve qps + p95 batched vs unbatched")
-      .allow("batch-clients", "bench: concurrent clients for --batch-bench (default 32)")
       .allow("out", "gen/train/predict/compile/bench: output path");
   if (!args.validate()) return 1;
 
