@@ -15,6 +15,8 @@
 
 #include "cluster/cluster.hpp"
 #include "data/synthetic.hpp"
+#include "obs/monitor.hpp"
+#include "serve/server.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/stats.hpp"
@@ -305,6 +307,45 @@ LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)
   return stats;
 }
 
+namespace {
+
+/// One arm of an A/B case.
+struct AbArm {
+  serve::ServerOptions server;
+  /// When set, the arm wires a FlightRecorder into its server and runs an
+  /// obs::Monitor with these options. It then keeps serving until the
+  /// monitor has ticked at least twice (one full window), and both arms
+  /// serve for at least two monitor intervals.
+  std::optional<obs::MonitorOptions> monitor;
+};
+
+struct AbOptions {
+  AbArm off;
+  AbArm on;
+  ClassifierOptions classifier{.variant = Variant::Independent,
+                               .backend = Backend::CpuNative};
+  std::size_t requests = 200;  // timed requests per arm per run
+  std::size_t clients = 1;     // closed-loop client threads
+  /// Rows per request: 1024 makes one request ~1 ms of real work, so a
+  /// cost of a few microseconds shows above the host's scheduler jitter
+  /// (~10 us tail) rather than inside it.
+  std::size_t rows = 1024;
+  RandomForestSpec forest{.num_trees = 20, .max_depth = 10, .num_features = 16};
+  std::uint64_t query_seed = 42;
+};
+
+/// Each arm's best of 5 runs.
+struct AbResult {
+  double p95_off_ns = 0.0;
+  double p95_on_ns = 0.0;
+  double qps_off = 0.0;
+  double qps_on = 0.0;
+  /// Fewest windows any monitored run recorded (0 without a monitor).
+  std::uint64_t monitor_windows = 0;
+};
+
+
+
 AbResult measure_ab(const AbOptions& options) {
   require(options.requests >= 1, "A/B case needs at least one request");
   require(options.clients >= 1, "A/B case needs at least one client");
@@ -362,6 +403,8 @@ AbResult measure_ab(const AbOptions& options) {
   result.monitor_windows = windows.value_or(0);
   return result;
 }
+
+}  // namespace
 
 BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_seed) {
   AbOptions opt;

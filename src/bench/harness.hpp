@@ -29,8 +29,6 @@
 
 #include "core/classifier.hpp"
 #include "forest/random_forest_gen.hpp"
-#include "obs/monitor.hpp"
-#include "serve/server.hpp"
 #include "util/json.hpp"
 
 namespace hrf::bench {
@@ -135,52 +133,16 @@ struct LoopStats {
 LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)>& more,
                       const std::function<void(std::size_t client, std::size_t i)>& call);
 
-/// One arm of an A/B case.
-struct AbArm {
-  serve::ServerOptions server;
-  /// When set, the arm wires a FlightRecorder into its server and runs an
-  /// obs::Monitor with these options. It then keeps serving until the
-  /// monitor has ticked at least twice (one full window), and both arms
-  /// serve for at least two monitor intervals.
-  std::optional<obs::MonitorOptions> monitor;
-};
-
-struct AbOptions {
-  AbArm off;
-  AbArm on;
-  ClassifierOptions classifier{.variant = Variant::Independent,
-                               .backend = Backend::CpuNative};
-  std::size_t requests = 200;  // timed requests per arm per run
-  std::size_t clients = 1;     // closed-loop client threads
-  /// Rows per request: 1024 makes one request ~1 ms of real work, so a
-  /// cost of a few microseconds shows above the host's scheduler jitter
-  /// (~10 us tail) rather than inside it.
-  std::size_t rows = 1024;
-  RandomForestSpec forest{.num_trees = 20, .max_depth = 10, .num_features = 16};
-  std::uint64_t query_seed = 42;
-};
-
-struct AbResult {
-  /// Best of 5 interleaved runs per arm (off, on, off, on, ...): wall-clock
-  /// latency on a shared host spikes upward only, so the lowest p95 and
-  /// the highest qps converge on each arm's true cost.
-  double p95_off_ns = 0.0;
-  double p95_on_ns = 0.0;
-  double qps_off = 0.0;
-  double qps_on = 0.0;
-  /// Fewest windows any monitored run recorded (0 without a monitor).
-  std::uint64_t monitor_windows = 0;
-};
-
-/// The two-arm driver: both arms serve one forest and one query batch
-/// through a fresh ForestServer per run, behind `clients` closed-loop
-/// clients, after a warmup of requests / 4.
-AbResult measure_ab(const AbOptions& options);
-
-/// The A/B cases, each one measure_ab() call recorded under its own key:
+/// The A/B cases. One two-arm driver serves the same load through two
+/// server configurations ("arms"), each on a fresh ForestServer per run
+/// behind closed_loop() clients, interleaved off, on, off, on, ... for 5
+/// runs per arm, and keeps each arm's best run: wall-clock latency on a
+/// shared host spikes upward only, so the lowest p95 and the highest qps
+/// converge on each arm's true cost. Each case is recorded under its key:
 ///  * "trace" — trace sampling 0.0 vs 1.0 on the chunked serve path;
 ///  * "audit" — shadow audits off vs every 32nd request;
-///  * "obs"   — bare vs flight recorder + monitor + SLO engine at 250 ms;
+///  * "obs"   — bare vs flight recorder + monitor + SLO engine at 250 ms,
+///    both arms serving until the monitor has ticked twice;
 ///  * "batch" — micro-batching off vs on, gpu-sim/hybrid, 32 clients of
 ///    4-row requests, 10 requests per client.
 /// trace/audit/obs record `p95_off_ns`, `p95_on_ns` and the gated
