@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -278,6 +279,7 @@ LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)
   std::atomic<std::size_t> next{0};
   std::atomic<std::uint64_t> failed{0};
   std::vector<std::vector<double>> latencies(clients);
+  std::vector<std::vector<std::size_t>> requests(clients);
   WallTimer wall;
   std::vector<std::thread> threads;
   threads.reserve(clients);
@@ -290,6 +292,7 @@ LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)
         try {
           call(c, i);
           latencies[c].push_back(t.seconds() * 1e9);
+          requests[c].push_back(i);
         } catch (const Error&) {
           failed.fetch_add(1, std::memory_order_relaxed);
         }
@@ -301,8 +304,9 @@ LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)
   LoopStats stats;
   stats.seconds = wall.seconds();
   stats.failed = failed.load();
-  for (const std::vector<double>& v : latencies) {
-    stats.latencies_ns.insert(stats.latencies_ns.end(), v.begin(), v.end());
+  for (std::size_t c = 0; c < clients; ++c) {
+    stats.latencies_ns.insert(stats.latencies_ns.end(), latencies[c].begin(), latencies[c].end());
+    stats.requests.insert(stats.requests.end(), requests[c].begin(), requests[c].end());
   }
   return stats;
 }
@@ -326,6 +330,15 @@ struct AbOptions {
                                .backend = Backend::CpuNative};
   std::size_t requests = 200;  // timed requests per arm per run
   std::size_t clients = 1;     // closed-loop client threads
+  /// Serve both arms side by side in each run, alternating requests
+  /// between them, instead of one arm's run after the other's. Host noise
+  /// on a shared guest comes in stretches of seconds that can swamp a
+  /// whole 0.5 s run; side by side both arms sample the same stretches,
+  /// so their p95 ratio reads the cost of the "on" configuration rather
+  /// than which arm ran in a quiet stretch. The price: background threads
+  /// of the "on" arm (its monitor, its integrity scrubber) load the host
+  /// under both arms alike, so the ratio reads the per-request cost only.
+  bool side_by_side = false;
   /// Rows per request: 1024 makes one request ~1 ms of real work, so a
   /// cost of a few microseconds shows above the host's scheduler jitter
   /// (~10 us tail) rather than inside it.
@@ -334,7 +347,8 @@ struct AbOptions {
   std::uint64_t query_seed = 42;
 };
 
-/// Each arm's best of 5 runs.
+/// Side by side: the run whose on/off p95 ratio is the median of 5.
+/// One after the other: each arm's best of 5 runs.
 struct AbResult {
   double p95_off_ns = 0.0;
   double p95_on_ns = 0.0;
@@ -342,9 +356,9 @@ struct AbResult {
   double qps_on = 0.0;
   /// Fewest windows any monitored run recorded (0 without a monitor).
   std::uint64_t monitor_windows = 0;
+
+  double ratio() const { return p95_off_ns > 0.0 ? p95_on_ns / p95_off_ns : 0.0; }
 };
-
-
 
 AbResult measure_ab(const AbOptions& options) {
   require(options.requests >= 1, "A/B case needs at least one request");
@@ -361,44 +375,94 @@ AbResult measure_ab(const AbOptions& options) {
     if (arm->monitor) min_seconds = std::max(min_seconds, 2.0 * arm->monitor->interval_seconds);
   }
 
-  AbResult result;
-  result.p95_off_ns = std::numeric_limits<double>::infinity();
-  result.p95_on_ns = std::numeric_limits<double>::infinity();
-  std::optional<std::uint64_t> windows;  // fewest over the monitored runs
-  const auto run_arm = [&](const AbArm& arm, double* p95_ns, double* qps) {
-    obs::FlightRecorder recorder(512);
-    serve::ServerOptions sopt = arm.server;
-    if (arm.monitor) sopt.flight_recorder = &recorder;
-    serve::ForestServer server(forest, options.classifier, sopt);
-    for (std::size_t r = 0; r < options.requests / 4; ++r) {
-      (void)server.submit(queries).get();  // warmup: page-in, pool spin-up
-    }
+  // A live arm: a fresh, warmed-up server, with a flight recorder and a
+  // monitor when the arm asks for them. Members are destroyed in reverse,
+  // so the monitor stops before the server it samples goes away.
+  struct Live {
+    const AbArm* arm = nullptr;
+    obs::FlightRecorder recorder{512};
+    std::optional<serve::ForestServer> server;
     std::optional<obs::Monitor> monitor;
-    if (arm.monitor) {
-      monitor.emplace(*arm.monitor, [&server] { return server.metrics_snapshot(); },
-                      &recorder);
+  };
+  std::optional<std::uint64_t> windows;  // fewest over the monitored runs
+  // One run of `arms`, served side by side: request i goes to arm
+  // i % arms.size(), so every arm sees the same stretch of host noise.
+  // Each arm's p95 and qps go into `out`.
+  const auto run = [&](std::initializer_list<const AbArm*> arms, AbResult& out) {
+    std::deque<Live> live;
+    for (const AbArm* arm : arms) {
+      Live& l = live.emplace_back();
+      l.arm = arm;
+      serve::ServerOptions sopt = arm->server;
+      if (arm->monitor) sopt.flight_recorder = &l.recorder;
+      l.server.emplace(forest, options.classifier, sopt);
+      for (std::size_t r = 0; r < options.requests / 4; ++r) {
+        (void)l.server->submit(queries).get();  // warmup: page-in, pool spin-up
+      }
     }
+    for (Live& l : live) {
+      if (!l.arm->monitor) continue;
+      serve::ForestServer& server = *l.server;
+      l.monitor.emplace(*l.arm->monitor, [&server] { return server.metrics_snapshot(); },
+                        &l.recorder);
+    }
+    const std::size_t n = live.size();
     WallTimer wall;
     const LoopStats stats = closed_loop(
         options.clients,
         [&](std::size_t i) {
+          if (i < options.requests * n || wall.seconds() < min_seconds) return true;
           // Two ticks record the first window.
-          return i < options.requests || wall.seconds() < min_seconds ||
-                 (monitor && monitor->windows_recorded() < 1);
+          return std::any_of(live.begin(), live.end(), [](const Live& l) {
+            return l.monitor && l.monitor->windows_recorded() < 1;
+          });
         },
-        [&](std::size_t, std::size_t) { (void)server.submit(queries).get(); });
-    if (monitor) {
-      monitor->stop();
-      windows = std::min(windows.value_or(std::numeric_limits<std::uint64_t>::max()),
-                         monitor->windows_recorded());
+        [&](std::size_t, std::size_t i) { (void)live[i % n].server->submit(queries).get(); });
+    for (std::size_t k = 0; k < n; ++k) {
+      Live& l = live[k];
+      if (l.monitor) {
+        l.monitor->stop();
+        windows = std::min(windows.value_or(std::numeric_limits<std::uint64_t>::max()),
+                           l.monitor->windows_recorded());
+      }
+      l.server->shutdown();
+      LoopStats mine;
+      mine.seconds = stats.seconds;
+      for (std::size_t j = 0; j < stats.latencies_ns.size(); ++j) {
+        if (stats.requests[j] % n == k) mine.latencies_ns.push_back(stats.latencies_ns[j]);
+      }
+      const bool on = l.arm == &options.on;
+      (on ? out.p95_on_ns : out.p95_off_ns) = mine.p95_ns();
+      (on ? out.qps_on : out.qps_off) = mine.qps();
     }
-    server.shutdown();
-    *p95_ns = std::min(*p95_ns, stats.p95_ns());
-    *qps = std::max(*qps, stats.qps());
   };
-  for (int rep = 0; rep < 5; ++rep) {
-    run_arm(options.off, &result.p95_off_ns, &result.qps_off);
-    run_arm(options.on, &result.p95_on_ns, &result.qps_on);
+  std::vector<AbResult> runs(5);
+  for (AbResult& r : runs) {
+    if (options.side_by_side) {
+      run({&options.off, &options.on}, r);
+    } else {
+      run({&options.off}, r);
+      run({&options.on}, r);
+    }
+  }
+  AbResult result;
+  if (options.side_by_side) {
+    // Both arms of a run saw the same host, so a run's ratio is a paired
+    // measurement; the median run discards the runs whose tails a burst
+    // of host noise happened to land on one arm more than the other.
+    std::sort(runs.begin(), runs.end(),
+              [](const AbResult& a, const AbResult& b) { return a.ratio() < b.ratio(); });
+    result = runs[runs.size() / 2];
+  } else {
+    // Wall-clock latency on a shared host spikes upward only, so each
+    // arm's lowest p95 and highest qps converge on its true cost.
+    result = runs[0];
+    for (const AbResult& r : runs) {
+      result.p95_off_ns = std::min(result.p95_off_ns, r.p95_off_ns);
+      result.p95_on_ns = std::min(result.p95_on_ns, r.p95_on_ns);
+      result.qps_off = std::max(result.qps_off, r.qps_off);
+      result.qps_on = std::max(result.qps_on, r.qps_on);
+    }
   }
   result.monitor_windows = windows.value_or(0);
   return result;
@@ -410,7 +474,12 @@ BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_se
   AbOptions opt;
   opt.requests = requests;
   opt.query_seed = query_seed;
-  opt.off.server.num_workers = 2;
+  // The ratio cases compare per-request cost side by side, one worker per
+  // arm: with two, each request lands on either worker's OpenMP team, and
+  // on a 4-vCPU guest that choice alone widened the 5-95% range of
+  // per-run p95 ratios from 0.80-1.17 to 0.79-1.40.
+  opt.side_by_side = true;
+  opt.off.server.num_workers = 1;
   opt.off.server.queue_capacity = 8;
   opt.off.server.default_deadline_seconds = 30.0;
   opt.on = opt.off;
@@ -450,9 +519,13 @@ BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_se
       opt.classifier.variant = Variant::Hybrid;
       opt.classifier.backend = Backend::GpuSim;
       opt.classifier.layout.subtree_depth = 4;
+      // Its arms compare throughput under the full client load, so they
+      // run one after the other.
+      opt.side_by_side = false;
       opt.clients = 32;
       opt.requests = opt.clients * 10;
       opt.rows = 4;
+      opt.off.server.num_workers = 2;
       opt.off.server.queue_capacity = opt.clients * 2;
       opt.on = opt.off;
       opt.on.server.batching.max_requests = 16;
@@ -469,7 +542,7 @@ BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_se
   const AbResult r = measure_ab(opt);
   c.set("p95_off_ns", r.p95_off_ns)
       .set("p95_on_ns", r.p95_on_ns)
-      .set("ratio", r.p95_off_ns > 0.0 ? r.p95_on_ns / r.p95_off_ns : 0.0);
+      .set("ratio", r.ratio());
   if (which == AbCase::Obs) c.set("monitor_windows", static_cast<double>(r.monitor_windows));
   return c;
 }
@@ -506,14 +579,22 @@ BenchCase measure_cluster(const ClusterBenchOptions& options) {
   // Warmup: touch every shard once (keys walk the ring).
   for (std::size_t s = 0; s < options.shards; ++s) query(s);
 
-  const LoopStats stats = closed_loop(
-      options.clients, [&](std::size_t i) { return i < options.requests; },
-      [&](std::size_t c, std::size_t i) { query(c * 1000003ULL + i); });
+  // Best of 5 runs, for the reason the A/B arms keep theirs: wall-clock
+  // latency on a shared host spikes upward only.
+  double p95_ns = std::numeric_limits<double>::infinity();
+  double qps = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const LoopStats stats = closed_loop(
+        options.clients, [&](std::size_t i) { return i < options.requests; },
+        [&](std::size_t c, std::size_t i) { query(c * 1000003ULL + i); });
+    p95_ns = std::min(p95_ns, stats.p95_ns());
+    qps = std::max(qps, stats.qps());
+  }
   router.shutdown();
 
   BenchCase c;
   c.key = "cluster";
-  c.set("p95_ns", stats.p95_ns()).set("qps", stats.qps());
+  c.set("p95_ns", p95_ns).set("qps", qps);
   return c;
 }
 
@@ -578,21 +659,32 @@ BenchCase measure_noisy_neighbor(const NoisyNeighborOptions& options) {
     });
   }
 
-  const LoopStats stats = closed_loop(
-      options.clients, [&](std::size_t i) { return i < options.requests; },
-      [&](std::size_t c, std::size_t i) { query(c * 1000003ULL + i, "victim"); });
+  // Best of 5 victim runs under the one surge, as for the cluster case;
+  // success counts every victim call of every run.
+  double p95_ns = std::numeric_limits<double>::infinity();
+  double qps = 0.0;
+  double ok = 0.0;
+  double attempts = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const LoopStats stats = closed_loop(
+        options.clients, [&](std::size_t i) { return i < options.requests; },
+        [&](std::size_t c, std::size_t i) { query(c * 1000003ULL + i, "victim"); });
+    p95_ns = std::min(p95_ns, stats.p95_ns());
+    qps = std::max(qps, stats.qps());
+    ok += static_cast<double>(stats.latencies_ns.size());
+    attempts += static_cast<double>(stats.latencies_ns.size() + stats.failed);
+  }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : surgers) t.join();
   FaultInjector::global().disarm("surge:tenant");
   router.shutdown();
 
-  const double attempts = static_cast<double>(stats.latencies_ns.size() + stats.failed);
   BenchCase c;
   c.key = "noisy";
-  c.set("p95_ns", stats.p95_ns())
-      .set("success", static_cast<double>(stats.latencies_ns.size()) / attempts)
+  c.set("p95_ns", p95_ns)
+      .set("success", ok / attempts)
       .set("surger_shed", static_cast<double>(shed.load()))
-      .set("qps", stats.qps());
+      .set("qps", qps);
   return c;
 }
 

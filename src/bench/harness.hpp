@@ -120,6 +120,7 @@ BenchReport run_sweep(const SweepOptions& options);
 /// Wall-clock record of one closed-loop run.
 struct LoopStats {
   std::vector<double> latencies_ns;  // one per call that returned
+  std::vector<std::size_t> requests;  // the request index i of each latency
   std::uint64_t failed = 0;          // calls that threw hrf::Error
   double seconds = 0.0;              // wall time of the whole run
 
@@ -135,9 +136,12 @@ LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)
 
 /// The A/B cases. One two-arm driver serves the same load through two
 /// server configurations ("arms"), each on a fresh ForestServer per run
-/// behind closed_loop() clients, interleaved off, on, off, on, ... for 5
-/// runs per arm, and keeps each arm's best run: wall-clock latency on a
-/// shared host spikes upward only, so the lowest p95 and the highest qps
+/// behind closed_loop() clients, 5 runs per arm. The ratio cases (trace,
+/// audit, obs) serve both arms side by side, alternating requests, and
+/// record the run whose on/off p95 ratio is the median of the 5: both
+/// arms of a run saw the same host. batch serves its arms one after the
+/// other and keeps each arm's best run: wall-clock latency on a shared
+/// host spikes upward only, so the lowest p95 and the highest qps
 /// converge on each arm's true cost. Each case is recorded under its key:
 ///  * "trace" — trace sampling 0.0 vs 1.0 on the chunked serve path;
 ///  * "audit" — shadow audits off vs every 32nd request;
@@ -155,8 +159,8 @@ BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_se
 
 /// Cluster serving case (docs/cluster.md), key "cluster": a ClusterRouter
 /// fronting `shards` healthy ForestServer shards absorbs `requests`
-/// routed requests from `clients` closed-loop clients; records the
-/// client-observed `p95_ns` and `qps`.
+/// routed requests from `clients` closed-loop clients, 5 times; records
+/// the best run's client-observed `p95_ns` and `qps`.
 struct ClusterBenchOptions {
   std::size_t shards = 4;
   std::size_t requests = 120;  // total across all clients
@@ -173,7 +177,8 @@ BenchCase measure_cluster(const ClusterBenchOptions& options);
 /// per-tenant admission quotas serves a "victim" tenant while a "surger"
 /// tenant floods it from spinning clients, each admitted surge request
 /// stalling a worker for `surge_stall_seconds` (the surge:tenant fault
-/// site). Records the victim's `p95_ns`, `success` and `qps`, and
+/// site). The victims run 5 times under one surge. Records the best
+/// run's victim `p95_ns` and `qps`, `success` over every victim call, and
 /// `surger_shed`, the surge requests refused by QuotaError.
 struct NoisyNeighborOptions {
   std::size_t shards = 4;

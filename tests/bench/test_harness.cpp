@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -211,6 +213,16 @@ TEST(BenchHarness, ClosedLoopCountsEveryRequestOnce) {
   EXPECT_EQ(calls.load(), 40);
   EXPECT_EQ(s.latencies_ns.size(), 36u);
   EXPECT_EQ(s.failed, 4u);
+  // Each latency is tagged with its request index, every returned call
+  // exactly once.
+  ASSERT_EQ(s.requests.size(), s.latencies_ns.size());
+  std::vector<std::size_t> seen = s.requests;
+  std::sort(seen.begin(), seen.end());
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < 40; ++i) {
+    if (i % 10 != 0) expected.push_back(i);
+  }
+  EXPECT_EQ(seen, expected);
   EXPECT_GT(s.qps(), 0.0);
 }
 
@@ -338,49 +350,76 @@ TEST(BenchCompare, MissingCaseFailsNewCaseDoesNot) {
   EXPECT_EQ(cmp.compared, 1);
 }
 
-// The A/B cases share one record shape and one gate: the on/off ratio of
-// the current report, against 1 + trace_tolerance, baseline or not.
-class BenchAbCase : public testing::TestWithParam<std::string> {};
+// The A/B cases (trace, audit, obs) share one record shape and one gate:
+// the on/off ratio of the current report, against 1 + trace_tolerance,
+// baseline or not. Each case runs the same three checks below.
 
-TEST_P(BenchAbCase, RoundTripsAndGatesOnRatio) {
-  const BenchReport base = two_case_report();
-  BenchReport cur = base;
+BenchReport with_ab_case(const std::string& key, double ratio) {
+  BenchReport report = two_case_report();
   BenchCase ab;
-  ab.key = GetParam();
-  ab.set("p95_off_ns", 100'000.0).set("p95_on_ns", 108'000.0).set("ratio", 1.08);
-  cur.cases.push_back(ab);
+  ab.key = key;
+  ab.set("p95_off_ns", 100'000.0).set("p95_on_ns", 100'000.0 * ratio).set("ratio", ratio);
+  report.cases.push_back(ab);
+  return report;
+}
 
-  const BenchReport back = report_from_json(to_json(cur));
-  const BenchCase* read = back.find(GetParam());
+void expect_ab_round_trip(const std::string& key) {
+  const BenchReport report = with_ab_case(key, 1.02);
+  const BenchReport back = report_from_json(to_json(report));
+  const BenchCase* read = back.find(key);
   ASSERT_NE(read, nullptr);
   EXPECT_EQ(read->unit, Unit::Wall);
-  EXPECT_EQ(read->values, ab.values);
+  EXPECT_EQ(read->values, report.cases.back().values);
+  EXPECT_DOUBLE_EQ(read->value("ratio"), 1.02);
 
+  // A report without the case stays readable.
+  EXPECT_EQ(report_from_json(to_json(two_case_report())).find(key), nullptr);
+}
+
+void expect_ab_gate_trips(const std::string& key) {
+  const BenchReport base = two_case_report();
+  const BenchReport cur = with_ab_case(key, 1.08);
   // 8% > 5% default: fails, named, with or without the case in the baseline.
   const BenchReport* baselines[] = {&base, &cur};
   for (const BenchReport* baseline : baselines) {
     const CompareResult cmp = compare_reports(*baseline, cur, 0.25);
     EXPECT_FALSE(cmp.passed());
     ASSERT_EQ(cmp.regressions.size(), 1u);
-    EXPECT_EQ(cmp.regressions[0].key, GetParam());
+    EXPECT_EQ(cmp.regressions[0].key, key);
     EXPECT_EQ(cmp.regressions[0].value, "ratio");
     EXPECT_DOUBLE_EQ(cmp.regressions[0].current, 1.08);
   }
   // Within a widened tolerance the same report passes.
   EXPECT_TRUE(compare_reports(base, cur, 0.25, 0.10).passed());
+}
 
-  // Within the default tolerance, or absent, the gate is quiet.
-  cur.cases.back().set("ratio", 1.03);
-  EXPECT_TRUE(compare_reports(base, cur, 0.25).passed());
+void expect_ab_absent_or_within_tolerance_ok(const std::string& key) {
+  const BenchReport base = two_case_report();
   EXPECT_TRUE(compare_reports(base, base, 0.25).passed());
+  const BenchReport cur = with_ab_case(key, 1.03);
+  EXPECT_TRUE(compare_reports(base, cur, 0.25).passed());
+  EXPECT_TRUE(compare_reports(cur, cur, 0.25).passed());
   // A baseline case the current run lacks is missing, like any other.
   EXPECT_FALSE(compare_reports(cur, base, 0.25).passed());
 }
 
-INSTANTIATE_TEST_SUITE_P(AbCases, BenchAbCase, testing::Values("trace", "audit", "obs"),
-                         [](const testing::TestParamInfo<std::string>& info) {
-                           return info.param;
-                         });
+TEST(BenchHarness, TraceOverheadRoundTripsThroughJson) { expect_ab_round_trip("trace"); }
+TEST(BenchHarness, AuditOverheadRoundTripsThroughJson) { expect_ab_round_trip("audit"); }
+TEST(BenchHarness, ObsOverheadRoundTripsThroughJson) { expect_ab_round_trip("obs"); }
+
+TEST(BenchCompare, TraceOverheadGateTripsPastTolerance) { expect_ab_gate_trips("trace"); }
+TEST(BenchCompare, AuditOverheadGateTripsPastTolerance) { expect_ab_gate_trips("audit"); }
+TEST(BenchCompare, ObsOverheadGateTripsPastTolerance) { expect_ab_gate_trips("obs"); }
+
+TEST(BenchCompare, TraceOverheadAbsentOrWithinToleranceIsOk) {
+  expect_ab_absent_or_within_tolerance_ok("trace");
+}
+TEST(BenchCompare, AuditOverheadAbsentOrWithinToleranceIsOk) {
+  expect_ab_absent_or_within_tolerance_ok("audit");
+}
+TEST(BenchCompare, ObsOverheadAbsentOrWithinToleranceIsOk) {
+  expect_ab_absent_or_within_tolerance_ok("obs");
+}
 
 }  // namespace
 }  // namespace hrf::bench
