@@ -4,11 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
-#include <deque>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -273,6 +273,13 @@ double LoopStats::qps() const {
   return seconds > 0.0 ? static_cast<double>(latencies_ns.size()) / seconds : 0.0;
 }
 
+void LoopStats::require_all_served(const std::string& key) const {
+  if (failed == 0 && !latencies_ns.empty()) return;
+  throw Error("bench case '" + key + "': " + std::to_string(failed) + " calls failed and " +
+              std::to_string(latencies_ns.size()) +
+              " returned; a p95 of the returned calls alone would hide the failures");
+}
+
 LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)>& more,
                       const std::function<void(std::size_t client, std::size_t i)>& call) {
   require(clients >= 1, "closed loop needs at least one client");
@@ -313,7 +320,7 @@ LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)
 
 namespace {
 
-/// One arm of an A/B case.
+/// One arm of an A/B ratio case.
 struct AbArm {
   serve::ServerOptions server;
   /// When set, the arm wires a FlightRecorder into its server and runs an
@@ -324,21 +331,10 @@ struct AbArm {
 };
 
 struct AbOptions {
+  std::string key;  // the case key, for errors
   AbArm off;
   AbArm on;
-  ClassifierOptions classifier{.variant = Variant::Independent,
-                               .backend = Backend::CpuNative};
   std::size_t requests = 200;  // timed requests per arm per run
-  std::size_t clients = 1;     // closed-loop client threads
-  /// Serve both arms side by side in each run, alternating requests
-  /// between them, instead of one arm's run after the other's. Host noise
-  /// on a shared guest comes in stretches of seconds that can swamp a
-  /// whole 0.5 s run; side by side both arms sample the same stretches,
-  /// so their p95 ratio reads the cost of the "on" configuration rather
-  /// than which arm ran in a quiet stretch. The price: background threads
-  /// of the "on" arm (its monitor, its integrity scrubber) load the host
-  /// under both arms alike, so the ratio reads the per-request cost only.
-  bool side_by_side = false;
   /// Rows per request: 1024 makes one request ~1 ms of real work, so a
   /// cost of a few microseconds shows above the host's scheduler jitter
   /// (~10 us tail) rather than inside it.
@@ -347,29 +343,35 @@ struct AbOptions {
   std::uint64_t query_seed = 42;
 };
 
-/// Side by side: the run whose on/off p95 ratio is the median of 5.
-/// One after the other: each arm's best of 5 runs.
+/// The run whose on/off p95 ratio is the median of 5.
 struct AbResult {
   double p95_off_ns = 0.0;
   double p95_on_ns = 0.0;
-  double qps_off = 0.0;
-  double qps_on = 0.0;
   /// Fewest windows any monitored run recorded (0 without a monitor).
   std::uint64_t monitor_windows = 0;
 
   double ratio() const { return p95_off_ns > 0.0 ? p95_on_ns / p95_off_ns : 0.0; }
 };
 
+/// Serves both arms side by side: one closed-loop client sends request i
+/// to arm i % 2, so the arms alternate and never overlap. Host noise on a
+/// shared guest comes in stretches of seconds that can swamp a whole
+/// 0.5 s run; side by side both arms sample the same stretches, so a
+/// run's p95 ratio is a paired measurement of the "on" configuration's
+/// per-request cost. What it cannot see: background threads of the "on"
+/// arm (its monitor, its integrity scrubber) load the host under both
+/// arms alike, so their CPU cost cancels out of the ratio.
 AbResult measure_ab(const AbOptions& options) {
   require(options.requests >= 1, "A/B case needs at least one request");
-  require(options.clients >= 1, "A/B case needs at least one client");
   require(options.rows >= 1, "A/B case rows must be >= 1");
 
   const Forest forest = make_random_forest(options.forest);
   const Dataset queries =
       make_random_queries(options.rows, options.forest.num_features, options.query_seed);
-  // A monitored arm must see two ticks; the other arm serves as long, so
-  // both p95s come from runs of comparable length.
+  ClassifierOptions copt;
+  copt.variant = Variant::Independent;
+  copt.backend = Backend::CpuNative;
+  // A monitored arm must see two ticks; both arms serve that long.
   double min_seconds = 0.0;
   for (const AbArm* arm : {&options.off, &options.on}) {
     if (arm->monitor) min_seconds = std::max(min_seconds, 2.0 * arm->monitor->interval_seconds);
@@ -379,167 +381,165 @@ AbResult measure_ab(const AbOptions& options) {
   // monitor when the arm asks for them. Members are destroyed in reverse,
   // so the monitor stops before the server it samples goes away.
   struct Live {
-    const AbArm* arm = nullptr;
     obs::FlightRecorder recorder{512};
     std::optional<serve::ForestServer> server;
     std::optional<obs::Monitor> monitor;
   };
   std::optional<std::uint64_t> windows;  // fewest over the monitored runs
-  // One run of `arms`, served side by side: request i goes to arm
-  // i % arms.size(), so every arm sees the same stretch of host noise.
-  // Each arm's p95 and qps go into `out`.
-  const auto run = [&](std::initializer_list<const AbArm*> arms, AbResult& out) {
-    std::deque<Live> live;
-    for (const AbArm* arm : arms) {
-      Live& l = live.emplace_back();
-      l.arm = arm;
-      serve::ServerOptions sopt = arm->server;
-      if (arm->monitor) sopt.flight_recorder = &l.recorder;
-      l.server.emplace(forest, options.classifier, sopt);
+  const AbArm* arms[2] = {&options.off, &options.on};
+  std::vector<AbResult> runs(5);
+  for (AbResult& out : runs) {
+    std::array<Live, 2> live;
+    for (std::size_t k = 0; k < 2; ++k) {
+      serve::ServerOptions sopt = arms[k]->server;
+      if (arms[k]->monitor) sopt.flight_recorder = &live[k].recorder;
+      live[k].server.emplace(forest, copt, sopt);
       for (std::size_t r = 0; r < options.requests / 4; ++r) {
-        (void)l.server->submit(queries).get();  // warmup: page-in, pool spin-up
+        (void)live[k].server->submit(queries).get();  // warmup: page-in, pool spin-up
       }
     }
-    for (Live& l : live) {
-      if (!l.arm->monitor) continue;
-      serve::ForestServer& server = *l.server;
-      l.monitor.emplace(*l.arm->monitor, [&server] { return server.metrics_snapshot(); },
-                        &l.recorder);
+    for (std::size_t k = 0; k < 2; ++k) {
+      if (!arms[k]->monitor) continue;
+      serve::ForestServer& server = *live[k].server;
+      live[k].monitor.emplace(*arms[k]->monitor, [&server] { return server.metrics_snapshot(); },
+                              &live[k].recorder);
     }
-    const std::size_t n = live.size();
     WallTimer wall;
     const LoopStats stats = closed_loop(
-        options.clients,
+        1,
         [&](std::size_t i) {
-          if (i < options.requests * n || wall.seconds() < min_seconds) return true;
+          if (i < options.requests * 2 || wall.seconds() < min_seconds) return true;
           // Two ticks record the first window.
           return std::any_of(live.begin(), live.end(), [](const Live& l) {
             return l.monitor && l.monitor->windows_recorded() < 1;
           });
         },
-        [&](std::size_t, std::size_t i) { (void)live[i % n].server->submit(queries).get(); });
-    for (std::size_t k = 0; k < n; ++k) {
-      Live& l = live[k];
+        [&](std::size_t, std::size_t i) { (void)live[i % 2].server->submit(queries).get(); });
+    for (Live& l : live) {
       if (l.monitor) {
         l.monitor->stop();
         windows = std::min(windows.value_or(std::numeric_limits<std::uint64_t>::max()),
                            l.monitor->windows_recorded());
       }
       l.server->shutdown();
-      LoopStats mine;
-      mine.seconds = stats.seconds;
-      for (std::size_t j = 0; j < stats.latencies_ns.size(); ++j) {
-        if (stats.requests[j] % n == k) mine.latencies_ns.push_back(stats.latencies_ns[j]);
-      }
-      const bool on = l.arm == &options.on;
-      (on ? out.p95_on_ns : out.p95_off_ns) = mine.p95_ns();
-      (on ? out.qps_on : out.qps_off) = mine.qps();
     }
-  };
-  std::vector<AbResult> runs(5);
-  for (AbResult& r : runs) {
-    if (options.side_by_side) {
-      run({&options.off, &options.on}, r);
-    } else {
-      run({&options.off}, r);
-      run({&options.on}, r);
+    // No failures means each arm answered all of its `requests`.
+    stats.require_all_served(options.key);
+    std::vector<double> arm_ns[2];
+    for (std::size_t j = 0; j < stats.latencies_ns.size(); ++j) {
+      arm_ns[stats.requests[j] % 2].push_back(stats.latencies_ns[j]);
     }
+    out.p95_off_ns = percentile(arm_ns[0], 95.0);
+    out.p95_on_ns = percentile(arm_ns[1], 95.0);
   }
-  AbResult result;
-  if (options.side_by_side) {
-    // Both arms of a run saw the same host, so a run's ratio is a paired
-    // measurement; the median run discards the runs whose tails a burst
-    // of host noise happened to land on one arm more than the other.
-    std::sort(runs.begin(), runs.end(),
-              [](const AbResult& a, const AbResult& b) { return a.ratio() < b.ratio(); });
-    result = runs[runs.size() / 2];
-  } else {
-    // Wall-clock latency on a shared host spikes upward only, so each
-    // arm's lowest p95 and highest qps converge on its true cost.
-    result = runs[0];
-    for (const AbResult& r : runs) {
-      result.p95_off_ns = std::min(result.p95_off_ns, r.p95_off_ns);
-      result.p95_on_ns = std::min(result.p95_on_ns, r.p95_on_ns);
-      result.qps_off = std::max(result.qps_off, r.qps_off);
-      result.qps_on = std::max(result.qps_on, r.qps_on);
-    }
-  }
+  // The median run discards the runs whose tails a burst of host noise
+  // happened to land on one arm more than the other.
+  std::sort(runs.begin(), runs.end(),
+            [](const AbResult& a, const AbResult& b) { return a.ratio() < b.ratio(); });
+  AbResult result = runs[runs.size() / 2];
   result.monitor_windows = windows.value_or(0);
   return result;
+}
+
+/// The batch case: micro-batching off vs on, gpu-sim/hybrid, 32 clients
+/// of 4-row requests. Its arms compare throughput, so each runs alone:
+/// alternating requests between two servers would hand both arms the same
+/// completions per second by construction. Each arm keeps its best of 5
+/// runs: wall-clock latency on a shared host spikes upward only, so the
+/// lowest p95 and the highest qps converge on the arm's true cost.
+BenchCase measure_batch(std::uint64_t query_seed) {
+  constexpr std::size_t kClients = 32;
+  constexpr std::size_t kRequests = kClients * 10;
+  const RandomForestSpec spec{.num_trees = 20, .max_depth = 10, .num_features = 16};
+  const Forest forest = make_random_forest(spec);
+  const Dataset queries = make_random_queries(4, spec.num_features, query_seed);
+  // The paper's amortization case: hybrid on the simulated GPU, where
+  // every classify pays the same stage-1 root-subtree staging whether it
+  // carries 4 rows or a full warp's worth — the per-dispatch fixed cost
+  // micro-batching exists to share.
+  ClassifierOptions copt;
+  copt.variant = Variant::Hybrid;
+  copt.backend = Backend::GpuSim;
+  copt.layout.subtree_depth = 4;
+  serve::ServerOptions arms[2];
+  arms[0].num_workers = 2;
+  arms[0].queue_capacity = kClients * 2;
+  arms[0].default_deadline_seconds = 30.0;
+  arms[1] = arms[0];
+  arms[1].batching.max_requests = 16;
+  arms[1].batching.max_wait_seconds = 500e-6;
+
+  double p95_ns[2] = {std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::infinity()};
+  double qps[2] = {0.0, 0.0};
+  for (int rep = 0; rep < 5; ++rep) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      serve::ForestServer server(forest, copt, arms[k]);
+      for (std::size_t r = 0; r < kRequests / 4; ++r) (void)server.submit(queries).get();
+      const LoopStats stats = closed_loop(
+          kClients, [](std::size_t i) { return i < kRequests; },
+          [&](std::size_t, std::size_t) { (void)server.submit(queries).get(); });
+      server.shutdown();
+      stats.require_all_served("batch");
+      p95_ns[k] = std::min(p95_ns[k], stats.p95_ns());
+      qps[k] = std::max(qps[k], stats.qps());
+    }
+  }
+  BenchCase c;
+  c.key = "batch";
+  c.set("p95_ns", p95_ns[1])
+      .set("p95_unbatched_ns", p95_ns[0])
+      .set("qps", qps[1])
+      .set("qps_unbatched", qps[0])
+      .set("speedup", qps[0] > 0.0 ? qps[1] / qps[0] : 0.0);
+  return c;
 }
 
 }  // namespace
 
 BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_seed) {
+  if (which == AbCase::Batch) return measure_batch(query_seed);
   AbOptions opt;
   opt.requests = requests;
   opt.query_seed = query_seed;
-  // The ratio cases compare per-request cost side by side, one worker per
-  // arm: with two, each request lands on either worker's OpenMP team, and
-  // on a 4-vCPU guest that choice alone widened the 5-95% range of
-  // per-run p95 ratios from 0.80-1.17 to 0.79-1.40.
-  opt.side_by_side = true;
+  // One worker per arm: with two, each request lands on either worker's
+  // OpenMP team, and on a 4-vCPU guest that choice alone widened the
+  // 5-95% range of per-run p95 ratios from 0.80-1.17 to 0.79-1.40.
   opt.off.server.num_workers = 1;
   opt.off.server.queue_capacity = 8;
   opt.off.server.default_deadline_seconds = 30.0;
   opt.on = opt.off;
-
-  BenchCase c;
   switch (which) {
     case AbCase::Trace:
       // Both arms take the chunked (deadline) path, which a 30 s deadline
       // never cuts short, so the sampling rate is the only variable.
-      c.key = "trace";
+      opt.key = "trace";
       opt.off.server.trace_capacity = opt.on.server.trace_capacity = 64;
       opt.on.server.trace_sampling = 1.0;
       break;
     case AbCase::Audit:
       // At 1/32 the audited tail sits above the 95th percentile, so the
-      // gate measures the steady-state cost of the machinery (and the
-      // integrity monitor thread), not the oracle pass itself.
-      c.key = "audit";
+      // gate measures the per-request cost of the sampling machinery, not
+      // the oracle pass itself.
+      opt.key = "audit";
       opt.on.server.integrity.audit_sample_every = 32;
       break;
     case AbCase::Obs: {
       // The full production observability configuration at its default
       // cadence: recorder wired into the server, windowed sampling and an
       // armed SLO engine, no incident dir.
-      c.key = "obs";
+      opt.key = "obs";
       obs::MonitorOptions mopt;
       mopt.slo_enabled = true;
       opt.on.monitor = mopt;
       break;
     }
-    case AbCase::Batch: {
-      // The paper's amortization case: hybrid on the simulated GPU, where
-      // every classify pays the same stage-1 root-subtree staging whether
-      // it carries 4 rows or a full warp's worth — the per-dispatch fixed
-      // cost micro-batching exists to share.
-      c.key = "batch";
-      opt.classifier.variant = Variant::Hybrid;
-      opt.classifier.backend = Backend::GpuSim;
-      opt.classifier.layout.subtree_depth = 4;
-      // Its arms compare throughput under the full client load, so they
-      // run one after the other.
-      opt.side_by_side = false;
-      opt.clients = 32;
-      opt.requests = opt.clients * 10;
-      opt.rows = 4;
-      opt.off.server.num_workers = 2;
-      opt.off.server.queue_capacity = opt.clients * 2;
-      opt.on = opt.off;
-      opt.on.server.batching.max_requests = 16;
-      opt.on.server.batching.max_wait_seconds = 500e-6;
-      const AbResult r = measure_ab(opt);
-      c.set("p95_ns", r.p95_on_ns)
-          .set("p95_unbatched_ns", r.p95_off_ns)
-          .set("qps", r.qps_on)
-          .set("qps_unbatched", r.qps_off)
-          .set("speedup", r.qps_off > 0.0 ? r.qps_on / r.qps_off : 0.0);
-      return c;
-    }
+    case AbCase::Batch:
+      break;
   }
   const AbResult r = measure_ab(opt);
+  BenchCase c;
+  c.key = opt.key;
   c.set("p95_off_ns", r.p95_off_ns)
       .set("p95_on_ns", r.p95_on_ns)
       .set("ratio", r.ratio());
@@ -587,6 +587,7 @@ BenchCase measure_cluster(const ClusterBenchOptions& options) {
     const LoopStats stats = closed_loop(
         options.clients, [&](std::size_t i) { return i < options.requests; },
         [&](std::size_t c, std::size_t i) { query(c * 1000003ULL + i); });
+    stats.require_all_served("cluster");
     p95_ns = std::min(p95_ns, stats.p95_ns());
     qps = std::max(qps, stats.qps());
   }
@@ -665,6 +666,7 @@ BenchCase measure_noisy_neighbor(const NoisyNeighborOptions& options) {
   double qps = 0.0;
   double ok = 0.0;
   double attempts = 0.0;
+  std::size_t fewest_served = std::numeric_limits<std::size_t>::max();
   for (int rep = 0; rep < 5; ++rep) {
     const LoopStats stats = closed_loop(
         options.clients, [&](std::size_t i) { return i < options.requests; },
@@ -673,11 +675,15 @@ BenchCase measure_noisy_neighbor(const NoisyNeighborOptions& options) {
     qps = std::max(qps, stats.qps());
     ok += static_cast<double>(stats.latencies_ns.size());
     attempts += static_cast<double>(stats.latencies_ns.size() + stats.failed);
+    fewest_served = std::min(fewest_served, stats.latencies_ns.size());
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : surgers) t.join();
   FaultInjector::global().disarm("surge:tenant");
   router.shutdown();
+  // Victim failures are part of what this case measures (`success`), but
+  // a run in which none returned has no p95 to keep.
+  if (fewest_served == 0) throw Error("bench case 'noisy': a run returned no victim call");
 
   BenchCase c;
   c.key = "noisy";

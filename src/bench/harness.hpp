@@ -119,13 +119,17 @@ BenchReport run_sweep(const SweepOptions& options);
 
 /// Wall-clock record of one closed-loop run.
 struct LoopStats {
-  std::vector<double> latencies_ns;  // one per call that returned
+  std::vector<double> latencies_ns;   // one per call that returned
   std::vector<std::size_t> requests;  // the request index i of each latency
-  std::uint64_t failed = 0;          // calls that threw hrf::Error
-  double seconds = 0.0;              // wall time of the whole run
+  std::uint64_t failed = 0;           // calls that threw hrf::Error
+  double seconds = 0.0;               // wall time of the whole run
 
   double p95_ns() const;
   double qps() const;  // returned calls per wall second
+  /// Throws Error naming case `key` when a call failed or none returned.
+  /// A failed call leaves no latency, so the p95 of the rest (0 of none)
+  /// would read a broken serve path as a fast one.
+  void require_all_served(const std::string& key) const;
 };
 
 /// Closed-loop client load: `clients` threads take request indices 0, 1,
@@ -134,25 +138,26 @@ struct LoopStats {
 LoopStats closed_loop(std::size_t clients, const std::function<bool(std::size_t)>& more,
                       const std::function<void(std::size_t client, std::size_t i)>& call);
 
-/// The A/B cases. One two-arm driver serves the same load through two
-/// server configurations ("arms"), each on a fresh ForestServer per run
-/// behind closed_loop() clients, 5 runs per arm. The ratio cases (trace,
-/// audit, obs) serve both arms side by side, alternating requests, and
-/// record the run whose on/off p95 ratio is the median of the 5: both
-/// arms of a run saw the same host. batch serves its arms one after the
-/// other and keeps each arm's best run: wall-clock latency on a shared
-/// host spikes upward only, so the lowest p95 and the highest qps
-/// converge on each arm's true cost. Each case is recorded under its key:
+/// The A/B cases serve the same load through two server configurations
+/// ("arms"), each on a fresh ForestServer per run behind closed_loop()
+/// clients, and throw when any timed call fails. Each case is recorded
+/// under its key:
 ///  * "trace" — trace sampling 0.0 vs 1.0 on the chunked serve path;
 ///  * "audit" — shadow audits off vs every 32nd request;
 ///  * "obs"   — bare vs flight recorder + monitor + SLO engine at 250 ms,
 ///    both arms serving until the monitor has ticked twice;
 ///  * "batch" — micro-batching off vs on, gpu-sim/hybrid, 32 clients of
 ///    4-row requests, 10 requests per client.
-/// trace/audit/obs record `p95_off_ns`, `p95_on_ns` and the gated
-/// `ratio` (obs also `monitor_windows`); `requests` is their timed
-/// requests per arm. batch records its batched `p95_ns` (gated against
-/// the baseline), `p95_unbatched_ns`, `qps`, `qps_unbatched` and
+/// trace, audit and obs are ratio cases: one client alternates `requests`
+/// timed requests per arm between the two servers (one worker each), 5
+/// runs, and the case records the run whose on/off p95 ratio is the
+/// median: `p95_off_ns`, `p95_on_ns` and the gated `ratio` (obs also
+/// `monitor_windows`). Both arms share the host, so the ratio reads the
+/// per-request cost of the "on" arm; the CPU its background threads (the
+/// obs monitor, the integrity scrubber) take from the host loads both
+/// arms alike and cancels out. batch compares throughput, so each arm
+/// runs alone and keeps its best of 5 runs: its batched `p95_ns` (gated
+/// against the baseline), `p95_unbatched_ns`, `qps`, `qps_unbatched` and
 /// `speedup`.
 enum class AbCase { Trace, Audit, Obs, Batch };
 BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_seed);
@@ -160,7 +165,8 @@ BenchCase run_ab_case(AbCase which, std::size_t requests, std::uint64_t query_se
 /// Cluster serving case (docs/cluster.md), key "cluster": a ClusterRouter
 /// fronting `shards` healthy ForestServer shards absorbs `requests`
 /// routed requests from `clients` closed-loop clients, 5 times; records
-/// the best run's client-observed `p95_ns` and `qps`.
+/// the best run's client-observed `p95_ns` and `qps`. Throws when any
+/// routed call fails.
 struct ClusterBenchOptions {
   std::size_t shards = 4;
   std::size_t requests = 120;  // total across all clients
@@ -179,7 +185,9 @@ BenchCase measure_cluster(const ClusterBenchOptions& options);
 /// stalling a worker for `surge_stall_seconds` (the surge:tenant fault
 /// site). The victims run 5 times under one surge. Records the best
 /// run's victim `p95_ns` and `qps`, `success` over every victim call, and
-/// `surger_shed`, the surge requests refused by QuotaError.
+/// `surger_shed`, the surge requests refused by QuotaError. Victim
+/// failures only lower `success`; a run with no victim call returned
+/// throws.
 struct NoisyNeighborOptions {
   std::size_t shards = 4;
   std::size_t requests = 120;  // victim requests, total across clients

@@ -226,6 +226,32 @@ TEST(BenchHarness, ClosedLoopCountsEveryRequestOnce) {
   EXPECT_GT(s.qps(), 0.0);
 }
 
+// Every A/B, batch and cluster run goes through this check: a failed call
+// leaves no latency sample, so without it an arm whose requests all threw
+// would read p95 = 0 and pass both the ratio and the absolute gate.
+TEST(BenchHarness, FailedCallsFailTheCase) {
+  // Request i goes to arm i % 2, as in the ratio cases; the "on" arm throws.
+  const LoopStats on_arm_throws = closed_loop(
+      1, [](std::size_t i) { return i < 20; },
+      [](std::size_t, std::size_t i) {
+        if (i % 2 == 1) throw Error("on arm down");
+      });
+  EXPECT_EQ(on_arm_throws.failed, 10u);
+  try {
+    on_arm_throws.require_all_served("trace");
+    FAIL() << "a case with failed calls must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'trace'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("10 calls failed"), std::string::npos) << e.what();
+  }
+  const LoopStats none_ran = closed_loop(
+      1, [](std::size_t) { return false; }, [](std::size_t, std::size_t) {});
+  EXPECT_THROW(none_ran.require_all_served("cluster"), Error);
+  const LoopStats all_served = closed_loop(
+      2, [](std::size_t i) { return i < 8; }, [](std::size_t, std::size_t) {});
+  EXPECT_NO_THROW(all_served.require_all_served("batch"));
+}
+
 // Tier-1 pin of the committed baseline: its gpu-sim and fpga-sim cases,
 // re-run with the forest, layout and policy stored in the file, must
 // reproduce every modeled value exactly. This is the only exact pin of
