@@ -1,6 +1,5 @@
 #include "core/classifier.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "cpu/cpu_kernels.hpp"
@@ -124,62 +123,6 @@ const CsrForest& Classifier::csr() const {
   return *csr_;
 }
 
-Classifier::StreamReport Classifier::classify_stream(const Dataset& queries,
-                                                     std::size_t chunk_size,
-                                                     const std::function<bool()>& cancel,
-                                                     const trace::Span& parent,
-                                                     std::optional<Variant> requested) const {
-  require(chunk_size >= 1, "chunk_size must be >= 1");
-  const Variant variant = served_variant(requested);
-  StreamReport out;
-  out.predictions.reserve(queries.num_samples());
-  LatencyHistogram chunk_hist;
-  for (std::size_t lo = 0; lo < queries.num_samples(); lo += chunk_size) {
-    if (cancel && cancel()) {
-      out.completed = false;
-      out.chunk_latency = chunk_hist.snapshot();
-      return out;
-    }
-    const std::size_t hi = std::min(lo + chunk_size, queries.num_samples());
-    Dataset chunk(hi - lo, queries.num_features(), queries.num_classes());
-    chunk.set_name(queries.name());
-    for (std::size_t i = lo; i < hi; ++i) chunk.push_back(queries.sample(i), queries.label(i));
-    trace::Span span = parent.child("chunk-" + std::to_string(out.chunks));
-    const RunReport r = classify(chunk, variant);
-    if (span.active()) {
-      span.set_attr("queries", static_cast<std::uint64_t>(hi - lo));
-      span.set_attr("seconds", r.seconds);
-      set_backend_span_attrs(span, r);
-    }
-    out.predictions.insert(out.predictions.end(), r.predictions.begin(), r.predictions.end());
-    out.total_seconds += r.seconds;
-    out.max_chunk_seconds = std::max(out.max_chunk_seconds, r.seconds);
-    chunk_hist.record_seconds(r.seconds);
-    out.simulated = r.simulated;
-    if (r.gpu_counters) {
-      if (!out.gpu_counters) out.gpu_counters.emplace();
-      *out.gpu_counters += *r.gpu_counters;
-    }
-    if (r.fpga_report) {
-      if (!out.fpga_report) {
-        // First chunk seeds the descriptive fields (clock, II, limiter).
-        out.fpga_report = *r.fpga_report;
-      } else {
-        out.fpga_report->seconds += r.fpga_report->seconds;
-        out.fpga_report->pipeline_cycles += r.fpga_report->pipeline_cycles;
-        out.fpga_report->total_cycles += r.fpga_report->total_cycles;
-        out.fpga_report->stall_pct =
-            out.fpga_report->total_cycles > 0.0
-                ? 100.0 * (1.0 - out.fpga_report->pipeline_cycles / out.fpga_report->total_cycles)
-                : 0.0;
-      }
-    }
-    ++out.chunks;
-  }
-  out.chunk_latency = chunk_hist.snapshot();
-  return out;
-}
-
 void set_backend_span_attrs(const trace::Span& span, const RunReport& report) {
   if (!span.active()) return;
   if (report.gpu_counters) {
@@ -200,7 +143,7 @@ void set_backend_span_attrs(const trace::Span& span, const RunReport& report) {
   }
 }
 
-void Classifier::validate_queries(const Dataset& queries) const {
+void Classifier::validate_queries(QueryView queries) const {
   if (queries.num_features() != forest_.num_features()) {
     throw ConfigError("query batch has " + std::to_string(queries.num_features()) +
                       " features but the model expects " +
@@ -234,7 +177,7 @@ Variant Classifier::served_variant(std::optional<Variant> variant) const {
   return v;
 }
 
-RunReport Classifier::classify(const Dataset& queries, std::optional<Variant> requested) const {
+RunReport Classifier::classify(QueryView queries, std::optional<Variant> requested) const {
   const Variant variant = served_variant(requested);
   validate_queries(queries);
   RunReport r;

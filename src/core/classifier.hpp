@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
 #include "gpukernels/device_image.hpp"
-#include "util/histogram.hpp"
 #include "util/trace.hpp"
 #include "layout/csr.hpp"
 #include "layout/hierarchical.hpp"
@@ -63,12 +61,6 @@ struct RunReport {
   /// try), filled by the degradation plan's walkers, never by classify().
   std::vector<std::string> degradations;
   bool degraded() const { return !degradations.empty(); }
-
-  /// Chunk-level latency distribution when this report came from the
-  /// chunked path (classify_stream, serving's time-boxed execution):
-  /// one sample per chunk, in ns. nullopt for one-shot classify() runs,
-  /// which have a single number (`seconds`) rather than a distribution.
-  std::optional<HistogramSnapshot> latency;
 
   /// Fraction of predictions matching `labels`.
   double accuracy(std::span<const std::uint8_t> labels) const;
@@ -120,49 +112,15 @@ class Classifier {
   /// Loads a serialized forest (Forest::save) and wraps it.
   static Classifier load(const std::string& path, ClassifierOptions options);
 
-  /// Classifies a query batch as `variant` (default: the configured one):
+  /// Classifies a query batch (a row range; a Dataset converts to its
+  /// whole-rows view) as `variant` (default: the configured one):
   /// another variant runs this classifier's own layout and device image
   /// (a hierarchical layout serves every hierarchical variant its backend
   /// has); one the layout does not serve throws ConfigError. Queries are
   /// validated up front: a feature count differing from the model's, or
   /// any NaN/Inf feature value, throws ConfigError before any traversal
   /// runs. ResourceError from a simulated backend propagates.
-  RunReport classify(const Dataset& queries, std::optional<Variant> variant = {}) const;
-
-  /// Chunked classification for latency-bounded serving: classifies
-  /// `queries` in chunks of `chunk_size`, reporting total and worst-chunk
-  /// time. Predictions are identical to classify() — chunking only
-  /// affects scheduling (verified by tests).
-  struct StreamReport {
-    std::vector<std::uint8_t> predictions;
-    double total_seconds = 0.0;
-    double max_chunk_seconds = 0.0;
-    std::size_t chunks = 0;
-    bool simulated = true;
-    /// False when a cancel callback stopped the run early; `predictions`
-    /// then holds only the chunks finished before cancellation.
-    bool completed = true;
-    /// Per-chunk latency histogram (one record per finished chunk, in
-    /// ns of `seconds` — simulated or wall per the backend).
-    HistogramSnapshot chunk_latency;
-    /// Backend hardware counters summed across finished chunks (GpuSim
-    /// backends), and the FPGA pipeline report aggregated the same way
-    /// (seconds/cycles summed, descriptive fields from the first chunk).
-    /// nullopt when the serving backend produced neither.
-    std::optional<gpusim::Counters> gpu_counters;
-    std::optional<fpgasim::FpgaReport> fpga_report;
-  };
-  /// When set, `cancel` is polled between chunks (never mid-chunk), and a
-  /// true return abandons the remaining work with `completed == false`:
-  /// the serving layer's execution time-box, so an expired dispatch stops
-  /// burning the backend after at most one chunk. When `parent` is an
-  /// active span, each chunk gets a "chunk-N" child span carrying its
-  /// duration and backend counter attributes (see set_backend_span_attrs);
-  /// inactive spans cost nothing. `variant` is as for classify().
-  StreamReport classify_stream(const Dataset& queries, std::size_t chunk_size,
-                               const std::function<bool()>& cancel = {},
-                               const trace::Span& parent = {},
-                               std::optional<Variant> variant = {}) const;
+  RunReport classify(QueryView queries, std::optional<Variant> variant = {}) const;
 
   const Forest& forest() const { return forest_; }
   const ClassifierOptions& options() const { return options_; }
@@ -181,7 +139,7 @@ class Classifier {
 
  private:
   void check_variant_backend() const;
-  void validate_queries(const Dataset& queries) const;
+  void validate_queries(QueryView queries) const;
   /// `variant` (default: the configured one) when this classifier's
   /// compiled layout serves it on its backend; ConfigError otherwise.
   Variant served_variant(std::optional<Variant> variant) const;

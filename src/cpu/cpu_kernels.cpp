@@ -10,7 +10,7 @@ namespace {
 
 /// Adds one vote per (row, tree) for rows [lo, hi) into `votes` (k per row).
 /// Lane state is kept as parallel arrays, one entry per row in flight.
-void vote_rows(const HierarchicalForest& forest, const Dataset& queries, std::size_t lo,
+void vote_rows(const HierarchicalForest& forest, QueryView queries, std::size_t lo,
                std::size_t hi, std::uint32_t* votes) {
   constexpr std::size_t G = kInterleaveGroup;
   const std::int32_t* fid = forest.feature_id().data();
@@ -80,7 +80,7 @@ void vote_rows(const HierarchicalForest& forest, const Dataset& queries, std::si
 
 }  // namespace
 
-std::vector<std::uint8_t> classify_csr(const CsrForest& csr, const Dataset& queries) {
+std::vector<std::uint8_t> classify_csr(const CsrForest& csr, QueryView queries) {
   require(csr.num_features() == queries.num_features(), "query width != forest features");
   const std::size_t nq = queries.num_samples();
   std::vector<std::uint8_t> out(nq);
@@ -92,7 +92,7 @@ std::vector<std::uint8_t> classify_csr(const CsrForest& csr, const Dataset& quer
 }
 
 std::vector<std::uint8_t> classify_hierarchical(const HierarchicalForest& forest,
-                                                const Dataset& queries) {
+                                                QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const std::size_t nq = queries.num_samples();
   const auto k = static_cast<std::size_t>(forest.num_classes());

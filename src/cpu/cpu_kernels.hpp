@@ -13,7 +13,7 @@ namespace hrf::cpu {
 /// queries: one row walks every tree before the next row starts. It is the
 /// CpuNative executor of the CSR variant and the baseline the layout
 /// comparison measures in wall-clock time (see bench/micro_traversal).
-std::vector<std::uint8_t> classify_csr(const CsrForest& csr, const Dataset& queries);
+std::vector<std::uint8_t> classify_csr(const CsrForest& csr, QueryView queries);
 
 /// Rows that walk one tree in lock-step inside classify_hierarchical: up to
 /// this many independent node loads are in flight per thread.
@@ -34,6 +34,6 @@ inline constexpr std::size_t kInterleaveGroup = 16;
 /// Forest::vote_winner, so predictions are bit-identical to
 /// Forest::classify_batch.
 std::vector<std::uint8_t> classify_hierarchical(const HierarchicalForest& forest,
-                                                const Dataset& queries);
+                                                QueryView queries);
 
 }  // namespace hrf::cpu

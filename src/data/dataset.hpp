@@ -74,4 +74,33 @@ class Dataset {
   std::string name_ = "unnamed";
 };
 
+/// A non-owning, read-only run of query rows: a row-major feature pointer,
+/// a row count and a width. It is what inference reads, so a deadline
+/// chunk or a gathered batch is a row range, not a copied Dataset. The
+/// referenced features must outlive the view.
+class QueryView {
+ public:
+  QueryView(const float* features, std::size_t num_samples, std::size_t num_features)
+      : features_(features), num_samples_(num_samples), num_features_(num_features) {}
+  /// Every row of `d` (implicit, so a Dataset goes wherever a view does).
+  QueryView(const Dataset& d)
+      : QueryView(d.features().data(), d.num_samples(), d.num_features()) {}
+
+  std::size_t num_samples() const { return num_samples_; }
+  std::size_t num_features() const { return num_features_; }
+  std::span<const float> features() const { return {features_, num_samples_ * num_features_}; }
+  std::span<const float> sample(std::size_t i) const {
+    return {features_ + i * num_features_, num_features_};
+  }
+  /// Rows [lo, hi) of this view (lo <= hi <= num_samples()).
+  QueryView rows(std::size_t lo, std::size_t hi) const {
+    return {features_ + lo * num_features_, hi - lo, num_features_};
+  }
+
+ private:
+  const float* features_ = nullptr;
+  std::size_t num_samples_ = 0;
+  std::size_t num_features_ = 0;
+};
+
 }  // namespace hrf

@@ -23,14 +23,14 @@ constexpr double kOnChipII = 3.0;
 constexpr double kPipelineDepth = 60.0;
 
 /// Burst reads needed to stream all query rows into BRAM once.
-std::uint64_t query_burst_accesses(const Dataset& queries, const fpgasim::FpgaConfig& cfg) {
+std::uint64_t query_burst_accesses(QueryView queries, const fpgasim::FpgaConfig& cfg) {
   const std::uint64_t row_bytes = queries.num_features() * sizeof(float);
   return queries.num_samples() * ceil_div(row_bytes, cfg.burst_bytes);
 }
 
 }  // namespace
 
-FpgaResult run_csr_fpga(const CsrForest& csr, const Dataset& queries,
+FpgaResult run_csr_fpga(const CsrForest& csr, QueryView queries,
                         const fpgasim::FpgaConfig& cfg, const fpgasim::CuLayout& layout) {
   require(csr.num_features() == queries.num_features(), "query width != forest features");
   const std::size_t nq = queries.num_samples();
@@ -73,7 +73,7 @@ FpgaResult run_csr_fpga(const CsrForest& csr, const Dataset& queries,
   return out;
 }
 
-FpgaResult run_independent_fpga(const HierarchicalForest& forest, const Dataset& queries,
+FpgaResult run_independent_fpga(const HierarchicalForest& forest, QueryView queries,
                                 const fpgasim::FpgaConfig& cfg, const fpgasim::CuLayout& layout,
                                 bool buffer_queries) {
   TraversalCounts counts = count_traversal(forest, queries);
@@ -96,7 +96,7 @@ FpgaResult run_independent_fpga(const HierarchicalForest& forest, const Dataset&
   return out;
 }
 
-FpgaResult run_collaborative_fpga(const HierarchicalForest& forest, const Dataset& queries,
+FpgaResult run_collaborative_fpga(const HierarchicalForest& forest, QueryView queries,
                                   const fpgasim::FpgaConfig& cfg,
                                   const fpgasim::CuLayout& layout) {
   // The largest subtree must fit in on-chip memory next to the pipeline.
@@ -136,7 +136,7 @@ FpgaResult run_collaborative_fpga(const HierarchicalForest& forest, const Datase
   return out;
 }
 
-FpgaResult run_hybrid_fpga(const HierarchicalForest& forest, const Dataset& queries,
+FpgaResult run_hybrid_fpga(const HierarchicalForest& forest, QueryView queries,
                            const fpgasim::FpgaConfig& cfg, const fpgasim::CuLayout& layout,
                            bool split_stage1) {
   fault_point("resource:fpga-bram");

@@ -7,7 +7,7 @@
 
 namespace hrf::fpgakernels {
 
-TraversalCounts count_traversal(const HierarchicalForest& forest, const Dataset& queries) {
+TraversalCounts count_traversal(const HierarchicalForest& forest, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const std::size_t nq = queries.num_samples();
   const std::size_t nt = forest.num_trees();

@@ -26,6 +26,6 @@ struct TraversalCounts {
 };
 
 /// Runs the instrumented traversal (OpenMP-parallel over queries).
-TraversalCounts count_traversal(const HierarchicalForest& forest, const Dataset& queries);
+TraversalCounts count_traversal(const HierarchicalForest& forest, QueryView queries);
 
 }  // namespace hrf::fpgakernels

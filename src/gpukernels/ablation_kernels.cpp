@@ -17,7 +17,7 @@ KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest
 KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
                                 const DeviceImage& image, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
-  const detail::QueryView q(device, queries);
+  const detail::DeviceQueries q(device, queries);
   const detail::DeviceSubtrees subtrees(device, forest, image);
 
   const auto& cfg = device.config();

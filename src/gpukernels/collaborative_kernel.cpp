@@ -18,15 +18,15 @@ constexpr std::uint32_t kDone = 0xffffffffu;
 /// work on deep levels — the paper measures a 10-20x slowdown vs. the
 /// independent variant, which this model reproduces.
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
-                               const Dataset& queries) {
+                               QueryView queries) {
   return run_collaborative(device, forest, DeviceImage(forest), queries);
 }
 
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
-                               const DeviceImage& image, const Dataset& queries) {
+                               const DeviceImage& image, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const auto& cfg = device.config();
-  const detail::QueryView q(device, queries);
+  const detail::DeviceQueries q(device, queries);
   const std::span<const PackedNode> packed = detail::image_nodes(forest, image);
   const gpusim::DeviceArray<PackedNode> nodes(device, packed);
   const gpusim::DeviceArray<std::int32_t> connection(device, forest.subtree_connection());

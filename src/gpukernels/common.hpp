@@ -20,18 +20,18 @@ namespace hrf::gpukernels::detail {
 
 inline constexpr int kWarpSize = 32;
 
-/// Query matrix mirrored on the device (row-major, as the paper stores it).
-struct QueryView {
-  const Dataset* data;
+/// Query rows mirrored on the device (row-major, as the paper stores it).
+struct DeviceQueries {
+  QueryView host;
   gpusim::DeviceArray<float> features;
 
-  QueryView(gpusim::Device& device, const Dataset& queries)
-      : data(&queries), features(device, queries.features()) {
+  DeviceQueries(gpusim::Device& device, QueryView queries)
+      : host(queries), features(device, queries.features()) {
     require(queries.num_samples() > 0, "no queries to classify");
   }
 
-  std::size_t count() const { return data->num_samples(); }
-  std::size_t width() const { return data->num_features(); }
+  std::size_t count() const { return host.num_samples(); }
+  std::size_t width() const { return host.num_features(); }
   float value(std::size_t q, std::size_t f) const { return features[q * width() + f]; }
   std::uint64_t addr(std::size_t q, std::size_t f) const {
     return features.addr(q * width() + f);
@@ -108,7 +108,7 @@ struct DeviceSubtrees {
 /// next subtree, i.e. once every SD levels.
 class SubtreeWalk {
  public:
-  SubtreeWalk(gpusim::Device& device, const DeviceSubtrees& st, const QueryView& q,
+  SubtreeWalk(gpusim::Device& device, const DeviceSubtrees& st, const DeviceQueries& q,
               std::vector<std::uint32_t>& votes, std::size_t num_classes)
       : device_(device), st_(st), q_(q), votes_(votes), k_(num_classes) {}
 
@@ -200,7 +200,7 @@ class SubtreeWalk {
  private:
   gpusim::Device& device_;
   const DeviceSubtrees& st_;
-  const QueryView& q_;
+  const DeviceQueries& q_;
   std::vector<std::uint32_t>& votes_;
   std::size_t k_;
   // Per lane: node offset of its subtree, position in it, first node of

@@ -11,9 +11,9 @@ using detail::kWarpSize;
 /// two of which are the indirect topology accesses the hierarchical layout
 /// eliminates. Warps reconverge at the end of each tree's while-loop, so a
 /// warp pays the longest lane path per tree (lock-step divergence).
-KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, const Dataset& queries) {
+KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView queries) {
   require(csr.num_features() == queries.num_features(), "query width != forest features");
-  const detail::QueryView q(device, queries);
+  const detail::DeviceQueries q(device, queries);
   const gpusim::DeviceArray<std::int32_t> feature_id(device, csr.feature_id());
   const gpusim::DeviceArray<float> value(device, csr.value());
   const gpusim::DeviceArray<std::int32_t> children_arr(device, csr.children_arr());

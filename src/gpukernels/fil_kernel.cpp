@@ -11,18 +11,18 @@ using detail::kWarpSize;
 /// this is what makes FIL ~4-5x faster than CSR, and what larger-SD
 /// hierarchical layouts beat by adding shared-memory residency.
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
-                              const Dataset& queries) {
+                              QueryView queries) {
   return run_fil_baseline(device, forest, DeviceImage(forest), queries);
 }
 
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
-                              const DeviceImage& image, const Dataset& queries) {
+                              const DeviceImage& image, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   require(image.fil_tree_offset().size() == forest.tree_count() + 1,
           "device image was not prepared from this forest");
   const std::span<const FilNode> fil_nodes = image.fil_nodes();
   const std::span<const std::uint32_t> fil_tree_offset = image.fil_tree_offset();
-  const detail::QueryView q(device, queries);
+  const detail::DeviceQueries q(device, queries);
   const gpusim::DeviceArray<FilNode> nodes(device, fil_nodes);
   const gpusim::DeviceArray<std::uint32_t> tree_offset(device, fil_tree_offset);
 

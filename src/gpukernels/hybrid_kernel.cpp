@@ -17,12 +17,12 @@ using detail::kWarpSize;
 /// subtree must fit in shared memory: (2^RSD - 1) * 8 B <= 48 KB, i.e.
 /// RSD <= 12 on the TITAN Xp — which is why Table 2 stops at RSD 12.
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
-                        const Dataset& queries) {
+                        QueryView queries) {
   return run_hybrid(device, forest, DeviceImage(forest), queries);
 }
 
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
-                        const DeviceImage& image, const Dataset& queries) {
+                        const DeviceImage& image, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const auto& cfg = device.config();
 
@@ -36,7 +36,7 @@ KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest
                         std::to_string(cfg.shared_mem_per_block) + " B); reduce RSD");
   }
 
-  const detail::QueryView q(device, queries);
+  const detail::DeviceQueries q(device, queries);
   const detail::DeviceSubtrees subtrees(device, forest, image);
   const std::span<const PackedNode> packed = subtrees.packed;
 

@@ -7,14 +7,14 @@ namespace hrf::gpukernels {
 /// thread per query; all subtree data stays in global memory
 /// (detail::SubtreeWalk).
 KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
-                             const Dataset& queries) {
+                             QueryView queries) {
   return run_independent(device, forest, DeviceImage(forest), queries);
 }
 
 KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
-                             const DeviceImage& image, const Dataset& queries) {
+                             const DeviceImage& image, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
-  const detail::QueryView q(device, queries);
+  const detail::DeviceQueries q(device, queries);
   const detail::DeviceSubtrees subtrees(device, forest, image);
 
   const auto k = static_cast<std::size_t>(forest.num_classes());

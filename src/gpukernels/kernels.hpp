@@ -29,41 +29,41 @@ struct KernelResult {
 
 /// Baseline: one thread per query, CSR topology in global memory
 /// (paper §2.3). Four dependent global loads per traversal step.
-KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, const Dataset& queries);
+KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView queries);
 
 /// Independent code variant on the hierarchical layout (§3.2): one thread
 /// per query, subtrees read from global memory, arithmetic child indexing
 /// inside subtrees.
 KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
-                             const Dataset& queries);
+                             QueryView queries);
 KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
-                             const DeviceImage& image, const Dataset& queries);
+                             const DeviceImage& image, QueryView queries);
 
 /// Collaborative code variant (§3.2): subtrees are batch-loaded into
 /// shared memory and *every* query is walked through *every* subtree in
 /// lock-step. Kept for completeness — the paper reports it 10-20x slower
 /// than the independent variant on GPU.
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
-                               const Dataset& queries);
+                               QueryView queries);
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
-                               const DeviceImage& image, const Dataset& queries);
+                               const DeviceImage& image, QueryView queries);
 
 /// Hybrid code variant (§3.2): each tree's root subtree is cooperatively
 /// staged into shared memory (stage 1, coalesced + divergence-free
 /// residency), remaining subtrees are traversed independently from global
 /// memory (stage 2).
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
-                        const Dataset& queries);
+                        QueryView queries);
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
-                        const DeviceImage& image, const Dataset& queries);
+                        const DeviceImage& image, QueryView queries);
 
 /// cuML Forest Inference Library stand-in: per-tree nodes packed as
 /// 16-byte structs with adjacent children (FIL's sparse storage), one
 /// query per thread iterating over all trees. One global load per
 /// traversal step. Serves as the paper's cuML comparison point.
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
-                              const Dataset& queries);
+                              QueryView queries);
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
-                              const DeviceImage& image, const Dataset& queries);
+                              const DeviceImage& image, QueryView queries);
 
 }  // namespace hrf::gpukernels

@@ -600,23 +600,24 @@ void ForestServer::run_dispatch(std::size_t w, std::vector<Request> live, Counte
   // pointer, but these members run start to finish on the model grabbed
   // here.
   const std::shared_ptr<const WorkerModel> m = model_for(w);
-  Dataset gathered;
+  // A batch executes as one contiguous feature span: each member's rows
+  // are appended once; labels never travel.
+  QueryView rows = live.front().queries;
+  std::vector<float> gathered;
   if (live.size() > 1) {
-    std::size_t rows = 0;
-    for (const Request& req : live) rows += req.queries.num_samples();
-    const Dataset& first = live.front().queries;
-    gathered = Dataset(rows, first.num_features(), first.num_classes());
+    std::size_t n = 0;
+    for (const Request& req : live) n += req.queries.num_samples();
+    gathered.reserve(n * rows.num_features());
     for (Request& req : live) {
-      for (std::size_t i = 0; i < req.queries.num_samples(); ++i) {
-        gathered.push_back(req.queries.sample(i), req.queries.label(i));
-      }
+      const std::span<const float> features = req.queries.features();
+      gathered.insert(gathered.end(), features.begin(), features.end());
       if (req.span.active()) {
         req.span.set_attr("batch_members", static_cast<std::uint64_t>(live.size()));
-        req.span.set_attr("batch_rows", static_cast<std::uint64_t>(rows));
+        req.span.set_attr("batch_rows", static_cast<std::uint64_t>(n));
       }
     }
+    rows = QueryView(gathered.data(), n, rows.num_features());
   }
-  const Dataset& rows = live.size() == 1 ? live.front().queries : gathered;
 
   // The first member's trace hosts the execution spans; every member's
   // own root span still records the batch shape and outcome.
@@ -656,7 +657,7 @@ void ForestServer::run_dispatch(std::size_t w, std::vector<Request> live, Counte
   settle(live, delta, error ? nullptr : &served, error);
 }
 
-ServeResult ForestServer::run_chain(std::size_t w, const WorkerModel& m, const Dataset& rows,
+ServeResult ForestServer::run_chain(std::size_t w, const WorkerModel& m, QueryView rows,
                                     const std::vector<Request>& members,
                                     const trace::Span& span, CounterDeltas& delta,
                                     bool rescue) {
@@ -766,15 +767,15 @@ ServeResult ForestServer::run_chain(std::size_t w, const WorkerModel& m, const D
   return out;
 }
 
-RunReport ForestServer::classify_members(const PlanStep& step, const Dataset& rows,
+RunReport ForestServer::classify_members(const PlanStep& step, QueryView rows,
                                          const std::vector<Request>& members,
                                          const trace::Span& span) const {
   // Cancellation policy: a run may only be cancelled when every member
   // carries a deadline, and then at the *loosest* of them — at that
   // instant every member is past its own deadline, so failing the whole
   // dispatch strands nobody who still had budget. One deadline-less member
-  // pins the run to one classify() call (its batchmates shed at dispatch
-  // or simply receive their answer late, same as a slow single request).
+  // pins the run to one chunk (its batchmates shed at dispatch or simply
+  // receive their answer late, same as a slow single request).
   std::optional<TimePoint> loosest;
   for (const Request& req : members) {
     if (!req.has_deadline) {
@@ -783,34 +784,52 @@ RunReport ForestServer::classify_members(const PlanStep& step, const Dataset& ro
     }
     loosest = std::max(loosest.value_or(req.deadline), req.deadline);
   }
-  RunReport r;
-  if (!loosest) {
-    r = step.classifier->classify(rows, step.variant);
-  } else {
-    // Time-boxed execution: chunked, cancel polled between chunks, so an
-    // expired dispatch stops burning the backend after at most one chunk.
-    const TimePoint deadline = *loosest;
-    Classifier::StreamReport s = step.classifier->classify_stream(
-        rows, options_.deadline_chunk_size,
-        [deadline] { return SteadyClock::now() >= deadline; }, span, step.variant);
-    if (!s.completed) {
-      throw DeadlineError("deadline expired during execution (" +
-                          std::to_string(s.predictions.size()) + " of " +
-                          std::to_string(rows.num_samples()) + " queries done)");
+  // Time-boxed execution runs in chunks, cancel polled between them, so an
+  // expired dispatch stops burning the backend after at most one chunk.
+  const std::size_t n = rows.num_samples();
+  const std::size_t chunk = loosest ? options_.deadline_chunk_size : n;
+  const std::size_t chunks = loosest ? n / chunk + (n % chunk != 0) : 1;
+  RunReport out;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t lo = c * chunk;
+    const std::size_t hi = std::min(lo + chunk, n);
+    if (loosest && SteadyClock::now() >= *loosest) {
+      throw DeadlineError("deadline expired during execution (" + std::to_string(lo) + " of " +
+                          std::to_string(n) + " queries done)");
     }
-    if (span.active()) span.set_attr("chunks", static_cast<std::uint64_t>(s.chunks));
-    r.predictions = std::move(s.predictions);
-    r.seconds = s.total_seconds;
-    r.simulated = s.simulated;
-    r.latency = std::move(s.chunk_latency);
-    r.gpu_counters = std::move(s.gpu_counters);
-    r.fpga_report = std::move(s.fpga_report);
+    trace::Span chunk_span = loosest ? span.child("chunk-" + std::to_string(c)) : trace::Span{};
+    RunReport r = step.classifier->classify(rows.rows(lo, hi), step.variant);
+    if (chunk_span.active()) {
+      chunk_span.set_attr("queries", static_cast<std::uint64_t>(hi - lo));
+      chunk_span.set_attr("seconds", r.seconds);
+      set_backend_span_attrs(chunk_span, r);
+    }
+    if (c == 0) {
+      out = std::move(r);  // a one-chunk run is that chunk's report, whole
+      continue;
+    }
+    // Later chunks fold in: counters and cycles sum; the FPGA report keeps
+    // the first chunk's descriptive fields (clock, II, limiter). Per-launch
+    // device timing does not sum, so a multi-chunk run carries none.
+    out.predictions.insert(out.predictions.end(), r.predictions.begin(), r.predictions.end());
+    out.seconds += r.seconds;
+    out.gpu_timing.reset();
+    if (r.gpu_counters) *out.gpu_counters += *r.gpu_counters;
+    if (r.fpga_report) {
+      fpgasim::FpgaReport& f = *out.fpga_report;
+      f.seconds += r.fpga_report->seconds;
+      f.pipeline_cycles += r.fpga_report->pipeline_cycles;
+      f.total_cycles += r.fpga_report->total_cycles;
+      f.stall_pct =
+          f.total_cycles > 0.0 ? 100.0 * (1.0 - f.pipeline_cycles / f.total_cycles) : 0.0;
+    }
   }
   if (span.active()) {
-    span.set_attr("seconds", r.seconds);
-    set_backend_span_attrs(span, r);
+    if (loosest) span.set_attr("chunks", static_cast<std::uint64_t>(chunks));
+    span.set_attr("seconds", out.seconds);
+    set_backend_span_attrs(span, out);
   }
-  return r;
+  return out;
 }
 
 void ForestServer::settle(std::span<Request> members, CounterDeltas& delta, ServeResult* served,
@@ -879,7 +898,7 @@ bool ForestServer::install_model_if(std::size_t w,
   return true;
 }
 
-void ForestServer::maybe_audit(std::size_t w, const WorkerModel& m, const Dataset& rows,
+void ForestServer::maybe_audit(std::size_t w, const WorkerModel& m, QueryView rows,
                                std::size_t requests, RunReport& report, CounterDeltas& delta) {
   const std::size_t every = options_.integrity.audit_sample_every;
   if (every == 0) return;

@@ -431,15 +431,17 @@ class ForestServer {
   /// per step; an open breaker (or a rescue) jumps to the CPU step. A
   /// backoff nap that would outlive the tightest member deadline ends the
   /// retries. Throws DeadlineError on cancel.
-  ServeResult run_chain(std::size_t w, const WorkerModel& m, const Dataset& rows,
+  ServeResult run_chain(std::size_t w, const WorkerModel& m, QueryView rows,
                         const std::vector<Request>& members, const trace::Span& span,
                         CounterDeltas& delta, bool rescue);
-  /// One classify of `rows` on `step`: chunked and cancellable at the
-  /// *loosest* member deadline when every member carries one (cancelling
-  /// then strands no member that still had budget; DeadlineError), one
-  /// classify() call otherwise. Chunk child spans hang off `span`; backend
-  /// counter attributes are stamped onto it.
-  RunReport classify_members(const PlanStep& step, const Dataset& rows,
+  /// Runs `rows` on `step` in one loop over row-range chunks: chunks of
+  /// deadline_chunk_size, cancellable between chunks at the *loosest*
+  /// member deadline, when every member carries one (cancelling then
+  /// strands no member that still had budget; DeadlineError); one chunk of
+  /// every row otherwise. A one-chunk run returns that chunk's report
+  /// unchanged. Chunk child spans hang off `span`; backend counter
+  /// attributes are stamped onto it.
+  RunReport classify_members(const PlanStep& step, QueryView rows,
                              const std::vector<Request>& members, const trace::Span& span) const;
   /// Settles every member of one dispatch: counters first (one add_batch,
   /// so a woken client reads them), then per member its histograms, root
@@ -488,7 +490,7 @@ class ForestServer {
   /// compared. On divergence the oracle's predictions are served (with a
   /// degradation note) and K consecutive mismatches flag the replica for
   /// quarantine-and-rebuild.
-  void maybe_audit(std::size_t w, const WorkerModel& m, const Dataset& rows,
+  void maybe_audit(std::size_t w, const WorkerModel& m, QueryView rows,
                    std::size_t requests, RunReport& report, CounterDeltas& delta);
   /// The shared monitor thread: corrupt:replica injection, watchdog
   /// scans, audit-requested repairs, and timed scrub passes.

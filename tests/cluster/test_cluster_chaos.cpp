@@ -3,8 +3,8 @@
 // (the wave must halt and roll the promoted prefix back) and a network
 // partition that later heals — while concurrent clients keep scoring.
 // Each chaos phase must keep aggregate success >= 99% and its
-// client-observed p95 within 2x the healthy baseline measured on the
-// same fleet, and the final fleet snapshot must still pass the metrics
+// client-observed p95 within 2x the healthy p95 measured on the same
+// fleet right before and right after it, and the final fleet snapshot must still pass the metrics
 // schema gate. Labeled "chaos" (ctest -L chaos; also run under TSan by
 // tools/check.sh --cluster-chaos) — wall-clock heavy, so not tier1.
 
@@ -484,13 +484,26 @@ TEST(ClusterChaos, DegradedModeStaysWithinSlo) {
   const std::uint64_t gen2 =
       store.publish(forest, HierarchicalForest::build(forest, cfg), "gen2");
 
+  // Each degraded phase is bracketed by healthy phases on the same fleet,
+  // right before and right after it, and held to 2x the larger of the two:
+  // a slow stretch of host time that spans the phase shows in its own
+  // reference, not only in the phase. The reference is floored so a
+  // sub-millisecond baseline (possible when the host is idle) doesn't
+  // turn scheduler jitter into a false SLO breach.
+  const auto healthy_phase = [&](std::uint64_t key_base) {
+    const PhaseScore healthy = drive(router, queries, 80, 4, key_base);
+    EXPECT_EQ(healthy.failed, 0u);
+    EXPECT_GT(healthy.p95_seconds, 0.0);
+    return healthy;
+  };
+  const auto p95_limit = [](const PhaseScore& before, const PhaseScore& after) {
+    return 2.0 * std::max({before.p95_seconds, after.p95_seconds, 1e-3});
+  };
+
   // --- healthy baseline --------------------------------------------------
-  const PhaseScore healthy = drive(router, queries, 80, 4, 0);
+  const PhaseScore healthy = healthy_phase(0);
   ASSERT_EQ(healthy.failed, 0u);
   ASSERT_GT(healthy.p95_seconds, 0.0);
-  // Floor the reference so a sub-millisecond baseline (possible when the
-  // host is idle) doesn't turn scheduler jitter into a false SLO breach.
-  const double p95_limit = 2.0 * std::max(healthy.p95_seconds, 1e-3);
 
   // --- scenario 1: shard killed mid-rolling-reload -----------------------
   RollingReloadOptions wave;
@@ -519,8 +532,12 @@ TEST(ClusterChaos, DegradedModeStaysWithinSlo) {
       << rep->to_string();
   for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(router.shard(s).generation(), 1u);
   EXPECT_GE(killed.success_rate(), 0.99) << "ok=" << killed.ok << " failed=" << killed.failed;
-  EXPECT_LE(killed.p95_seconds, p95_limit)
-      << "healthy p95 " << healthy.p95_seconds << "s";
+  // Healthy again between the scenarios: the wave is over and the dead
+  // shard's breaker routes around it.
+  const PhaseScore between = healthy_phase(30'000);
+  EXPECT_LE(killed.p95_seconds, p95_limit(healthy, between))
+      << "healthy p95 " << healthy.p95_seconds << "s before, " << between.p95_seconds
+      << "s after";
 
   // --- scenario 2: partition one shard, heal mid-run ---------------------
   router.set_partitioned(1, true);
@@ -532,8 +549,6 @@ TEST(ClusterChaos, DegradedModeStaysWithinSlo) {
   healer.join();
   EXPECT_GE(partitioned.success_rate(), 0.99)
       << "ok=" << partitioned.ok << " failed=" << partitioned.failed;
-  EXPECT_LE(partitioned.p95_seconds, p95_limit)
-      << "healthy p95 " << healthy.p95_seconds << "s";
 
   // The healed shard rejoins: the probe loop closes its breaker.
   WallTimer t;
@@ -541,6 +556,10 @@ TEST(ClusterChaos, DegradedModeStaysWithinSlo) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(router.shard_breaker_state(1), serve::CircuitState::Closed);
+  const PhaseScore after = healthy_phase(40'000);
+  EXPECT_LE(partitioned.p95_seconds, p95_limit(between, after))
+      << "healthy p95 " << between.p95_seconds << "s before, " << after.p95_seconds
+      << "s after";
 
   // --- the whole story is exported, schema-clean -------------------------
   const obs::MetricsSnapshot snap = router.metrics_snapshot();

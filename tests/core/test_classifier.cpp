@@ -53,6 +53,35 @@ TEST_P(BackendVariantMatrix, ValidCombosMatchReferencePredictions) {
   EXPECT_EQ(r.fpga_report.has_value(), backend == Backend::FpgaSim);
 }
 
+// A row range of a larger matrix classifies exactly like a copy of those
+// rows: the kernels read only the view's rows, and on gpu-sim the query
+// matrix lands at the same modeled device addresses, so counters and
+// timing are bit-identical too.
+TEST_P(BackendVariantMatrix, RowRangeViewsMatchCopiedRows) {
+  const auto [backend, variant] = GetParam();
+  const Dataset q = make_random_queries(300, 7, 12);
+  ClassifierOptions opt;
+  opt.backend = backend;
+  opt.variant = variant;
+  opt.layout.subtree_depth = 4;
+  opt.gpu = small_gpu();
+  const Classifier clf(small_forest(), opt);
+  for (const auto [lo, hi] : {std::pair<std::size_t, std::size_t>{37, 101}, {150, 151},
+                              {299, 300}, {200, 300}}) {
+    SCOPED_TRACE("rows [" + std::to_string(lo) + ", " + std::to_string(hi) + ")");
+    Dataset copy(hi - lo, q.num_features(), q.num_classes());
+    for (std::size_t i = lo; i < hi; ++i) copy.push_back(q.sample(i), q.label(i));
+    const RunReport viewed = clf.classify(QueryView(q).rows(lo, hi));
+    const RunReport copied = clf.classify(copy);
+    EXPECT_EQ(viewed.predictions, copied.predictions);
+    ASSERT_EQ(viewed.predictions.size(), hi - lo);
+    if (backend == Backend::CpuNative) continue;
+    EXPECT_EQ(viewed.seconds, copied.seconds);
+    EXPECT_EQ(viewed.gpu_counters, copied.gpu_counters);
+    EXPECT_EQ(viewed.gpu_timing, copied.gpu_timing);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ValidCombos, BackendVariantMatrix,
     testing::Values(std::tuple{Backend::CpuNative, Variant::Csr},
@@ -229,45 +258,6 @@ TEST(RunReport, AccuracyValidatesShape) {
   EXPECT_NEAR(r.accuracy(labels), 2.0 / 3.0, 1e-12);
   const std::vector<std::uint8_t> wrong(2);
   EXPECT_THROW(r.accuracy(wrong), ConfigError);
-}
-
-TEST(Classifier, StreamMatchesBatchPredictions) {
-  const Forest f = small_forest();
-  const Dataset q = make_random_queries(777, 7, 6);
-  ClassifierOptions opt;
-  opt.backend = Backend::GpuSim;
-  opt.variant = Variant::Independent;
-  opt.layout.subtree_depth = 4;
-  opt.gpu = small_gpu();
-  const Classifier clf(small_forest(), opt);
-  const RunReport batch = clf.classify(q);
-  const auto stream = clf.classify_stream(q, 100);
-  EXPECT_EQ(stream.predictions, batch.predictions);
-  EXPECT_EQ(stream.chunks, 8u);  // ceil(777/100)
-  EXPECT_GE(stream.total_seconds, stream.max_chunk_seconds);
-  EXPECT_TRUE(stream.simulated);
-}
-
-TEST(Classifier, StreamValidatesChunkSize) {
-  ClassifierOptions opt;
-  opt.backend = Backend::CpuNative;
-  opt.variant = Variant::Csr;
-  const Classifier clf(small_forest(), opt);
-  const Dataset q = make_random_queries(10, 7, 7);
-  EXPECT_THROW(clf.classify_stream(q, 0), ConfigError);
-}
-
-TEST(Classifier, StreamSingleChunkEqualsBatch) {
-  const Forest f = small_forest();
-  const Dataset q = make_random_queries(50, 7, 8);
-  ClassifierOptions opt;
-  opt.backend = Backend::CpuNative;
-  opt.variant = Variant::Independent;
-  opt.layout.subtree_depth = 4;
-  const Classifier clf(small_forest(), opt);
-  const auto stream = clf.classify_stream(q, 1000);
-  EXPECT_EQ(stream.chunks, 1u);
-  EXPECT_EQ(stream.predictions, clf.classify(q).predictions);
 }
 
 TEST(Classifier, RejectsFeatureCountMismatch) {

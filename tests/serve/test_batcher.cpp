@@ -234,14 +234,24 @@ TEST_F(BatchedServerTest, LoneRequestFlushesByDeadlineAndStillServes) {
 }
 
 // One execution rule for every dispatch size, the one a lone request
-// follows: a batch with a deadline-free member is one classify() call
-// (device timing, no chunk histogram); a batch whose members all carry a
-// deadline runs chunked and cancellable (chunk histogram, no timing).
+// follows: a batch runs as row-range chunks of its gathered rows, chunked
+// (and cancellable) only when every member carries a deadline. The report's
+// shape follows the chunk count: a one-chunk run, time-boxed or not, is
+// that launch's report (device timing included); a multi-chunk run sums
+// the counters and carries no single launch's timing.
 TEST_F(BatchedServerTest, EveryDispatchSizeFollowsOneExecutionRule) {
-  for (const double deadline_seconds : {0.0, 30.0}) {
+  struct Case {
+    double deadline_seconds;
+    std::size_t chunk_size;
+    std::size_t chunks;  // of the 4 x 12 = 48 gathered rows
+  };
+  for (const Case c : {Case{0.0, 16, 1}, Case{30.0, 256, 1}, Case{30.0, 16, 3}}) {
+    SCOPED_TRACE(std::to_string(c.deadline_seconds) + "s, chunk " +
+                 std::to_string(c.chunk_size));
     ServerOptions sopt = batched_server(1, 8);
     sopt.start_paused = true;
-    sopt.default_deadline_seconds = deadline_seconds;
+    sopt.default_deadline_seconds = c.deadline_seconds;
+    sopt.deadline_chunk_size = c.chunk_size;
     ForestServer server(forest_, gpu_hybrid_options(), sopt);
     std::vector<std::future<ServeResult>> futures;
     for (int i = 0; i < 4; ++i) futures.push_back(server.submit(queries_));
@@ -249,10 +259,10 @@ TEST_F(BatchedServerTest, EveryDispatchSizeFollowsOneExecutionRule) {
     for (std::future<ServeResult>& f : futures) {
       const ServeResult res = f.get();
       EXPECT_EQ(res.report.predictions, reference_);
-      EXPECT_EQ(res.report.gpu_timing.has_value(), deadline_seconds == 0.0);
-      EXPECT_EQ(res.report.latency.has_value(), deadline_seconds > 0.0);
+      EXPECT_TRUE(res.report.gpu_counters.has_value());
+      EXPECT_EQ(res.report.gpu_timing.has_value(), c.chunks == 1);
     }
-    EXPECT_EQ(server.counters().value("requests.batched"), 4u) << deadline_seconds;
+    EXPECT_EQ(server.counters().value("requests.batched"), 4u);
     server.shutdown();
   }
 }

@@ -236,8 +236,23 @@ TEST_F(Degradation, ClassifierPropagatesResourceError) {
   const Classifier clf(small_forest(), base_options(Backend::GpuSim, Variant::Hybrid));
   EXPECT_THROW(clf.classify(queries_), ResourceError);
   EXPECT_EQ(inj.fired("resource:gpu"), before + 1);
-  EXPECT_THROW(clf.classify_stream(queries_, 64), ResourceError);
-  EXPECT_EQ(inj.fired("resource:gpu"), before + 2);
+
+  // A time-boxed request runs in chunks (250 rows / 64 = 4), but a fault
+  // ends its attempt at the first chunk: the device is brought up once
+  // per attempt, exactly as for a one-shot request. Either way the path is
+  // 2 hybrid attempts + 1 independent attempt, then the CPU rung.
+  serve::ServerOptions chunked = one_worker();
+  chunked.deadline_chunk_size = 64;
+  for (const double deadline_seconds : {0.0, 30.0}) {
+    SCOPED_TRACE(deadline_seconds);
+    serve::ForestServer server(small_forest(), base_options(Backend::GpuSim, Variant::Hybrid),
+                               chunked);
+    const std::uint64_t fired = inj.fired("resource:gpu");
+    const serve::ServeResult r = server.submit(queries_, deadline_seconds).get();
+    EXPECT_EQ(r.report.predictions, reference_);
+    EXPECT_TRUE(r.via_fallback);
+    EXPECT_EQ(inj.fired("resource:gpu"), fired + 3);
+  }
 }
 
 TEST_F(Degradation, EveryPlanEndsOnASeparateCpuReplica) {
@@ -289,7 +304,8 @@ TEST_F(Degradation, VariantsTheLayoutDoesNotServeAreRejected) {
   EXPECT_EQ(hybrid.classify(queries_, Variant::Collaborative).predictions, reference_);
   const Classifier cpu(small_forest(), base_options(Backend::CpuNative, Variant::Independent));
   EXPECT_THROW(cpu.classify(queries_, Variant::Hybrid), ConfigError);
-  EXPECT_THROW(cpu.classify_stream(queries_, 64, {}, {}, Variant::Csr), ConfigError);
+  // A row range (a deadline chunk) is checked the same way.
+  EXPECT_THROW(cpu.classify(QueryView(queries_).rows(64, 128), Variant::Csr), ConfigError);
 }
 
 TEST_F(Degradation, CleanRunsReportNoDegradations) {

@@ -417,6 +417,67 @@ bool has_attr(const trace::SpanData& span, const std::string& key) {
   return false;
 }
 
+// A time-boxed request runs as deadline_chunk_size row ranges of one
+// batch; chunking changes scheduling only, never an answer.
+TEST_F(ForestServerTest, ChunkedRunMatchesOneShotPredictions) {
+  ClassifierOptions opt = gpu_hybrid_options();
+  opt.variant = Variant::Independent;
+  const Dataset q = make_random_queries(777, 7, 6);
+  ServerOptions sopt = fast_server(1);
+  sopt.trace_sampling = 1.0;
+  sopt.deadline_chunk_size = 100;
+  ForestServer server(forest_, opt, sopt);
+  const ServeResult res = server.submit(q, /*deadline_seconds=*/30.0).get();
+  EXPECT_EQ(res.report.predictions, Classifier(forest_, opt).classify(q).predictions);
+  EXPECT_TRUE(res.report.simulated);
+  EXPECT_FALSE(res.report.gpu_timing.has_value());  // eight launches have no one timing
+  ASSERT_TRUE(res.report.gpu_counters.has_value());
+
+  // ceil(777 / 100) = 8 chunk spans, chunk-0 ... chunk-7, under the attempt.
+  const auto traces = server.tracer().traces();
+  ASSERT_EQ(traces.size(), 1u);
+  const trace::SpanData* attempt = find_span(*traces[0], "attempt-0");
+  ASSERT_NE(attempt, nullptr);
+  std::size_t chunks = 0;
+  for (const trace::SpanData& span : traces[0]->spans) {
+    if (!span.name.starts_with("chunk-")) continue;
+    EXPECT_EQ(span.name, "chunk-" + std::to_string(chunks));
+    EXPECT_EQ(span.parent_id, attempt->id);
+    for (const auto& [key, value] : span.attributes) {
+      if (key == "seconds") EXPECT_LE(std::stod(value), res.report.seconds);  // total >= any chunk
+    }
+    ++chunks;
+  }
+  EXPECT_EQ(chunks, 8u);
+  server.shutdown();
+}
+
+TEST_F(ForestServerTest, SingleChunkTimeBoxedRunEqualsOneShot) {
+  ClassifierOptions opt;
+  opt.backend = Backend::CpuNative;
+  opt.variant = Variant::Independent;
+  opt.layout.subtree_depth = 4;
+  const Dataset q = make_random_queries(50, 7, 8);
+  ServerOptions sopt = fast_server(1);
+  sopt.trace_sampling = 1.0;
+  sopt.deadline_chunk_size = 1000;
+  ForestServer server(forest_, opt, sopt);
+  const ServeResult res = server.submit(q, /*deadline_seconds=*/30.0).get();
+  EXPECT_EQ(res.report.predictions, Classifier(forest_, opt).classify(q).predictions);
+  EXPECT_FALSE(res.report.simulated);
+  const auto traces = server.tracer().traces();
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_NE(find_span(*traces[0], "chunk-0"), nullptr);
+  EXPECT_EQ(find_span(*traces[0], "chunk-1"), nullptr);
+  server.shutdown();
+}
+
+TEST_F(ForestServerTest, RejectsZeroDeadlineChunkSize) {
+  ServerOptions sopt = fast_server(1);
+  sopt.deadline_chunk_size = 0;
+  EXPECT_THROW(ForestServer server(forest_, gpu_hybrid_options(), sopt), ConfigError);
+}
+
 TEST_F(ForestServerTest, FullSamplingTracesTheWholeRequestPath) {
   ServerOptions sopt = fast_server(1);
   sopt.trace_sampling = 1.0;

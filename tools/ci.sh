@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Single-entry CI pipeline: builds the plain tree, then runs the tier-1
-# correctness gate, the metrics-schema gate, the incident-bundle schema
-# gate, the chaos matrix (ctest -L chaos plus the tools/chaos.sh CLI
-# harness), the simulator suites under ASan+UBSan, and the
-# ThreadSanitizer concurrency suites — and emits a
+# Single-entry CI pipeline: builds the plain tree and the perfbench tree,
+# then runs the tier-1 correctness gate, the metrics-schema gate, the
+# incident-bundle schema gate, the chaos matrix (ctest -L chaos plus the
+# tools/chaos.sh CLI harness), the simulator suites under ASan+UBSan, and
+# the ThreadSanitizer concurrency suites — and emits a
 # machine-readable JSON report with one pass/fail entry per step, so a
 # CI job can publish structured results instead of scraping logs.
 #
@@ -45,6 +45,18 @@ run_step() {  # run_step <name> <function>
 step_build() {
   cmake -B build -S . -DHRF_BUILD_BENCHES=OFF -DHRF_WERROR=ON &&
   cmake --build build -j "$JOBS"
+}
+
+# perfbench/ compiles the src/ tree on its own (perfbench/CMakeLists.txt),
+# so a src/ signature change can break the benchmark's build while the
+# main tree still builds. Configure and build it here, with its tests
+# when GTest is found, so such a break fails CI rather than a benchmark run.
+step_perfbench_build() {
+  cmake -B build-perfbench -S perfbench &&
+  cmake --build build-perfbench -j "$JOBS" --target perfbench || return
+  if cmake --build build-perfbench --target help | grep perfbench_tests > /dev/null; then
+    cmake --build build-perfbench -j "$JOBS" --target perfbench_tests
+  fi
 }
 
 step_tier1() {
@@ -122,6 +134,7 @@ step_tsan() {
 }
 
 run_step build step_build
+run_step perfbench-build step_perfbench_build
 run_step tier1 step_tier1
 run_step metrics-schema step_metrics_schema
 run_step incident-schema step_incident_schema
