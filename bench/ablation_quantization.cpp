@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const double n = static_cast<double>(eval.num_samples());
     table.row()
         .cell(paper::name(kind))
-        .cell(static_cast<double>(hier.feature_id().size() * 8) / 1e6, 1)
+        .cell(static_cast<double>(hier.nodes().size_bytes()) / 1e6, 1)
         .cell(static_cast<double>(quant.node_bytes()) / 1e6, 1)
         .cell(100.0 * agree, 2)
         .cell(100.0 * float_correct / n, 2)

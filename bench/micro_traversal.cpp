@@ -78,21 +78,20 @@ void BM_PointerForest(benchmark::State& state) {
 BENCHMARK(BM_PointerForest)->Unit(benchmark::kMillisecond);
 
 // Host cost of one simulated gpu-sim/hybrid launch as serving pays it: a
-// fresh device plus the kernel over a resident DeviceImage. The forest has
+// fresh device plus the kernel over the resident layout. The forest has
 // the perfbench shape (100 trees, depth 20, HIGGS width); rows per call
 // 32 (a small serving batch) and 1024 (an offline block).
 void BM_GpuSimHybrid(benchmark::State& state) {
   static const Forest forest = make_random_forest(
       {.num_trees = 100, .max_depth = 20, .branch_prob = 0.72, .num_features = 28, .seed = 5});
   static const HierarchicalForest hier = HierarchicalForest::build(forest, HierConfig{});
-  static const gpukernels::DeviceImage image(hier);
   const auto rows = static_cast<std::size_t>(state.range(0));
   const Dataset queries = make_random_queries(rows, 28, 6);
   std::chrono::nanoseconds host{0};
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
     gpusim::Device device(gpusim::DeviceConfig::titan_xp());
-    auto r = gpukernels::run_hybrid(device, hier, image, queries);
+    auto r = gpukernels::run_hybrid(device, hier, queries);
     benchmark::DoNotOptimize(r.predictions.data());
     host += std::chrono::steady_clock::now() - t0;
   }

@@ -59,12 +59,12 @@ Classifier::Classifier(Forest forest, ClassifierOptions options)
       csr_.emplace(CsrForest::build(forest_));
       break;
     case Variant::FilBaseline:
-      break;  // FIL's only layout is its device image
+      image_.emplace(forest_);  // FIL's only layout is its device image
+      break;
     default:
       hier_.emplace(HierarchicalForest::build(forest_, options_.layout));
       break;
   }
-  prepare_device_image();
 }
 
 Classifier::Classifier(Forest forest, CsrForest layout, ClassifierOptions options)
@@ -90,18 +90,6 @@ Classifier::Classifier(Forest forest, HierarchicalForest layout, ClassifierOptio
           "precompiled hierarchical layout does not match the forest's feature/class shape");
   options_.layout = layout.config();
   hier_.emplace(std::move(layout));
-  prepare_device_image();
-}
-
-void Classifier::prepare_device_image() {
-  if (options_.backend != Backend::GpuSim) return;
-  // Built in place: a packed temporary copied into the member would
-  // briefly hold the image twice.
-  if (options_.variant == Variant::FilBaseline) {
-    image_.emplace(forest_);
-  } else if (hier_) {
-    image_.emplace(*hier_);
-  }
 }
 
 Classifier Classifier::train(const Dataset& train, const TrainConfig& train_config,
@@ -195,13 +183,11 @@ RunReport Classifier::classify(QueryView queries, std::optional<Variant> request
       gpukernels::KernelResult k;
       switch (variant) {
         case Variant::Csr: k = gpukernels::run_csr(device, *csr_, queries); break;
-        case Variant::Independent:
-          k = gpukernels::run_independent(device, *hier_, *image_, queries);
-          break;
+        case Variant::Independent: k = gpukernels::run_independent(device, *hier_, queries); break;
         case Variant::Collaborative:
-          k = gpukernels::run_collaborative(device, *hier_, *image_, queries);
+          k = gpukernels::run_collaborative(device, *hier_, queries);
           break;
-        case Variant::Hybrid: k = gpukernels::run_hybrid(device, *hier_, *image_, queries); break;
+        case Variant::Hybrid: k = gpukernels::run_hybrid(device, *hier_, queries); break;
         case Variant::FilBaseline:
           k = gpukernels::run_fil_baseline(device, forest_, *image_, queries);
           break;

@@ -79,10 +79,10 @@ struct ClassifierOptions {
 };
 
 /// The library's front door: owns a trained forest plus the inference
-/// layout it was compiled into (and, on GpuSim, the device image the
-/// kernels read), validates query batches and executes them on the
-/// configured backend. It neither retries nor degrades: that is the
-/// degradation plan's job (core/degradation_plan.hpp).
+/// layout it was compiled into (the FIL baseline's is its device image),
+/// validates query batches and executes them on the configured backend.
+/// It neither retries nor degrades: that is the degradation plan's job
+/// (core/degradation_plan.hpp).
 ///
 ///   Forest f = train_forest(train_set, TrainConfig{});
 ///   Classifier clf(std::move(f), {.variant = Variant::Hybrid,
@@ -114,12 +114,12 @@ class Classifier {
 
   /// Classifies a query batch (a row range; a Dataset converts to its
   /// whole-rows view) as `variant` (default: the configured one):
-  /// another variant runs this classifier's own layout and device image
-  /// (a hierarchical layout serves every hierarchical variant its backend
-  /// has); one the layout does not serve throws ConfigError. Queries are
-  /// validated up front: a feature count differing from the model's, or
-  /// any NaN/Inf feature value, throws ConfigError before any traversal
-  /// runs. ResourceError from a simulated backend propagates.
+  /// another variant runs this classifier's own layout (a hierarchical
+  /// layout serves every hierarchical variant its backend has); one the
+  /// layout does not serve throws ConfigError. Queries are validated up
+  /// front: a feature count differing from the model's, or any NaN/Inf
+  /// feature value, throws ConfigError before any traversal runs.
+  /// ResourceError from a simulated backend propagates.
   RunReport classify(QueryView queries, std::optional<Variant> variant = {}) const;
 
   const Forest& forest() const { return forest_; }
@@ -128,10 +128,8 @@ class Classifier {
   /// for CSR/FIL variants).
   const HierarchicalForest& hierarchical() const;
   const CsrForest& csr() const;
-  /// The gpu-sim device image prepared at construction (the packed nodes
-  /// of the hierarchical layout, or the FIL baseline's node arrays), or
-  /// nullptr when the classifier has none: every CpuNative and FpgaSim
-  /// classifier, and the GpuSim CSR variant, whose kernel reads the CSR
+  /// The FIL baseline's device image, built at construction, or nullptr
+  /// for every other variant: their kernels read the CSR or hierarchical
   /// layout directly. Immutable; concurrent classify() calls share it.
   const gpukernels::DeviceImage* device_image() const {
     return image_ ? &*image_ : nullptr;
@@ -143,9 +141,6 @@ class Classifier {
   /// `variant` (default: the configured one) when this classifier's
   /// compiled layout serves it on its backend; ConfigError otherwise.
   Variant served_variant(std::optional<Variant> variant) const;
-  /// Prepares image_ for a GpuSim hierarchical or FIL classifier (called
-  /// once the layout is in place).
-  void prepare_device_image();
 
   Forest forest_;
   ClassifierOptions options_;

@@ -5,9 +5,8 @@
 namespace hrf {
 
 int max_fitting_rsd(const ClassifierOptions& options) {
-  // Both backends store 8-byte nodes on chip (PackedNode on the GPU,
-  // int32 feature + float value on the FPGA).
-  constexpr std::size_t kNodeBytes = 8;
+  // Both backends store the layout's 8-byte node records on chip.
+  constexpr std::size_t kNodeBytes = sizeof(PackedNode);
   std::size_t capacity = 0;
   if (options.backend == Backend::GpuSim) {
     capacity = options.gpu.shared_mem_per_block;

@@ -13,8 +13,7 @@ namespace {
 void vote_rows(const HierarchicalForest& forest, QueryView queries, std::size_t lo,
                std::size_t hi, std::uint32_t* votes) {
   constexpr std::size_t G = kInterleaveGroup;
-  const std::int32_t* fid = forest.feature_id().data();
-  const float* val = forest.value().data();
+  const PackedNode* nodes = forest.nodes().data();
   const std::int32_t* conn = forest.subtree_connection().data();
   const std::uint32_t* node_offset = forest.subtree_node_offsets().data();
   const std::uint8_t* depth = forest.subtree_depths().data();
@@ -44,10 +43,9 @@ void vote_rows(const HierarchicalForest& forest, QueryView queries, std::size_t 
     for (; live < G && next < hi; ++live) start(live, next++);
     while (live > 0) {
       for (std::size_t l = 0; l < live;) {
-        const std::uint32_t slot = offset[l] + p[l];
-        const std::int32_t f = fid[slot];
-        if (f == kLeafFeature) {
-          ++votes[row[l] * k + static_cast<std::uint8_t>(val[slot])];
+        const PackedNode n = nodes[offset[l] + p[l]];
+        if (n.feature == kLeafFeature) {
+          ++votes[row[l] * k + static_cast<std::uint8_t>(n.value)];
           if (next < hi) {  // the lane takes the next row, from the root
             start(l++, next++);
           } else {  // no rows left: swap-remove the lane
@@ -60,7 +58,8 @@ void vote_rows(const HierarchicalForest& forest, QueryView queries, std::size_t 
           }
           continue;
         }
-        const std::uint32_t right = !(x[row[l] * nf + static_cast<std::size_t>(f)] < val[slot]);
+        const std::uint32_t right =
+            !(x[row[l] * nf + static_cast<std::size_t>(n.feature)] < n.value);
         if (p[l] >= bottom_first[l]) {
           // Inner node on the bottom level: hop to the connected subtree.
           const auto st = static_cast<std::uint32_t>(

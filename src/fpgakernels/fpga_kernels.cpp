@@ -102,8 +102,7 @@ FpgaResult run_collaborative_fpga(const HierarchicalForest& forest, QueryView qu
   // The largest subtree must fit in on-chip memory next to the pipeline.
   fault_point("resource:fpga-bram");
   const std::size_t max_subtree_bytes =
-      complete_tree_nodes(forest.config().subtree_depth) *
-      (sizeof(std::int32_t) + sizeof(float));
+      complete_tree_nodes(forest.config().subtree_depth) * sizeof(PackedNode);
   if (max_subtree_bytes * static_cast<std::size_t>(layout.cus_per_slr) >
       cfg.onchip_bytes_per_slr) {
     throw ResourceError("collaborative FPGA kernel: subtree buffers exceed BRAM/URAM");
@@ -118,8 +117,7 @@ FpgaResult run_collaborative_fpga(const HierarchicalForest& forest, QueryView qu
   load.name = "subtree-burst-load";
   load.ii = 1.0;
   load.pipeline_depth = kPipelineDepth;
-  const std::uint64_t stored_bytes =
-      forest.feature_id().size() * (sizeof(std::int32_t) + sizeof(float));
+  const std::uint64_t stored_bytes = forest.nodes().size_bytes();
   load.iterations = ceil_div(stored_bytes, cfg.burst_bytes);
   load.burst_accesses = load.iterations;
 
@@ -141,8 +139,7 @@ FpgaResult run_hybrid_fpga(const HierarchicalForest& forest, QueryView queries,
                            bool split_stage1) {
   fault_point("resource:fpga-bram");
   const int rsd = forest.config().effective_root_depth();
-  const std::size_t root_bytes =
-      complete_tree_nodes(rsd) * (sizeof(std::int32_t) + sizeof(float));
+  const std::size_t root_bytes = complete_tree_nodes(rsd) * sizeof(PackedNode);
   const std::size_t stage1_cus =
       split_stage1 ? 1 : static_cast<std::size_t>(layout.cus_per_slr);
   if (root_bytes * stage1_cus > cfg.onchip_bytes_per_slr) {
@@ -156,8 +153,7 @@ FpgaResult run_hybrid_fpga(const HierarchicalForest& forest, QueryView queries,
   std::uint64_t root_burst = 0;
   for (std::size_t t = 0; t < forest.num_trees(); ++t) {
     const std::uint32_t st = forest.root_subtree(t);
-    const std::uint64_t bytes =
-        complete_tree_nodes(forest.subtree_depth(st)) * (sizeof(std::int32_t) + sizeof(float));
+    const std::uint64_t bytes = complete_tree_nodes(forest.subtree_depth(st)) * sizeof(PackedNode);
     root_burst += ceil_div(bytes, cfg.burst_bytes);
   }
   fpgasim::StageModel stage1;

@@ -20,6 +20,7 @@ TraversalCounts count_traversal(const HierarchicalForest& forest, QueryView quer
   std::uint64_t hops = 0;
 
   const auto k = static_cast<std::size_t>(forest.num_classes());
+  const std::span<const PackedNode> nodes = forest.nodes();
 #pragma omp parallel for schedule(static) \
     reduction(+ : node_visits, root_visits, hops)
   for (std::size_t qi = 0; qi < nq; ++qi) {
@@ -37,14 +38,13 @@ TraversalCounts count_traversal(const HierarchicalForest& forest, QueryView quer
         for (;;) {
           ++node_visits;
           if (st == root_st) ++root_visits;
-          const std::int32_t f = forest.feature_id()[off + p];
-          if (f == kLeafFeature) {
-            leaf_value = forest.value()[off + p];
+          const PackedNode& n = nodes[off + p];
+          if (n.feature == kLeafFeature) {
+            leaf_value = n.value;
             done = true;
             break;
           }
-          const bool go_left =
-              query[static_cast<std::size_t>(f)] < forest.value()[off + p];
+          const bool go_left = query[static_cast<std::size_t>(n.feature)] < n.value;
           if (p >= bottom_first) {
             const std::uint32_t ci =
                 forest.connection_offset(st) + 2 * (p - bottom_first) + (go_left ? 0u : 1u);

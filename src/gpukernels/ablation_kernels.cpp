@@ -10,15 +10,10 @@ namespace hrf::gpukernels {
 using detail::kWarpSize;
 
 KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
-                                const Dataset& queries) {
-  return run_tree_per_block(device, forest, DeviceImage(forest), queries);
-}
-
-KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
-                                const DeviceImage& image, const Dataset& queries) {
+                                QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const detail::DeviceQueries q(device, queries);
-  const detail::DeviceSubtrees subtrees(device, forest, image);
+  const detail::DeviceSubtrees subtrees(device, forest);
 
   const auto& cfg = device.config();
   const auto k = static_cast<std::size_t>(forest.num_classes());
@@ -55,7 +50,7 @@ KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest
   return r;
 }
 
-std::vector<std::uint32_t> presort_queries(const Dataset& queries, int bins) {
+std::vector<std::uint32_t> presort_queries(QueryView queries, int bins) {
   require(bins >= 2 && bins <= 256, "presort bins must be in [2, 256]");
   const std::size_t nq = queries.num_samples();
   const std::size_t nf = queries.num_features();
@@ -93,11 +88,10 @@ std::vector<std::uint32_t> presort_queries(const Dataset& queries, int bins) {
   return order;
 }
 
-Dataset permute_queries(const Dataset& queries, std::span<const std::uint32_t> order) {
+Dataset permute_queries(QueryView queries, std::span<const std::uint32_t> order) {
   require(order.size() == queries.num_samples(), "permutation size != query count");
-  Dataset out(queries.num_samples(), queries.num_features(), queries.num_classes());
-  out.set_name(queries.name() + "/sorted");
-  for (std::uint32_t i : order) out.push_back(queries.sample(i), queries.label(i));
+  Dataset out(queries.num_samples(), queries.num_features());
+  for (std::uint32_t i : order) out.push_back(queries.sample(i), 0);
   return out;
 }
 

@@ -15,18 +15,17 @@ namespace hrf::gpukernels {
 /// (read-modify-write), whose scattered traffic is what makes the paper
 /// report a 2-10x slowdown relative to the independent variant.
 KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
-                                const Dataset& queries);
-KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
-                                const DeviceImage& image, const Dataset& queries);
+                                QueryView queries);
 
 /// §5 (Goldfarb et al. discussion): lockstep traversal benefits from
 /// presorting similar queries into the same warps. Returns a permutation
 /// ordering queries lexicographically by (binned) feature values; the
 /// bench measures the traversal gain against the sort's own cost, which
 /// the paper argues cannot be amortized for high-dimensional ML data.
-std::vector<std::uint32_t> presort_queries(const Dataset& queries, int bins = 16);
+std::vector<std::uint32_t> presort_queries(QueryView queries, int bins = 16);
 
-/// Applies a permutation to a query set (helper for the presort ablation).
-Dataset permute_queries(const Dataset& queries, std::span<const std::uint32_t> order);
+/// Applies a permutation to a query set (helper for the presort ablation);
+/// the result holds the permuted rows, unlabeled.
+Dataset permute_queries(QueryView queries, std::span<const std::uint32_t> order);
 
 }  // namespace hrf::gpukernels

@@ -19,16 +19,10 @@ constexpr std::uint32_t kDone = 0xffffffffu;
 /// independent variant, which this model reproduces.
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
                                QueryView queries) {
-  return run_collaborative(device, forest, DeviceImage(forest), queries);
-}
-
-KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
-                               const DeviceImage& image, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const auto& cfg = device.config();
   const detail::DeviceQueries q(device, queries);
-  const std::span<const PackedNode> packed = detail::image_nodes(forest, image);
-  const gpusim::DeviceArray<PackedNode> nodes(device, packed);
+  const gpusim::DeviceArray<PackedNode> nodes(device, forest.nodes());
   const gpusim::DeviceArray<std::int32_t> connection(device, forest.subtree_connection());
 
   // Shared-memory batch capacity in packed 8-byte nodes (§3.2: 48 bits of
@@ -112,7 +106,7 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
               std::uint32_t leaf_mask = 0;
               std::uint32_t hop_mask = 0;
               detail::for_each_lane(active, [&](int l) {
-                const PackedNode& n = packed[off + pos[l]];
+                const PackedNode n = nodes[off + pos[l]];
                 const std::size_t row = first + static_cast<std::size_t>(l);
                 if (n.feature == kLeafFeature) {
                   leaf_mask |= 1u << l;

@@ -38,15 +38,6 @@ struct DeviceQueries {
   }
 };
 
-/// The image's packed node records, checked against the layout the kernel
-/// walks (an image of another layout would index out of bounds).
-inline std::span<const PackedNode> image_nodes(const HierarchicalForest& forest,
-                                               const DeviceImage& image) {
-  require(image.nodes().size() == forest.feature_id().size(),
-          "device image was not prepared from this layout");
-  return image.nodes();
-}
-
 /// Mask of the first `count` lanes of a warp (all of them from 32 up).
 inline std::uint32_t lane_mask(std::size_t count) {
   return count >= kWarpSize ? ~0u : (1u << count) - 1;
@@ -81,17 +72,14 @@ void for_each_warp(const gpusim::DeviceConfig& cfg, std::size_t num_queries, Fn&
 /// the device, in this allocation order, for the kernels whose lanes walk
 /// subtrees out of global memory.
 struct DeviceSubtrees {
-  std::span<const PackedNode> packed;
   gpusim::DeviceArray<PackedNode> nodes;
   gpusim::DeviceArray<std::uint32_t> node_offset;
   gpusim::DeviceArray<std::uint8_t> subtree_depth;
   gpusim::DeviceArray<std::uint32_t> conn_offset;
   gpusim::DeviceArray<std::int32_t> connection;
 
-  DeviceSubtrees(gpusim::Device& device, const HierarchicalForest& forest,
-                 const DeviceImage& image)
-      : packed(image_nodes(forest, image)),
-        nodes(device, packed),
+  DeviceSubtrees(gpusim::Device& device, const HierarchicalForest& forest)
+      : nodes(device, forest.nodes()),
         node_offset(device, forest.subtree_node_offsets()),
         subtree_depth(device, forest.subtree_depths()),
         conn_offset(device, forest.connection_offsets()),
@@ -149,7 +137,7 @@ class SubtreeWalk {
       for_each_lane(active, [&](int l) {
         const std::uint32_t node = off_[l] + pos_[l];
         node_addr_[l] = st_.nodes.addr(node);
-        const PackedNode& n = st_.packed[node];
+        const PackedNode n = st_.nodes[node];
         const std::size_t row = first + static_cast<std::size_t>(l);
         if (n.feature == kLeafFeature) {
           leaf_mask |= 1u << l;
@@ -194,7 +182,7 @@ class SubtreeWalk {
 
   /// The class vote of the leaf lane l stands on.
   std::uint8_t leaf_class(int l) const {
-    return static_cast<std::uint8_t>(st_.packed[off_[l] + pos_[l]].value);
+    return static_cast<std::uint8_t>(st_.nodes[off_[l] + pos_[l]].value);
   }
 
  private:

@@ -4,13 +4,6 @@
 
 namespace hrf::gpukernels {
 
-DeviceImage::DeviceImage(const HierarchicalForest& layout) {
-  const auto fid = layout.feature_id();
-  const auto val = layout.value();
-  nodes_.resize(fid.size());
-  for (std::size_t i = 0; i < fid.size(); ++i) nodes_[i] = {fid[i], val[i]};
-}
-
 DeviceImage::DeviceImage(const Forest& forest) {
   fil_tree_offset_.reserve(forest.tree_count() + 1);
   for (std::size_t t = 0; t < forest.tree_count(); ++t) {

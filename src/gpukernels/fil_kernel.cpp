@@ -11,11 +11,6 @@ using detail::kWarpSize;
 /// this is what makes FIL ~4-5x faster than CSR, and what larger-SD
 /// hierarchical layouts beat by adding shared-memory residency.
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
-                              QueryView queries) {
-  return run_fil_baseline(device, forest, DeviceImage(forest), queries);
-}
-
-KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
                               const DeviceImage& image, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   require(image.fil_tree_offset().size() == forest.tree_count() + 1,

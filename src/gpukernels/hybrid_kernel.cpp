@@ -18,11 +18,6 @@ using detail::kWarpSize;
 /// RSD <= 12 on the TITAN Xp — which is why Table 2 stops at RSD 12.
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
                         QueryView queries) {
-  return run_hybrid(device, forest, DeviceImage(forest), queries);
-}
-
-KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
-                        const DeviceImage& image, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const auto& cfg = device.config();
 
@@ -37,8 +32,7 @@ KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest
   }
 
   const detail::DeviceQueries q(device, queries);
-  const detail::DeviceSubtrees subtrees(device, forest, image);
-  const std::span<const PackedNode> packed = subtrees.packed;
+  const detail::DeviceSubtrees subtrees(device, forest);
 
   const auto k = static_cast<std::size_t>(forest.num_classes());
   std::vector<std::uint32_t> votes(q.count() * k, 0);
@@ -92,7 +86,7 @@ KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest
           std::uint32_t leaf_mask = 0;
           std::uint32_t hop_mask = 0;
           detail::for_each_lane(active, [&](int l) {
-            const PackedNode& n = packed[off0 + pos[l]];
+            const PackedNode n = subtrees.nodes[off0 + pos[l]];
             const std::size_t row = first + static_cast<std::size_t>(l);
             if (n.feature == kLeafFeature) {
               leaf_mask |= 1u << l;

@@ -8,14 +8,9 @@ namespace hrf::gpukernels {
 /// (detail::SubtreeWalk).
 KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
                              QueryView queries) {
-  return run_independent(device, forest, DeviceImage(forest), queries);
-}
-
-KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
-                             const DeviceImage& image, QueryView queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
   const detail::DeviceQueries q(device, queries);
-  const detail::DeviceSubtrees subtrees(device, forest, image);
+  const detail::DeviceSubtrees subtrees(device, forest);
 
   const auto k = static_cast<std::size_t>(forest.num_classes());
   std::vector<std::uint32_t> votes(q.count() * k, 0);

@@ -21,12 +21,6 @@ struct KernelResult {
   gpusim::Timing timing;
 };
 
-// Every hierarchical and FIL kernel comes in two forms. The image form
-// reads a DeviceImage prepared earlier from the same layout/forest (the
-// serving path: Classifier prepares one at construction). The form
-// without an image prepares one for this call and runs the image form, so
-// both give identical predictions, counters and timing.
-
 /// Baseline: one thread per query, CSR topology in global memory
 /// (paper §2.3). Four dependent global loads per traversal step.
 KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView queries);
@@ -36,8 +30,6 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView que
 /// inside subtrees.
 KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
                              QueryView queries);
-KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
-                             const DeviceImage& image, QueryView queries);
 
 /// Collaborative code variant (§3.2): subtrees are batch-loaded into
 /// shared memory and *every* query is walked through *every* subtree in
@@ -45,8 +37,6 @@ KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& f
 /// than the independent variant on GPU.
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
                                QueryView queries);
-KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
-                               const DeviceImage& image, QueryView queries);
 
 /// Hybrid code variant (§3.2): each tree's root subtree is cooperatively
 /// staged into shared memory (stage 1, coalesced + divergence-free
@@ -54,15 +44,12 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
 /// memory (stage 2).
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
                         QueryView queries);
-KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
-                        const DeviceImage& image, QueryView queries);
 
 /// cuML Forest Inference Library stand-in: per-tree nodes packed as
 /// 16-byte structs with adjacent children (FIL's sparse storage), one
 /// query per thread iterating over all trees. One global load per
-/// traversal step. Serves as the paper's cuML comparison point.
-KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
-                              QueryView queries);
+/// traversal step. Serves as the paper's cuML comparison point. `image`
+/// is DeviceImage(forest), built once per model.
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
                               const DeviceImage& image, QueryView queries);
 

@@ -78,15 +78,13 @@ HierarchicalForest HierarchicalForest::build(const Forest& forest, const HierCon
       // they are unreachable by construction).
       for (std::size_t p = 0; p < used_slots; ++p) {
         if (slots[p] < 0) {
-          h.feature_id_.push_back(kLeafFeature);
-          h.value_.push_back(0.0f);
+          h.nodes_.push_back({kLeafFeature, 0.0f});
         } else {
           const TreeNode& n = tree.node(static_cast<std::size_t>(slots[p]));
-          h.feature_id_.push_back(n.feature);
-          h.value_.push_back(n.value);
+          h.nodes_.push_back({n.feature, n.value});
         }
       }
-      h.subtree_node_offset_.push_back(static_cast<std::uint32_t>(h.feature_id_.size()));
+      h.subtree_node_offset_.push_back(static_cast<std::uint32_t>(h.nodes_.size()));
       h.subtree_depth_.push_back(static_cast<std::uint8_t>(actual_depth));
 
       // Bottom-level connections exist only when the subtree reached its
@@ -119,13 +117,9 @@ HierarchicalForest HierarchicalForest::from_parts(
     HierConfig config, std::size_t num_features, int num_classes, std::size_t real_nodes,
     std::vector<std::uint32_t> subtree_node_offset, std::vector<std::uint8_t> subtree_depth,
     std::vector<std::uint32_t> connection_offset, std::vector<std::int32_t> subtree_connection,
-    std::vector<std::int32_t> feature_id, std::vector<float> value,
-    std::vector<std::uint32_t> tree_subtree_begin) {
+    std::vector<PackedNode> nodes, std::vector<std::uint32_t> tree_subtree_begin) {
   if (num_features == 0 || num_classes < 2 || num_classes > 256) {
     throw FormatError("hierarchical: bad feature/class counts");
-  }
-  if (feature_id.size() != value.size()) {
-    throw FormatError("hierarchical: attribute array sizes disagree");
   }
   if (tree_subtree_begin.size() < 2) throw FormatError("hierarchical: no trees");
   HierarchicalForest h;
@@ -138,8 +132,7 @@ HierarchicalForest HierarchicalForest::from_parts(
   h.subtree_depth_ = std::move(subtree_depth);
   h.connection_offset_ = std::move(connection_offset);
   h.subtree_connection_ = std::move(subtree_connection);
-  h.feature_id_ = std::move(feature_id);
-  h.value_ = std::move(value);
+  h.nodes_ = std::move(nodes);
   h.tree_subtree_begin_ = std::move(tree_subtree_begin);
   h.validate();
   return h;
@@ -153,9 +146,9 @@ float HierarchicalForest::traverse_tree(std::size_t t, std::span<const float> qu
     const std::uint32_t bottom_first = static_cast<std::uint32_t>(pow2(d - 1) - 1);
     std::uint32_t p = 0;
     for (;;) {
-      const std::int32_t f = feature_id_[off + p];
-      if (f == kLeafFeature) return value_[off + p];
-      const bool go_left = query[static_cast<std::size_t>(f)] < value_[off + p];
+      const PackedNode& n = nodes_[off + p];
+      if (n.feature == kLeafFeature) return n.value;
+      const bool go_left = query[static_cast<std::size_t>(n.feature)] < n.value;
       if (p >= bottom_first) {
         // Inner node on the bottom level: hop to the connected subtree.
         const std::uint32_t ci = connection_offset_[st] + 2 * (p - bottom_first) + (go_left ? 0 : 1);
@@ -177,7 +170,7 @@ std::uint8_t HierarchicalForest::classify(std::span<const float> query) const {
 }
 
 std::size_t HierarchicalForest::memory_bytes() const {
-  return feature_id_.size() * sizeof(std::int32_t) + value_.size() * sizeof(float) +
+  return nodes_.size() * sizeof(PackedNode) +
          subtree_node_offset_.size() * sizeof(std::uint32_t) +
          subtree_depth_.size() * sizeof(std::uint8_t) +
          connection_offset_.size() * sizeof(std::uint32_t) +
@@ -188,7 +181,7 @@ std::size_t HierarchicalForest::memory_bytes() const {
 HierStats HierarchicalForest::stats() const {
   HierStats s;
   s.num_subtrees = num_subtrees();
-  s.stored_nodes = feature_id_.size();
+  s.stored_nodes = nodes_.size();
   s.real_nodes = real_nodes_;
   s.padding_nodes = s.stored_nodes - s.real_nodes;
   s.connection_entries = subtree_connection_.size();
@@ -223,14 +216,14 @@ void HierarchicalForest::validate() const {
   // Node attributes must be sane: inner features index a real feature and
   // leaf values name a real class (padding slots are leaves with value 0).
   // Guards traversal against corrupted-in-memory or tampered blobs.
-  for (std::size_t i = 0; i < feature_id_.size(); ++i) {
-    const std::int32_t fid = feature_id_[i];
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const std::int32_t fid = nodes_[i].feature;
     if (fid != kLeafFeature &&
         (fid < 0 || static_cast<std::size_t>(fid) >= num_features_)) {
       throw FormatError("hierarchical: feature id out of range at slot " + std::to_string(i));
     }
     if (fid == kLeafFeature) {
-      const float v = value_[i];
+      const float v = nodes_[i].value;
       if (!(v >= 0.0f && v < static_cast<float>(num_classes_))) {
         throw FormatError("hierarchical: leaf value is not a class id at slot " +
                           std::to_string(i));
@@ -251,7 +244,7 @@ void HierarchicalForest::validate() const {
       for (std::uint32_t ci = coff; ci < cend; ++ci) {
         const std::int32_t target = subtree_connection_[ci];
         const std::uint32_t slot = bottom_first + (ci - coff) / 2;
-        const bool inner = feature_id_[off + slot] != kLeafFeature;
+        const bool inner = nodes_[off + slot].feature != kLeafFeature;
         if (inner && target < 0) {
           throw FormatError("hierarchical: bottom-level inner node missing connection");
         }

@@ -21,6 +21,19 @@ struct HierConfig {
   }
 };
 
+/// One hierarchical node slot: feature id and threshold stored together,
+/// so a traversal step is one memory access (paper §3.2: the node record
+/// is 48 bits of attributes, padded here to the 8 bytes the hardware
+/// loads). The CSR baseline keeps the separate feature_id / value /
+/// children arrays of Fig. 2; that asymmetry (one packed load against four
+/// scattered ones per step) is a large part of the hierarchical layout's
+/// GPU win.
+struct PackedNode {
+  std::int32_t feature;  // kLeafFeature marks a tree leaf (or padding)
+  float value;           // threshold, or the leaf's class vote
+};
+static_assert(sizeof(PackedNode) == 8);
+
 /// Size/padding report for the hierarchical encoding (drives Fig. 6).
 struct HierStats {
   std::size_t num_subtrees = 0;
@@ -48,9 +61,10 @@ struct HierStats {
 /// for its actual depth and has no connection entries: by construction all
 /// its bottom-level real nodes are tree leaves.
 ///
-/// Node attribute encoding matches CSR: `feature_id == -1` marks a tree
-/// leaf (and padding slots, which are unreachable), `value` is the
-/// comparison threshold or the leaf's class vote.
+/// Node attribute encoding matches CSR: `feature == -1` marks a tree leaf
+/// (and padding slots, which are unreachable), `value` is the comparison
+/// threshold or the leaf's class vote. Every reader (CPU, simulated GPU
+/// and FPGA kernels) walks the one packed node array.
 class HierarchicalForest {
  public:
   /// Builds the hierarchical encoding of a validated forest.
@@ -63,8 +77,7 @@ class HierarchicalForest {
       HierConfig config, std::size_t num_features, int num_classes, std::size_t real_nodes,
       std::vector<std::uint32_t> subtree_node_offset, std::vector<std::uint8_t> subtree_depth,
       std::vector<std::uint32_t> connection_offset, std::vector<std::int32_t> subtree_connection,
-      std::vector<std::int32_t> feature_id, std::vector<float> value,
-      std::vector<std::uint32_t> tree_subtree_begin);
+      std::vector<PackedNode> nodes, std::vector<std::uint32_t> tree_subtree_begin);
 
   const HierConfig& config() const { return config_; }
   std::size_t num_trees() const { return tree_subtree_begin_.size() - 1; }
@@ -73,7 +86,7 @@ class HierarchicalForest {
   int num_classes() const { return num_classes_; }
 
   // --- per-subtree tables -------------------------------------------------
-  /// Offset of subtree `st`'s node 0 inside feature_id()/value().
+  /// Offset of subtree `st`'s node 0 inside nodes().
   std::uint32_t subtree_node_offset(std::size_t st) const { return subtree_node_offset_[st]; }
   /// Actual depth of subtree `st` (1 = single node). Node count = 2^depth-1.
   int subtree_depth(std::size_t st) const { return subtree_depth_[st]; }
@@ -84,8 +97,8 @@ class HierarchicalForest {
   std::span<const std::uint8_t> subtree_depths() const { return subtree_depth_; }
   std::span<const std::uint32_t> connection_offsets() const { return connection_offset_; }
   std::span<const std::int32_t> subtree_connection() const { return subtree_connection_; }
-  std::span<const std::int32_t> feature_id() const { return feature_id_; }
-  std::span<const float> value() const { return value_; }
+  /// One record per stored node slot, padding included.
+  std::span<const PackedNode> nodes() const { return nodes_; }
   std::span<const std::uint32_t> tree_subtree_begin() const { return tree_subtree_begin_; }
 
   /// Root subtree id of tree `t`.
@@ -121,8 +134,7 @@ class HierarchicalForest {
   std::vector<std::uint8_t> subtree_depth_;         // size S
   std::vector<std::uint32_t> connection_offset_;    // size S+1 (sentinel end)
   std::vector<std::int32_t> subtree_connection_;    // 2 per bottom-level slot
-  std::vector<std::int32_t> feature_id_;            // per stored slot
-  std::vector<float> value_;                        // per stored slot
+  std::vector<PackedNode> nodes_;                   // per stored slot
   std::vector<std::uint32_t> tree_subtree_begin_;   // size T+1
 };
 

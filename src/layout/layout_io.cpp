@@ -46,6 +46,16 @@ class SectionWriter {
     return *this;
   }
 
+  /// One field of every packed node, framed like array(): the blob keeps a
+  /// hierarchical layout's node records as separate feature-id and value
+  /// sections (FORMAT.md), while the layout holds them packed.
+  template <typename T>
+  SectionWriter& field(std::span<const PackedNode> nodes, T PackedNode::*member) {
+    pod(static_cast<std::uint64_t>(nodes.size()));
+    for (const PackedNode& n : nodes) pod(n.*member);
+    return *this;
+  }
+
   /// Flushes the buffered payload as one section.
   void commit() {
     if (version_ >= 2) {
@@ -254,8 +264,8 @@ void save_hierarchical(const HierarchicalForest& forest, const std::string& path
   w.array(forest.subtree_depths()).commit();
   w.array(forest.connection_offsets()).commit();
   w.array(forest.subtree_connection()).commit();
-  w.array(forest.feature_id()).commit();
-  w.array(forest.value()).commit();
+  w.field(forest.nodes(), &PackedNode::feature).commit();
+  w.field(forest.nodes(), &PackedNode::value).commit();
   w.array(forest.tree_subtree_begin()).commit();
   if (!f) throw Error("write failed: " + path);
   out.commit();
@@ -304,12 +314,16 @@ HierarchicalForest load_hierarchical(const std::string& path) {
   if (config.subtree_depth < 1 || config.subtree_depth > 24) {
     throw FormatError("implausible subtree depth in " + path);
   }
+  if (feature_id.size() != value.size()) {
+    throw FormatError("hierarchical: attribute array sizes disagree in " + path);
+  }
   maybe_corrupt_node(feature_id);
+  std::vector<PackedNode> nodes(feature_id.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i] = {feature_id[i], value[i]};
   return HierarchicalForest::from_parts(config, num_features, static_cast<int>(num_classes),
                                         real_nodes, std::move(node_offset), std::move(depth),
                                         std::move(conn_offset), std::move(connection),
-                                        std::move(feature_id), std::move(value),
-                                        std::move(begin));
+                                        std::move(nodes), std::move(begin));
 }
 
 std::string peek_layout_kind(const std::string& path) {

@@ -34,13 +34,12 @@ QuantizedHierarchicalForest QuantizedHierarchicalForest::build(const Hierarchica
       hi[f] = std::max(hi[f], row[f]);
     }
   }
-  const auto fid = forest.feature_id();
-  const auto val = forest.value();
-  for (std::size_t i = 0; i < fid.size(); ++i) {
-    if (fid[i] >= 0) {
-      const auto f = static_cast<std::size_t>(fid[i]);
-      lo[f] = std::min(lo[f], val[i]);
-      hi[f] = std::max(hi[f], val[i]);
+  const std::span<const PackedNode> nodes = forest.nodes();
+  for (const PackedNode& n : nodes) {
+    if (n.feature >= 0) {
+      const auto f = static_cast<std::size_t>(n.feature);
+      lo[f] = std::min(lo[f], n.value);
+      hi[f] = std::max(hi[f], n.value);
     }
   }
   for (std::size_t f = 0; f < nf; ++f) {
@@ -50,15 +49,16 @@ QuantizedHierarchicalForest QuantizedHierarchicalForest::build(const Hierarchica
   }
 
   // Quantize the node array (4 bytes per stored slot).
-  q.nodes_.resize(fid.size());
-  for (std::size_t i = 0; i < fid.size(); ++i) {
-    if (fid[i] == kLeafFeature) {
-      q.nodes_[i] = {kLeafFeature16, static_cast<std::uint16_t>(val[i])};
+  q.nodes_.resize(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const PackedNode& n = nodes[i];
+    if (n.feature == kLeafFeature) {
+      q.nodes_[i] = {kLeafFeature16, static_cast<std::uint16_t>(n.value)};
     } else {
-      const auto f = static_cast<std::size_t>(fid[i]);
-      const float code_f = (val[i] - q.feature_lo_[f]) * q.feature_scale_[f];
+      const auto f = static_cast<std::size_t>(n.feature);
+      const float code_f = (n.value - q.feature_lo_[f]) * q.feature_scale_[f];
       const float clamped = std::clamp(code_f, 0.0f, 65'535.0f);
-      q.nodes_[i] = {static_cast<std::int16_t>(fid[i]),
+      q.nodes_[i] = {static_cast<std::int16_t>(n.feature),
                      static_cast<std::uint16_t>(std::lround(clamped))};
     }
   }

@@ -15,8 +15,6 @@ namespace {
 /// blob's per-section CRCs does, so one running checksum suffices.
 class CrcAccumulator {
  public:
-  explicit CrcAccumulator(std::uint32_t seed = 0) : crc_(seed) {}
-
   template <typename T>
   CrcAccumulator& pod(const T& v) {
     crc_ = crc32(&v, sizeof v, crc_);
@@ -27,6 +25,15 @@ class CrcAccumulator {
   CrcAccumulator& array(std::span<const T> xs) {
     pod(static_cast<std::uint64_t>(xs.size()));
     if (!xs.empty()) crc_ = crc32(xs.data(), xs.size_bytes(), crc_);
+    return *this;
+  }
+
+  /// One field of every packed node, framed like array(): save_hierarchical
+  /// writes the node records as separate feature-id and value sections.
+  template <typename T>
+  CrcAccumulator& field(std::span<const PackedNode> nodes, T PackedNode::*member) {
+    pod(static_cast<std::uint64_t>(nodes.size()));
+    for (const PackedNode& n : nodes) pod(n.*member);
     return *this;
   }
 
@@ -44,6 +51,17 @@ void clobber_thresholds(std::span<const std::int32_t> feature_id, std::vector<fl
   for (std::size_t i = 0; i < feature_id.size(); ++i) {
     if (feature_id[i] >= 0) {
       value[i] = -1e30f;
+      touched = true;
+    }
+  }
+  require(touched, "corrupt_replica_copy needs at least one internal node");
+}
+
+void clobber_thresholds(std::vector<PackedNode>& nodes) {
+  bool touched = false;
+  for (PackedNode& n : nodes) {
+    if (n.feature >= 0) {
+      n.value = -1e30f;
       touched = true;
     }
   }
@@ -75,32 +93,24 @@ std::uint32_t layout_crc32(const HierarchicalForest& layout) {
       .array(layout.subtree_depths())
       .array(layout.connection_offsets())
       .array(layout.subtree_connection())
-      .array(layout.feature_id())
-      .array(layout.value())
+      .field(layout.nodes(), &PackedNode::feature)
+      .field(layout.nodes(), &PackedNode::value)
       .array(layout.tree_subtree_begin());
   return acc.value();
 }
 
-std::uint32_t image_crc32(const gpukernels::DeviceImage& image, std::uint32_t crc) {
-  CrcAccumulator acc(crc);
-  acc.array(image.nodes()).array(image.fil_nodes()).array(image.fil_tree_offset());
+std::uint32_t image_crc32(const gpukernels::DeviceImage& image) {
+  CrcAccumulator acc;
+  acc.array(image.fil_nodes()).array(image.fil_tree_offset());
   return acc.value();
 }
 
 std::uint32_t replica_crc32(const Classifier& clf) {
-  std::uint32_t crc = 0;
   switch (clf.options().variant) {
-    case Variant::Csr:
-      crc = layout_crc32(clf.csr());
-      break;
-    case Variant::FilBaseline:
-      break;
-    default:
-      crc = layout_crc32(clf.hierarchical());
-      break;
+    case Variant::Csr: return layout_crc32(clf.csr());
+    case Variant::FilBaseline: return image_crc32(*clf.device_image());
+    default: return layout_crc32(clf.hierarchical());
   }
-  if (const gpukernels::DeviceImage* image = clf.device_image()) crc = image_crc32(*image, crc);
-  return crc;
 }
 
 CsrForest corrupt_replica_copy(const CsrForest& layout) {
@@ -124,17 +134,15 @@ HierarchicalForest corrupt_replica_copy(const HierarchicalForest& layout) {
                                          layout.connection_offsets().end());
   std::vector<std::int32_t> connection(layout.subtree_connection().begin(),
                                        layout.subtree_connection().end());
-  std::vector<std::int32_t> feature_id(layout.feature_id().begin(), layout.feature_id().end());
-  std::vector<float> value(layout.value().begin(), layout.value().end());
+  std::vector<PackedNode> nodes(layout.nodes().begin(), layout.nodes().end());
   std::vector<std::uint32_t> begin(layout.tree_subtree_begin().begin(),
                                    layout.tree_subtree_begin().end());
-  clobber_thresholds(feature_id, value);
+  clobber_thresholds(nodes);
   return HierarchicalForest::from_parts(layout.config(), layout.num_features(),
                                         layout.num_classes(), layout.real_nodes(),
                                         std::move(node_offset), std::move(depth),
                                         std::move(conn_offset), std::move(connection),
-                                        std::move(feature_id), std::move(value),
-                                        std::move(begin));
+                                        std::move(nodes), std::move(begin));
 }
 
 }  // namespace hrf::serve

@@ -11,8 +11,9 @@
 //   * layout_crc32() — a replica checksum over a *built* layout, defined
 //     to equal the chained per-section CRC32s that layout_io writes into
 //     the v2 blob for the same layout (a cross-check property the tests
-//     pin). image_crc32() continues it over a gpu-sim replica's device
-//     image; replica_crc32() picks both for a Classifier. The scrubber
+//     pin); it covers the packed node records every kernel reads.
+//     image_crc32() covers the FIL baseline's device image;
+//     replica_crc32() picks the one a Classifier serves from. The scrubber
 //     captures that per worker at install time and re-verifies it on a
 //     timer; any drift means silent memory corruption.
 //   * corrupt_replica_copy() — the corrupt:replica fault payload: a deep
@@ -94,14 +95,13 @@ struct SelfHealStats {
 std::uint32_t layout_crc32(const CsrForest& layout);
 std::uint32_t layout_crc32(const HierarchicalForest& layout);
 
-/// Continues `crc` over a gpu-sim device image's arrays (same u64 count +
-/// raw elements framing), so a replica's reference checksum also covers
-/// the packed copy its kernels read rather than the layout alone.
-std::uint32_t image_crc32(const gpukernels::DeviceImage& image, std::uint32_t crc = 0);
+/// CRC-32 of the FIL baseline's device image (same u64 count + raw
+/// elements framing): the node records its kernel reads.
+std::uint32_t image_crc32(const gpukernels::DeviceImage& image);
 
-/// Reference CRC of a replica's resident state: its layout's CRC, then
-/// continued over its device image when it has one. FilBaseline keeps no
-/// layout besides its image, so its CRC covers the image alone.
+/// Reference CRC of a replica's resident state: the CRC of what its
+/// kernels read — its layout, or, for FilBaseline, which keeps no layout
+/// besides its device image, that image.
 std::uint32_t replica_crc32(const Classifier& clf);
 
 /// Deep-copies `layout` with every internal-node threshold forced to an

@@ -512,14 +512,18 @@ TEST(ClusterChaos, DegradedModeStaysWithinSlo) {
   wave.reload.post_promotion_watch_requests = 0;
 
   std::optional<RollingReloadReport> rep;
-  std::thread chaos([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    router.kill_shard(3);
-  });
   std::thread reloader([&] { rep = router.rolling_reload(store, gen2, wave); });
+  // Kill shard 3 once the wave is under way and before client traffic
+  // starts, so the kill lands mid-wave: the wave walks the shards in index
+  // order, and each shard's canary waits for served requests, so it is
+  // still at its first shards, far from shard 3.
+  WallTimer waited;
+  while (router.stats().reload_waves == 0 && waited.seconds() < 5.0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  router.kill_shard(3);
   const PhaseScore killed = drive(router, queries, 120, 4, 10'000);
   reloader.join();
-  chaos.join();
 
   ASSERT_TRUE(rep.has_value());
   EXPECT_FALSE(rep->completed) << rep->to_string();

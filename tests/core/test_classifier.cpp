@@ -135,18 +135,20 @@ TEST(Classifier, LayoutAccessorsMatchVariant) {
   EXPECT_THROW(csr_clf.hierarchical(), ConfigError);
 }
 
-TEST(Classifier, OnlyGpuSimHierarchicalAndFilClassifiersHoldADeviceImage) {
+TEST(Classifier, OnlyFilClassifiersHoldADeviceImage) {
+  // FIL's 16-byte nodes are their own format, built from the forest; every
+  // other kernel reads its CSR or hierarchical layout directly.
   const auto holds_image = [](Backend backend, Variant variant) {
     ClassifierOptions opt;
     opt.backend = backend;
     opt.variant = variant;
     return Classifier(small_forest(), opt).device_image() != nullptr;
   };
-  for (Variant v : {Variant::Independent, Variant::Collaborative, Variant::Hybrid,
-                    Variant::FilBaseline}) {
-    EXPECT_TRUE(holds_image(Backend::GpuSim, v)) << to_string(v);
+  EXPECT_TRUE(holds_image(Backend::GpuSim, Variant::FilBaseline));
+  for (Variant v : {Variant::Csr, Variant::Independent, Variant::Collaborative,
+                    Variant::Hybrid}) {
+    EXPECT_FALSE(holds_image(Backend::GpuSim, v)) << to_string(v);
   }
-  EXPECT_FALSE(holds_image(Backend::GpuSim, Variant::Csr));
   for (Variant v : {Variant::Csr, Variant::Independent}) {
     EXPECT_FALSE(holds_image(Backend::CpuNative, v)) << to_string(v);
   }
@@ -155,19 +157,17 @@ TEST(Classifier, OnlyGpuSimHierarchicalAndFilClassifiersHoldADeviceImage) {
     EXPECT_FALSE(holds_image(Backend::FpgaSim, v)) << to_string(v);
   }
 
-  // A precompiled hierarchical layout gets its image too.
+  // Nor does a gpu-sim classifier over a precompiled hierarchical layout.
   ClassifierOptions opt;
   opt.variant = Variant::Hybrid;
   const Classifier precompiled(
       small_forest(), HierarchicalForest::build(small_forest(), HierConfig{.subtree_depth = 4}),
       opt);
-  ASSERT_NE(precompiled.device_image(), nullptr);
-  EXPECT_EQ(precompiled.device_image()->nodes().size(),
-            precompiled.hierarchical().feature_id().size());
+  EXPECT_EQ(precompiled.device_image(), nullptr);
 }
 
 TEST(Classifier, ResidentImageRunMatchesThePerCallKernel) {
-  // classify() on the prepared image reports exactly what a per-call
+  // classify() on the resident layout or FIL image reports exactly what a
   // kernel launch on a fresh device does: same answers, same counters.
   const Dataset q = make_random_queries(300, 7, 12);
   ClassifierOptions opt;
@@ -186,7 +186,8 @@ TEST(Classifier, ResidentImageRunMatchesThePerCallKernel) {
   opt.variant = Variant::FilBaseline;
   const Classifier fil(small_forest(), opt);
   gpusim::Device d_fil(small_gpu());
-  const gpukernels::KernelResult k_fil = gpukernels::run_fil_baseline(d_fil, fil.forest(), q);
+  const gpukernels::KernelResult k_fil = gpukernels::run_fil_baseline(
+      d_fil, fil.forest(), gpukernels::DeviceImage(fil.forest()), q);
   const RunReport r_fil = fil.classify(q);
   EXPECT_EQ(r_fil.predictions, k_fil.predictions);
   EXPECT_EQ(r_fil.gpu_counters, k_fil.counters);
@@ -194,8 +195,8 @@ TEST(Classifier, ResidentImageRunMatchesThePerCallKernel) {
 }
 
 TEST(Classifier, CopiedAndMovedClassifiersClassifyIdentically) {
-  // The image holds no pointer into its owner, so copies and moves keep
-  // working after the original is gone.
+  // Neither the layout nor the FIL image holds a pointer into its owner,
+  // so copies and moves keep working after the original is gone.
   const Dataset q = make_random_queries(200, 7, 13);
   for (Variant v : {Variant::Hybrid, Variant::FilBaseline}) {
     SCOPED_TRACE(to_string(v));
@@ -208,7 +209,7 @@ TEST(Classifier, CopiedAndMovedClassifiersClassifyIdentically) {
     const Classifier moved(std::move(*original));
     original.reset();
     for (const Classifier* clf : {&copy, &moved}) {
-      ASSERT_NE(clf->device_image(), nullptr);
+      ASSERT_EQ(clf->device_image() != nullptr, v == Variant::FilBaseline);
       const RunReport got = clf->classify(q);
       EXPECT_EQ(got.predictions, want.predictions);
       EXPECT_EQ(got.gpu_counters, want.gpu_counters);

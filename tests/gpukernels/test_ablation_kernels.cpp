@@ -93,14 +93,12 @@ TEST(PresortQueries, ValidatesBins) {
   EXPECT_THROW(presort_queries(q, 300), ConfigError);
 }
 
-TEST(PermuteQueries, ReordersRowsAndLabels) {
-  Dataset q(3, 1, 3);
-  const float rows[3][1] = {{0.f}, {1.f}, {2.f}};
-  for (int i = 0; i < 3; ++i) q.push_back(rows[i], static_cast<std::uint8_t>(i));
+TEST(PermuteQueries, ReordersRows) {
+  const float rows[3] = {0.f, 1.f, 2.f};
   const std::vector<std::uint32_t> order{2, 0, 1};
-  const Dataset p = permute_queries(q, order);
+  const Dataset p = permute_queries(QueryView(rows, 3, 1), order);
   EXPECT_FLOAT_EQ(p.sample(0)[0], 2.f);
-  EXPECT_EQ(p.label(0), 2);
+  EXPECT_FLOAT_EQ(p.sample(1)[0], 0.f);
   EXPECT_FLOAT_EQ(p.sample(2)[0], 1.f);
 }
 

@@ -189,7 +189,6 @@ struct GoldenModel {
   Forest forest;
   CsrForest csr;
   HierarchicalForest hier;
-  DeviceImage hier_image;
   DeviceImage fil_image;
 
   static RandomForestSpec spec() {
@@ -208,16 +207,15 @@ struct GoldenModel {
         csr(CsrForest::build(forest)),
         hier(HierarchicalForest::build(forest,
                                        HierConfig{.subtree_depth = 4, .root_subtree_depth = 6})),
-        hier_image(hier),
         fil_image(forest) {}
 
   KernelResult run(const std::string& kernel, gpusim::Device& d, const Dataset& q) const {
     if (kernel == "csr") return run_csr(d, csr, q);
-    if (kernel == "independent") return run_independent(d, hier, hier_image, q);
-    if (kernel == "collaborative") return run_collaborative(d, hier, hier_image, q);
-    if (kernel.starts_with("hybrid")) return run_hybrid(d, hier, hier_image, q);
+    if (kernel == "independent") return run_independent(d, hier, q);
+    if (kernel == "collaborative") return run_collaborative(d, hier, q);
+    if (kernel.starts_with("hybrid")) return run_hybrid(d, hier, q);
     if (kernel == "fil") return run_fil_baseline(d, forest, fil_image, q);
-    return run_tree_per_block(d, hier, hier_image, q);
+    return run_tree_per_block(d, hier, q);
   }
 };
 

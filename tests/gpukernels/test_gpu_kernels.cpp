@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <tuple>
 
 #include "../common/paper_example.hpp"
@@ -73,7 +72,8 @@ TEST_P(KernelEquivalence, AllKernelsMatchReference) {
   }
   {
     gpusim::Device d(small_gpu());
-    expect_exact(run_fil_baseline(d, fx.forest, fx.queries).predictions, fx.reference);
+    expect_exact(run_fil_baseline(d, fx.forest, DeviceImage(fx.forest), fx.queries).predictions,
+                 fx.reference);
   }
 }
 
@@ -87,56 +87,6 @@ INSTANTIATE_TEST_SUITE_P(Grid, KernelEquivalence,
                                   std::to_string(static_cast<int>(std::get<2>(info.param) * 10));
                          });
 
-// The image form of a kernel and its per-call wrapper run one kernel body
-// on the same simulated addresses: predictions, every counter and the
-// roofline timing must agree exactly, including partial and single warps.
-class ImageEquivalence : public testing::TestWithParam<std::size_t> {};
-
-TEST_P(ImageEquivalence, ImageFormMatchesPerCallWrapper) {
-  RandomForestSpec spec;
-  spec.num_trees = 6;
-  spec.max_depth = 10;
-  spec.branch_prob = 0.8;
-  spec.num_features = 9;
-  spec.seed = 41;
-  const Fixture fx(spec, 4, 6, GetParam());
-  const DeviceImage hier_image(fx.hier);
-  const DeviceImage fil_image(fx.forest);
-
-  using Run = std::function<KernelResult(gpusim::Device&)>;
-  const auto expect_same = [&](const char* kernel, const Run& wrapper, const Run& with_image) {
-    SCOPED_TRACE(kernel);
-    gpusim::Device d_wrapper(small_gpu());
-    gpusim::Device d_image(small_gpu());
-    const KernelResult want = wrapper(d_wrapper);
-    const KernelResult got = with_image(d_image);
-    EXPECT_EQ(got.predictions, want.predictions);
-    EXPECT_EQ(got.counters, want.counters);
-    EXPECT_EQ(got.timing, want.timing);
-    expect_exact(got.predictions, fx.reference);
-  };
-  expect_same(
-      "independent", [&](gpusim::Device& d) { return run_independent(d, fx.hier, fx.queries); },
-      [&](gpusim::Device& d) { return run_independent(d, fx.hier, hier_image, fx.queries); });
-  expect_same(
-      "collaborative",
-      [&](gpusim::Device& d) { return run_collaborative(d, fx.hier, fx.queries); },
-      [&](gpusim::Device& d) { return run_collaborative(d, fx.hier, hier_image, fx.queries); });
-  expect_same(
-      "hybrid", [&](gpusim::Device& d) { return run_hybrid(d, fx.hier, fx.queries); },
-      [&](gpusim::Device& d) { return run_hybrid(d, fx.hier, hier_image, fx.queries); });
-  expect_same(
-      "fil", [&](gpusim::Device& d) { return run_fil_baseline(d, fx.forest, fx.queries); },
-      [&](gpusim::Device& d) { return run_fil_baseline(d, fx.forest, fil_image, fx.queries); });
-  expect_same(
-      "tree-per-block",
-      [&](gpusim::Device& d) { return run_tree_per_block(d, fx.hier, fx.queries); },
-      [&](gpusim::Device& d) { return run_tree_per_block(d, fx.hier, hier_image, fx.queries); });
-}
-
-INSTANTIATE_TEST_SUITE_P(Rows, ImageEquivalence, testing::Values(1, 31, 32, 1000),
-                         [](const auto& info) { return "n" + std::to_string(info.param); });
-
 TEST(GpuKernels, ImageOfAnotherLayoutIsRejected) {
   RandomForestSpec spec;
   spec.num_trees = 3;
@@ -146,11 +96,8 @@ TEST(GpuKernels, ImageOfAnotherLayoutIsRejected) {
   RandomForestSpec bigger = spec;
   bigger.num_trees = 5;
   const Forest other = make_random_forest(bigger);
-  const DeviceImage hier_image(HierarchicalForest::build(other, fx.hier.config()));
   const DeviceImage fil_image(other);
   gpusim::Device d(small_gpu());
-  EXPECT_THROW(run_independent(d, fx.hier, hier_image, fx.queries), ConfigError);
-  EXPECT_THROW(run_hybrid(d, fx.hier, hier_image, fx.queries), ConfigError);
   EXPECT_THROW(run_fil_baseline(d, fx.forest, fil_image, fx.queries), ConfigError);
 }
 
@@ -175,7 +122,7 @@ TEST(GpuKernels, RejectsMismatchedQueryWidth) {
   EXPECT_THROW(run_csr(d, fx.csr, wrong), ConfigError);
   EXPECT_THROW(run_independent(d, fx.hier, wrong), ConfigError);
   EXPECT_THROW(run_hybrid(d, fx.hier, wrong), ConfigError);
-  EXPECT_THROW(run_fil_baseline(d, fx.forest, wrong), ConfigError);
+  EXPECT_THROW(run_fil_baseline(d, fx.forest, DeviceImage(fx.forest), wrong), ConfigError);
 }
 
 TEST(GpuKernels, HybridRejectsRootSubtreeBiggerThanSharedMemory) {

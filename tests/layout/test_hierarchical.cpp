@@ -46,20 +46,19 @@ TEST(Hierarchical, Fig3RootSubtreeSlots) {
   // slot 1 = old 1 (leaf), slot 2 = old 2, slots 3-4 padding, slot 5 =
   // old 3, slot 6 = old 4.
   const HierarchicalForest h = build_fig3();
-  const auto fid = h.feature_id();
-  const auto val = h.value();
-  EXPECT_EQ(fid[0], 1);
-  EXPECT_FLOAT_EQ(val[0], 2.5f);
-  EXPECT_EQ(fid[1], kLeafFeature);
-  EXPECT_FLOAT_EQ(val[1], 0.0f);
-  EXPECT_EQ(fid[2], 4);
-  EXPECT_FLOAT_EQ(val[2], 0.5f);
-  EXPECT_EQ(fid[3], kLeafFeature);  // padding
-  EXPECT_EQ(fid[4], kLeafFeature);  // padding
-  EXPECT_EQ(fid[5], 8);
-  EXPECT_FLOAT_EQ(val[5], 5.4f);
-  EXPECT_EQ(fid[6], 20);
-  EXPECT_FLOAT_EQ(val[6], 8.8f);
+  const auto n = h.nodes();
+  EXPECT_EQ(n[0].feature, 1);
+  EXPECT_FLOAT_EQ(n[0].value, 2.5f);
+  EXPECT_EQ(n[1].feature, kLeafFeature);
+  EXPECT_FLOAT_EQ(n[1].value, 0.0f);
+  EXPECT_EQ(n[2].feature, 4);
+  EXPECT_FLOAT_EQ(n[2].value, 0.5f);
+  EXPECT_EQ(n[3].feature, kLeafFeature);  // padding
+  EXPECT_EQ(n[4].feature, kLeafFeature);  // padding
+  EXPECT_EQ(n[5].feature, 8);
+  EXPECT_FLOAT_EQ(n[5].value, 5.4f);
+  EXPECT_EQ(n[6].feature, 20);
+  EXPECT_FLOAT_EQ(n[6].value, 8.8f);
 }
 
 TEST(Hierarchical, Fig3SpawnsLeafSubtrees) {

@@ -8,6 +8,7 @@
 
 #include "data/synthetic.hpp"
 #include "forest/random_forest_gen.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace hrf {
@@ -24,6 +25,43 @@ Forest demo_forest() {
 }
 
 std::string tmp_path(const char* name) { return testing::TempDir() + "/" + name; }
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// FORMAT.md's v2 hierarchical blob is pinned byte for byte: the layout
+// holds its nodes as packed {feature, value} records, and the saved blob
+// must still carry them as the separate feature-id and value sections.
+// One forest has RSD != SD, so the root subtree's own depth is covered.
+TEST(LayoutIo, HierarchicalBlobBytesArePinned) {
+  struct Case {
+    Forest forest;
+    HierConfig config;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  RandomForestSpec binary;
+  binary.num_trees = 5;
+  binary.max_depth = 9;
+  binary.branch_prob = 0.8;
+  binary.num_features = 6;
+  binary.seed = 2027;
+  const Case cases[] = {
+      {demo_forest(), HierConfig{.subtree_depth = 4, .root_subtree_depth = 6}, 31156, 0x2f3a560cu},
+      {make_random_forest(binary), HierConfig{.subtree_depth = 5}, 11967, 0x2a12fb7cu},
+  };
+  for (const Case& c : cases) {
+    const std::string path = tmp_path("hrf_hier_pin.hrfh");
+    save_hierarchical(HierarchicalForest::build(c.forest, c.config), path);
+    const std::string bytes = read_bytes(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(bytes.size(), c.size);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), c.crc)
+        << std::hex << "0x" << crc32(bytes.data(), bytes.size());
+  }
+}
 
 TEST(LayoutIo, CsrRoundTripPreservesPredictions) {
   const Forest f = demo_forest();
@@ -109,7 +147,7 @@ TEST(LayoutIo, CorruptedConnectionIsCaughtByValidate) {
           {h.subtree_node_offsets().begin(), h.subtree_node_offsets().end()},
           {h.subtree_depths().begin(), h.subtree_depths().end()},
           {h.connection_offsets().begin(), h.connection_offsets().end()}, std::move(conn),
-          {h.feature_id().begin(), h.feature_id().end()}, {h.value().begin(), h.value().end()},
+          {h.nodes().begin(), h.nodes().end()},
           {h.tree_subtree_begin().begin(), h.tree_subtree_begin().end()}),
       FormatError);
 }

@@ -68,7 +68,10 @@ bool same_hier(const HierarchicalForest& a, const HierarchicalForest& b) {
          spans_equal(a.subtree_depths(), b.subtree_depths()) &&
          spans_equal(a.connection_offsets(), b.connection_offsets()) &&
          spans_equal(a.subtree_connection(), b.subtree_connection()) &&
-         spans_equal(a.feature_id(), b.feature_id()) && spans_equal(a.value(), b.value()) &&
+         std::equal(a.nodes().begin(), a.nodes().end(), b.nodes().begin(), b.nodes().end(),
+                    [](const PackedNode& x, const PackedNode& y) {
+                      return x.feature == y.feature && x.value == y.value;
+                    }) &&
          spans_equal(a.tree_subtree_begin(), b.tree_subtree_begin());
 }
 

@@ -32,8 +32,8 @@ TEST(Quantized, NodeIsFourBytes) {
 TEST(Quantized, HalvesNodeStorage) {
   const Fixture fx;
   const auto q = QuantizedHierarchicalForest::build(fx.hier, fx.calibration);
-  // Float layout: 8 bytes per stored node (feature_id + value arrays).
-  EXPECT_EQ(q.node_bytes() * 2, fx.hier.feature_id().size() * 8);
+  // Float layout: 8 bytes per stored node (packed feature + value).
+  EXPECT_EQ(q.node_bytes() * 2, fx.hier.nodes().size_bytes());
 }
 
 TEST(Quantized, HighAgreementWithFloatLayout) {

@@ -286,13 +286,13 @@ TEST_F(Degradation, EveryPlanEndsOnASeparateCpuReplica) {
     }
   }
 
-  // The shrunk rung carries its own layout and device image, compiled
-  // here, once; the downgrade rung runs the primary's.
+  // The shrunk rung carries its own layout, compiled here, once; the
+  // downgrade rung runs the primary's.
   auto primary = std::make_shared<const Classifier>(small_forest(), oversized);
   const DegradationPlan plan = build_degradation_plan(primary);
   ASSERT_EQ(plan.size(), 4u);
   EXPECT_EQ(plan[1].classifier->hierarchical().config().root_subtree_depth, 12);
-  EXPECT_NE(plan[1].classifier->device_image(), nullptr);
+  EXPECT_NE(&plan[1].classifier->hierarchical(), &primary->hierarchical());
   EXPECT_EQ(plan[2].classifier, primary);
   EXPECT_EQ(plan[2].variant, Variant::Independent);
 }

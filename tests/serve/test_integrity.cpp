@@ -4,11 +4,11 @@
 //     built layout equals folding the per-section CRC32s that layout_io
 //     writes into the same layout's v2 blob — pinned here for all three
 //     resident variants (CSR, independent hierarchical, hybrid).
-//   * replica_crc32() covers a gpu-sim replica's device image as well as
-//     its layout, FIL baseline included.
+//   * replica_crc32() covers the node records a gpu-sim replica's kernels
+//     read: its layout's packed nodes, or the FIL baseline's image.
 //   * corrupt_replica_copy() produces a structurally valid copy whose CRC
 //     drifts and whose predictions diverge, without touching the source —
-//     also through a gpu-sim replica's prepared image.
+//     also through a gpu-sim replica.
 //   * ForestServer self-healing: the scrubber detects and repairs an
 //     injected replica corruption; sampled shadow audits serve the oracle
 //     answer on divergence and trigger a repair; the watchdog rescues a
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -118,14 +119,31 @@ TEST(IntegrityCrc, CrcIsStableAcrossRebuildsAndSensitiveToCorruption) {
   EXPECT_NE(layout_crc32(h), layout_crc32(corrupt_replica_copy(h)));
 }
 
-TEST(IntegrityCrc, ReplicaCrcCoversTheDeviceImage) {
+TEST(IntegrityCrc, ClobberingOneLayoutNodeChangesTheGpuReplicaCrc) {
   const Forest f = demo_forest();
   ClassifierOptions opt;  // gpu-sim hybrid
   const Classifier hybrid(f, opt);
-  ASSERT_NE(hybrid.device_image(), nullptr);
-  EXPECT_EQ(replica_crc32(hybrid),
-            image_crc32(*hybrid.device_image(), layout_crc32(hybrid.hierarchical())));
-  EXPECT_NE(replica_crc32(hybrid), layout_crc32(hybrid.hierarchical()));
+  const HierarchicalForest& h = hybrid.hierarchical();
+  EXPECT_EQ(replica_crc32(hybrid), layout_crc32(h));
+
+  // The kernels read the layout's packed nodes, so one clobbered node
+  // record (its threshold nudged, the topology intact) moves the CRC.
+  std::vector<PackedNode> nodes(h.nodes().begin(), h.nodes().end());
+  const auto inner = std::find_if(nodes.begin(), nodes.end(),
+                                  [](const PackedNode& n) { return n.feature >= 0; });
+  ASSERT_NE(inner, nodes.end());
+  inner->value += 1.0f;
+  const Classifier clobbered(
+      f,
+      HierarchicalForest::from_parts(
+          h.config(), h.num_features(), h.num_classes(), h.real_nodes(),
+          {h.subtree_node_offsets().begin(), h.subtree_node_offsets().end()},
+          {h.subtree_depths().begin(), h.subtree_depths().end()},
+          {h.connection_offsets().begin(), h.connection_offsets().end()},
+          {h.subtree_connection().begin(), h.subtree_connection().end()}, std::move(nodes),
+          {h.tree_subtree_begin().begin(), h.tree_subtree_begin().end()}),
+      opt);
+  EXPECT_NE(replica_crc32(clobbered), replica_crc32(hybrid));
 
   // The FIL baseline's only resident state is its image.
   opt.variant = Variant::FilBaseline;
@@ -143,7 +161,7 @@ TEST(IntegrityCrc, ReplicaCrcCoversTheDeviceImage) {
 }
 
 TEST(IntegrityCorrupt, CorruptGpuReplicaChangesItsCrcAndDivergesFromTheOracle) {
-  // The corrupted layout is packed into the replica's image at install, so
+  // The replica's kernels read the corrupted layout's nodes directly, so
   // both the scrubber's reference CRC and the shadow audit see the damage.
   const Forest f = demo_forest();
   const Dataset q = make_random_queries(64, 9, 92);
@@ -151,7 +169,6 @@ TEST(IntegrityCorrupt, CorruptGpuReplicaChangesItsCrcAndDivergesFromTheOracle) {
   ClassifierOptions opt;  // gpu-sim hybrid
   const Classifier clean(f, opt);
   const Classifier bad(f, corrupt_replica_copy(clean.hierarchical()), opt);
-  ASSERT_NE(bad.device_image(), nullptr);
   EXPECT_NE(replica_crc32(bad), replica_crc32(clean));
   EXPECT_EQ(clean.classify(q).predictions, oracle);
   EXPECT_NE(bad.classify(q).predictions, oracle);

@@ -36,12 +36,13 @@
 #
 # Usage: tools/check.sh [--plain-only|--sanitize-only|--tsan-only|
 #                        --cluster-chaos|--qos-chaos|--batch-chaos|
-#                        --integrity-chaos]
+#                        --integrity-chaos]...
+# With several flags, each flag's suites run in turn, in the order given.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
-MODE="${1:-all}"
+USAGE="usage: tools/check.sh [--plain-only|--sanitize-only|--tsan-only|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos]..."
 
 run_suite() {  # run_suite <build-dir> <extra cmake args...>
   local dir="$1"; shift
@@ -162,59 +163,69 @@ integrity_chaos() {  # integrity_chaos: the silent-corruption gates under TSan
   echo "integrity-chaos: corruption detected and repaired, hung workers rescued, under TSan"
 }
 
-case "$MODE" in
-  all|--plain-only)
-    run_suite build
-    reload_chaos build
-    metrics_schema build
-    ;;&
-  all|--plain-only|--cluster-chaos)
-    if [ "$MODE" = --cluster-chaos ]; then
-      cmake -B build -S . -DHRF_BUILD_BENCHES=OFF
-      cmake --build build -j "$JOBS" --target hrf_cli test_cluster_chaos
-    fi
-    cluster_chaos build
-    ;;&
-  all|--sanitize-only)
-    # Sanitized configs keep examples/tools on so the CLI end-to-end test
-    # (which needs the hrf_cli target) runs under ASan+UBSan too.
-    run_suite build-asan "-DHRF_SANITIZE=address;undefined"
-    ;;&
-  all|--tsan-only)
-    # TSan build runs only the concurrency suites (serving layer, fault
-    # injector, counter registry): that is where the data races live, and
-    # libgomp is not TSan-instrumented, so the OpenMP-parallel numeric
-    # suites would drown the signal in false positives. For the same
-    # reason the tests themselves run with OpenMP forced sequential.
-    echo "=== configure build-tsan ==="
-    cmake -B build-tsan -S . -DHRF_BUILD_BENCHES=OFF "-DHRF_SANITIZE=thread"
-    echo "=== build build-tsan ==="
-    cmake --build build-tsan -j "$JOBS" --target test_server test_circuit_breaker test_fault test_metrics test_histogram test_model_store test_reload test_trace test_obs test_cluster test_qos test_autoscaler test_cluster_chaos test_batcher test_batch_chaos test_integrity test_integrity_chaos test_flight_recorder test_monitor test_slo test_timeseries
-    echo "=== test build-tsan (concurrency suites) ==="
-    OMP_NUM_THREADS=1 TSAN_OPTIONS="halt_on_error=1" \
-      ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-            -R '(ForestServer|CircuitBreaker|FaultInjector|CounterRegistry|LatencyHistogram|HistogramDelta|ModelStore|ModelReload|Tracer|Span\.|Trace\.|RollupRegistry|BackendRollup|Cluster|TenantQuotas|AdaptiveLimiter|Autoscaler|BackendBatchGranularity|BatchOptions|BatchFormer|BatchedServer|BatchChaos|IntegrityCrc|IntegrityCorrupt|IntegrityServer|IntegrityChaos|FlightRecorder|MonitorTest|SloEngine|TimeSeriesRegistry)'
-    ;;&
-  all|--qos-chaos)
-    if [ "$MODE" = --qos-chaos ]; then
-      qos_chaos
-    fi
-    ;;&
-  all|--batch-chaos)
-    if [ "$MODE" = --batch-chaos ]; then
-      batch_chaos
-    fi
-    ;;&
-  all|--integrity-chaos)
-    if [ "$MODE" = --integrity-chaos ]; then
-      integrity_chaos
-    fi
-    ;;&
-  all|--plain-only|--sanitize-only|--tsan-only|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos)
-    echo "check.sh: all requested suites passed"
-    ;;
-  *)
-    echo "usage: tools/check.sh [--plain-only|--sanitize-only|--tsan-only|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos]" >&2
-    exit 2
-    ;;
-esac
+run_mode() {  # run_mode <mode>: every suite one flag (or "all") selects
+  local MODE="$1"
+  case "$MODE" in
+    all|--plain-only)
+      run_suite build
+      reload_chaos build
+      metrics_schema build
+      ;;&
+    all|--plain-only|--cluster-chaos)
+      if [ "$MODE" = --cluster-chaos ]; then
+        cmake -B build -S . -DHRF_BUILD_BENCHES=OFF
+        cmake --build build -j "$JOBS" --target hrf_cli test_cluster_chaos
+      fi
+      cluster_chaos build
+      ;;&
+    all|--sanitize-only)
+      # Sanitized configs keep examples/tools on so the CLI end-to-end test
+      # (which needs the hrf_cli target) runs under ASan+UBSan too.
+      run_suite build-asan "-DHRF_SANITIZE=address;undefined"
+      ;;&
+    all|--tsan-only)
+      # TSan build runs only the concurrency suites (serving layer, fault
+      # injector, counter registry): that is where the data races live, and
+      # libgomp is not TSan-instrumented, so the OpenMP-parallel numeric
+      # suites would drown the signal in false positives. For the same
+      # reason the tests themselves run with OpenMP forced sequential.
+      echo "=== configure build-tsan ==="
+      cmake -B build-tsan -S . -DHRF_BUILD_BENCHES=OFF "-DHRF_SANITIZE=thread"
+      echo "=== build build-tsan ==="
+      cmake --build build-tsan -j "$JOBS" --target test_server test_circuit_breaker test_fault test_metrics test_histogram test_model_store test_reload test_trace test_obs test_cluster test_qos test_autoscaler test_cluster_chaos test_batcher test_batch_chaos test_integrity test_integrity_chaos test_flight_recorder test_monitor test_slo test_timeseries
+      echo "=== test build-tsan (concurrency suites) ==="
+      OMP_NUM_THREADS=1 TSAN_OPTIONS="halt_on_error=1" \
+        ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+              -R '(ForestServer|CircuitBreaker|FaultInjector|CounterRegistry|LatencyHistogram|HistogramDelta|ModelStore|ModelReload|Tracer|Span\.|Trace\.|RollupRegistry|BackendRollup|Cluster|TenantQuotas|AdaptiveLimiter|Autoscaler|BackendBatchGranularity|BatchOptions|BatchFormer|BatchedServer|BatchChaos|IntegrityCrc|IntegrityCorrupt|IntegrityServer|IntegrityChaos|FlightRecorder|MonitorTest|SloEngine|TimeSeriesRegistry)'
+      ;;&
+    all|--qos-chaos)
+      if [ "$MODE" = --qos-chaos ]; then
+        qos_chaos
+      fi
+      ;;&
+    all|--batch-chaos)
+      if [ "$MODE" = --batch-chaos ]; then
+        batch_chaos
+      fi
+      ;;&
+    all|--integrity-chaos)
+      if [ "$MODE" = --integrity-chaos ]; then
+        integrity_chaos
+      fi
+      ;;&
+  esac
+}
+
+MODES=("$@")
+[ "${#MODES[@]}" -gt 0 ] || MODES=(all)
+for mode in "${MODES[@]}"; do  # reject a bad flag before any suite runs
+  case "$mode" in
+    all|--plain-only|--sanitize-only|--tsan-only|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos) ;;
+    *) echo "$USAGE" >&2; exit 2 ;;
+  esac
+done
+for mode in "${MODES[@]}"; do
+  echo "=== check.sh $mode ==="
+  run_mode "$mode"
+done
+echo "check.sh: all requested suites passed (${MODES[*]})"
