@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -21,16 +20,24 @@ class Cache {
   bool access(std::uint64_t addr) { return access_line(addr >> line_shift_); }
 
   /// access() for a line id (byte address / line size).
+  ///
+  /// One pass: a hit in way 0 (the common case) returns at once; otherwise
+  /// each way is shifted one step back as it is scanned, so the set ends
+  /// in LRU order (front = most recent) at the hit, or with the LRU line
+  /// shifted out on a miss.
   bool access_line(std::uint64_t line) {
     std::uint64_t* way = tags_.data() + set_of(line) * static_cast<std::size_t>(ways_);
     const std::uint64_t tag = line + 1;  // +1: tag 0 is the empty marker
-    // Stop at the last way: on a miss that is the LRU line being evicted.
-    int i = 0;
-    while (i < ways_ - 1 && way[i] != tag) ++i;
-    const bool hit = way[i] == tag;
-    std::copy_backward(way, way + i, way + i + 1);  // LRU order: front = most recent
+    std::uint64_t prev = way[0];
+    if (prev == tag) return true;
     way[0] = tag;
-    return hit;
+    for (int i = 1; i < ways_; ++i) {
+      const std::uint64_t cur = way[i];
+      way[i] = prev;
+      if (cur == tag) return true;
+      prev = cur;
+    }
+    return false;
   }
 
   void flush();

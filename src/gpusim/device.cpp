@@ -32,15 +32,31 @@ std::uint64_t Device::alloc(std::size_t bytes) {
 int Device::coalesce(std::span<const std::uint64_t> addrs, std::uint32_t active_mask,
                      std::uint64_t (&lines)[32]) const {
   if (addrs.size() < 32) active_mask &= (1u << addrs.size()) - 1;
+  if (active_mask == 0) return 0;
   // Elements are naturally aligned and smaller than a line, so no element
   // straddles two lines and a warp touches at most 32.
+  // Bit i of `near` marks line window_base + i. The unsigned offset wraps,
+  // so one compare tests both ends of the window.
+  const std::uint64_t window_base =
+      (addrs[static_cast<std::size_t>(std::countr_zero(active_mask))] >> line_shift_) - 32;
+  std::uint64_t near = 0;
+  std::uint64_t max_far = 0;
   int n = 0;
-  std::uint64_t max_line = 0;
   for (; active_mask != 0; active_mask &= active_mask - 1) {
     const std::uint64_t line = addrs[static_cast<std::size_t>(std::countr_zero(active_mask))] >>
                                line_shift_;
-    if (n == 0 || line > max_line) {
-      max_line = line;  // above every line so far, so not among them
+    const std::uint64_t offset = line - window_base;
+    if (offset < 64) [[likely]] {
+      // Branch-free: whether a lane repeats a line is data-dependent and
+      // would mispredict often. A repeat is written and then overwritten.
+      const std::uint64_t bit = std::uint64_t{1} << offset;
+      lines[n] = line;
+      n += (near & bit) == 0;
+      near |= bit;
+      continue;
+    }
+    if (line > max_far) {
+      max_far = line;  // above every far line so far, so not among them
     } else if (std::find(lines, lines + n, line) != lines + n) {
       continue;
     }
@@ -50,21 +66,30 @@ int Device::coalesce(std::span<const std::uint64_t> addrs, std::uint32_t active_
 }
 
 void Device::load_lines(int sm, const std::uint64_t* lines, int n, LoadHint hint) {
+  // Tallies live in locals: counters_ could alias the caches' tag stores,
+  // so incrementing it per probe would store it on every probe.
+  std::uint64_t l1_hits = 0;
+  std::uint64_t l2_hits = 0;
+  std::uint64_t dram = 0;
+  const bool use_l1 = cfg_.l1_for_global_loads;
+  Cache& l1 = l1_[static_cast<std::size_t>(sm % cfg_.num_sms)];
+  for (int j = 0; j < n; ++j) {
+    if (use_l1 && l1.access_line(lines[j])) {
+      ++l1_hits;
+    } else if (l2_.access_line(lines[j])) {
+      ++l2_hits;
+    } else if (hint == LoadHint::kTemporal && !temporal_lines_.insert(lines[j])) {
+      ++l2_hits;  // re-touch by another concurrently resident block
+    } else {
+      ++dram;
+    }
+  }
   ++counters_.gld_requests;
   ++counters_.warp_instructions;
   counters_.gld_transactions += static_cast<std::uint64_t>(n);
-  Cache& l1 = l1_[static_cast<std::size_t>(sm % cfg_.num_sms)];
-  for (int j = 0; j < n; ++j) {
-    if (cfg_.l1_for_global_loads && l1.access_line(lines[j])) {
-      ++counters_.l1_hits;
-    } else if (l2_.access_line(lines[j])) {
-      ++counters_.l2_hits;
-    } else if (hint == LoadHint::kTemporal && !temporal_lines_.insert(lines[j]).second) {
-      ++counters_.l2_hits;  // re-touch by another concurrently resident block
-    } else {
-      ++counters_.dram_transactions;
-    }
-  }
+  counters_.l1_hits += l1_hits;
+  counters_.l2_hits += l2_hits;
+  counters_.dram_transactions += dram;
 }
 
 void Device::store_lines(int n) {

@@ -3,12 +3,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "gpusim/cache.hpp"
 #include "gpusim/config.hpp"
 #include "gpusim/counters.hpp"
+#include "gpusim/line_set.hpp"
 
 namespace hrf::gpusim {
 
@@ -102,8 +102,10 @@ class Device {
   /// Writes the distinct line ids touched by the lanes of `active_mask`
   /// (lanes past addrs.size() ignored) to `lines` in first-appearance
   /// order, which is the order the caches see them; returns their count.
-  /// Work is O(active lanes) while line ids ascend, as they do for
-  /// consecutive rows or nodes, and O(active lanes x lines) otherwise.
+  /// Lines within [first - 32, first + 31] of the first active lane's line
+  /// are deduplicated through a 64-bit bitmap, which covers any warp
+  /// reading consecutive rows or nodes. Farther lines are new when above
+  /// every farther line so far, and are scanned for otherwise.
   int coalesce(std::span<const std::uint64_t> addrs, std::uint32_t active_mask,
                std::uint64_t (&lines)[32]) const;
   /// Counts one load request of `n` transactions and probes the caches.
@@ -116,7 +118,7 @@ class Device {
   Counters counters_;
   std::vector<Cache> l1_;  // one per SM
   Cache l2_;
-  std::unordered_set<std::uint64_t> temporal_lines_;  // line ids; see LoadHint::kTemporal
+  LineSet temporal_lines_;  // see LoadHint::kTemporal
   std::uint64_t next_addr_;
 };
 

@@ -196,18 +196,40 @@ void HierarchicalForest::validate() const {
   if (subtree_node_offset_.size() != s + 1 || connection_offset_.size() != s + 1) {
     throw FormatError("hierarchical: offset table size mismatch");
   }
+  // Both offset tables must span exactly their arrays; with the per-subtree
+  // counts below (computed without wrap-around, so each step ascends) that
+  // keeps every node and connection index in bounds.
+  if (subtree_node_offset_.front() != 0 || subtree_node_offset_.back() != nodes_.size()) {
+    throw FormatError("hierarchical: subtree node offsets do not span the node array");
+  }
+  if (connection_offset_.front() != 0 ||
+      connection_offset_.back() != subtree_connection_.size()) {
+    throw FormatError("hierarchical: connection offsets do not span the connection array");
+  }
+  // Each tree owns a non-empty run of subtrees (its root subtree first),
+  // and the runs tile [0, num_subtrees()).
+  if (tree_subtree_begin_.front() != 0 || tree_subtree_begin_.back() != s) {
+    throw FormatError("hierarchical: tree subtree ranges do not span the subtrees");
+  }
+  for (std::size_t t = 0; t < num_trees(); ++t) {
+    if (tree_subtree_begin_[t] >= tree_subtree_begin_[t + 1]) {
+      throw FormatError("hierarchical: tree " + std::to_string(t) + " has no subtrees");
+    }
+  }
   const int rsd = config_.effective_root_depth();
   for (std::size_t st = 0; st < s; ++st) {
     const int d = subtree_depth_[st];
     if (d < 1 || d > std::max(rsd, config_.subtree_depth)) {
       throw FormatError("hierarchical: subtree " + std::to_string(st) + " has bad depth");
     }
-    const std::uint64_t nodes = subtree_node_offset_[st + 1] - subtree_node_offset_[st];
+    const std::uint64_t nodes =
+        std::uint64_t{subtree_node_offset_[st + 1]} - subtree_node_offset_[st];
     if (nodes != complete_tree_nodes(d)) {
       throw FormatError("hierarchical: subtree " + std::to_string(st) +
                         " node count != 2^depth-1");
     }
-    const std::uint64_t conns = connection_offset_[st + 1] - connection_offset_[st];
+    const std::uint64_t conns =
+        std::uint64_t{connection_offset_[st + 1]} - connection_offset_[st];
     if (conns != 0 && conns != pow2(d)) {
       throw FormatError("hierarchical: subtree " + std::to_string(st) +
                         " has malformed connection block");
@@ -230,7 +252,8 @@ void HierarchicalForest::validate() const {
       }
     }
   }
-  // Connections must point to valid subtrees of the same tree and every
+  // Connections must point forward (subtree ids are assigned breadth-first,
+  // so a traversal cannot cycle) to subtrees of the same tree, and every
   // bottom-level inner node must have both children.
   for (std::size_t t = 0; t < num_trees(); ++t) {
     const std::uint32_t lo = tree_subtree_begin_[t];
@@ -241,6 +264,13 @@ void HierarchicalForest::validate() const {
       const int d = subtree_depth_[st];
       const std::uint32_t off = subtree_node_offset_[st];
       const std::uint32_t bottom_first = static_cast<std::uint32_t>(pow2(d - 1) - 1);
+      if (coff == cend) {
+        for (std::uint32_t slot = bottom_first; slot < complete_tree_nodes(d); ++slot) {
+          if (nodes_[off + slot].feature != kLeafFeature) {
+            throw FormatError("hierarchical: bottom-level inner node missing connection");
+          }
+        }
+      }
       for (std::uint32_t ci = coff; ci < cend; ++ci) {
         const std::int32_t target = subtree_connection_[ci];
         const std::uint32_t slot = bottom_first + (ci - coff) / 2;
@@ -254,6 +284,9 @@ void HierarchicalForest::validate() const {
         if (target >= 0 &&
             (static_cast<std::uint32_t>(target) < lo || static_cast<std::uint32_t>(target) >= hi)) {
           throw FormatError("hierarchical: connection escapes its tree");
+        }
+        if (target >= 0 && static_cast<std::uint32_t>(target) <= st) {
+          throw FormatError("hierarchical: connection does not point forward");
         }
       }
     }

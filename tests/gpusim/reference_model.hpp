@@ -39,6 +39,8 @@ class Cache {
     return false;
   }
 
+  void flush() { tags_.assign(tags_.size(), 0); }
+
  private:
   std::size_t line_;
   int ways_;
@@ -90,6 +92,12 @@ class Device {
     warp_load(sm, addrs, active_mask);
     counters_.atomic_transactions += counters_.gld_transactions - before;
     warp_store(addrs, active_mask);
+  }
+
+  void flush_caches() {
+    for (Cache& c : l1_) c.flush();
+    l2_.flush();
+    temporal_lines_.clear();
   }
 
   const Counters& counters() const { return counters_; }

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "gpusim/line_set.hpp"
 #include "reference_model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -148,6 +152,85 @@ TEST(Cache, SetIndexIsExactAcrossThe32BitBoundary) {
       EXPECT_TRUE(c.access_line(anchor));
       EXPECT_FALSE(c.access_line(first + sets));  // evicted by the re-touch of `first`
     }
+  }
+}
+
+// Checks, on copies of `c`, that set 0 of a `sets`-set cache holds exactly
+// `order`, most recent first: k misses must leave its first ways - k lines
+// and evict the rest.
+void expect_lru_order(const Cache& c, const std::vector<std::uint64_t>& order,
+                      std::uint64_t sets) {
+  const auto ways = static_cast<std::size_t>(c.ways());
+  for (std::size_t k = 1; k <= ways; ++k) {
+    Cache probe = c;
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_FALSE(probe.access_line(sets * (1'000'000 + i)));  // lines never used elsewhere
+    }
+    // Least recent first, so no hit evicts another kept line.
+    const std::size_t kept = std::min(order.size(), ways - k);
+    for (std::size_t i = kept; i-- > 0;) {
+      EXPECT_TRUE(probe.access_line(order[i])) << "line " << order[i] << " lost";
+    }
+    if (kept < order.size()) {
+      EXPECT_FALSE(probe.access_line(order[kept])) << "line " << order[kept] << " kept";
+    }
+  }
+}
+
+// A hit at LRU position p must move that line to the front and shift the
+// p lines before it back by one; a miss must shift every way and drop the
+// LRU line. For each way count, hit every position in turn, each followed
+// by a miss and by a re-touch of the line that miss evicted, and require
+// the reference's answer at every access and the full LRU order after it.
+TEST(Cache, HitsAtEveryWayPositionMatchTheReference) {
+  for (const int ways : {1, 4, 16}) {
+    SCOPED_TRACE(std::to_string(ways) + " ways");
+    constexpr std::uint64_t kSets = 4;
+    const std::size_t capacity = kSets * static_cast<std::size_t>(ways) * 128;
+    Cache c(capacity, ways, 128);
+    reference::Cache ref(capacity, ways, 128);
+    std::vector<std::uint64_t> order;  // set 0's lines, most recent first
+    std::uint64_t next_line = 0;
+    // Touches `line` (in set 0) on both caches and mirrors LRU order.
+    const auto touch = [&](std::uint64_t line, bool want) {
+      EXPECT_EQ(ref.access(line * 128), want) << "line " << line;
+      EXPECT_EQ(c.access_line(line), want) << "line " << line;
+      std::erase(order, line);
+      order.insert(order.begin(), line);
+      if (order.size() > static_cast<std::size_t>(ways)) order.pop_back();
+      expect_lru_order(c, order, kSets);
+    };
+    for (int round = 0; round < 3; ++round) {
+      for (int p = 0; p < ways; ++p) {
+        while (order.size() < static_cast<std::size_t>(ways)) touch(kSets * next_line++, false);
+        touch(order[static_cast<std::size_t>(p)], true);
+        const std::uint64_t lru = order.back();
+        touch(kSets * next_line++, false);  // evicts `lru`
+        touch(lru, false);
+        // A line of another set leaves set 0 alone.
+        const std::uint64_t other = 1 + kSets * static_cast<std::uint64_t>(round);
+        EXPECT_EQ(c.access_line(other), ref.access(other * 128));
+        expect_lru_order(c, order, kSets);
+      }
+    }
+  }
+}
+
+TEST(LineSet, MatchesAHashSetOnAnyIdAndForgetsOnClear) {
+  // Consecutive ids, ids far apart, both ends of the 64-bit range (the
+  // largest id's +1 key wraps to the empty marker) and enough ids to grow
+  // the table several times.
+  std::vector<std::uint64_t> ids{0, 1, std::numeric_limits<std::uint64_t>::max(),
+                                 std::numeric_limits<std::uint64_t>::max() - 1};
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 6000; ++i) ids.push_back(1000 + static_cast<std::uint64_t>(i));
+  for (int i = 0; i < 6000; ++i) ids.push_back(rng.next());
+  for (int i = 0; i < 6000; ++i) ids.push_back(ids[rng.bounded(ids.size())]);  // repeats
+  LineSet set;
+  for (int pass = 0; pass < 2; ++pass) {
+    std::unordered_set<std::uint64_t> want;
+    for (const std::uint64_t id : ids) ASSERT_EQ(set.insert(id), want.insert(id).second) << id;
+    set.clear();
   }
 }
 

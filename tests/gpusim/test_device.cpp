@@ -4,7 +4,9 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "gpusim/device_array.hpp"
 #include "reference_model.hpp"
@@ -343,6 +345,142 @@ TEST(Device, CoalescingMatchesTheReferenceModel) {
   EXPECT_GT(d.counters().l1_hits, 0u);
   EXPECT_GT(d.counters().l2_hits, 0u);
   EXPECT_GT(d.counters().dram_transactions, 0u);
+}
+
+// Replays one warp load on the device and the reference and requires equal
+// counters; returns the transactions the load added.
+std::uint64_t load_both(Device& d, reference::Device& ref, std::span<const std::uint64_t> addrs,
+                        std::uint32_t mask,
+                        Device::LoadHint hint = Device::LoadHint::kDefault) {
+  const std::uint64_t before = d.counters().gld_transactions;
+  d.warp_load(0, addrs, mask, 4, hint);
+  ref.warp_load(0, addrs, mask, hint);
+  EXPECT_EQ(d.counters(), ref.counters());
+  return d.counters().gld_transactions - before;
+}
+
+// The coalescer deduplicates lines near the first active lane's line
+// through a 64-line bitmap and scans for the rest. Put lanes exactly at
+// the window's edges and one line past them, on both sides, each twice,
+// and mix duplicated near and far lines in every order.
+TEST(Device, CoalescerWindowEdgesMatchTheReferenceModel) {
+  Device d(tiny_config());
+  reference::Device ref(tiny_config());
+  const std::uint64_t first = 1 << 20;  // line id of the first active lane
+  const auto at = [](std::uint64_t line) { return line * 128 + 8; };
+  std::array<std::uint64_t, 32> addrs{};
+
+  for (const int delta : {31, 32, 33}) {
+    SCOPED_TRACE("first +- " + std::to_string(delta));
+    const std::uint64_t below = first - static_cast<std::uint64_t>(delta);
+    const std::uint64_t above = first + static_cast<std::uint64_t>(delta);
+    // first, above, below, then each again: 3 distinct lines.
+    const std::uint64_t lines[] = {first, above, below, above, below, first};
+    for (std::size_t l = 0; l < 32; ++l) addrs[l] = at(lines[l % 6]);
+    EXPECT_EQ(load_both(d, ref, addrs, 0xffffffffu), 3u);
+    // The window follows the first *active* lane: with lane 0 off, the
+    // first active lane reads `above`, so `below` sits 2 x delta away.
+    EXPECT_EQ(load_both(d, ref, addrs, 0xfffffffeu), 3u);
+    EXPECT_EQ(load_both(d, ref, addrs, 0x0000001cu), 2u);  // lanes 2-4
+  }
+
+  // Descending lanes, one line apart (all near) and three apart (the far
+  // ones descend, so each is scanned for).
+  for (const std::uint64_t step : {1u, 3u}) {
+    for (std::size_t l = 0; l < 32; ++l) addrs[l] = at(first - step * l);
+    EXPECT_EQ(load_both(d, ref, addrs, 0xffffffffu), 32u);
+    for (std::size_t l = 0; l < 32; ++l) addrs[l] = at(first - step * (l / 2));
+    EXPECT_EQ(load_both(d, ref, addrs, 0xffffffffu), 16u);
+  }
+
+  // Near and far duplicates interleaved, far lines out of order.
+  const std::uint64_t mixed[] = {first,       first + 40, first + 5,  first + 40,
+                                 first - 50,  first + 5,  first - 50, first + 100,
+                                 first + 40,  first - 32, first + 31, first - 33,
+                                 first + 100, first - 33, first + 32, first + 32};
+  for (std::size_t l = 0; l < 32; ++l) addrs[l] = at(mixed[l % 16]);
+  EXPECT_EQ(load_both(d, ref, addrs, 0xffffffffu), 9u);
+
+  // Random lanes within 40 lines of the first, so both sides of both edges
+  // are hit often, under random masks.
+  Xoshiro256 rng(31);
+  for (int op = 0; op < 4000; ++op) {
+    for (auto& a : addrs) a = at(first - 40 + rng.bounded(81));
+    load_both(d, ref, addrs, static_cast<std::uint32_t>(rng.next()) | 1u);
+    load_both(d, ref, addrs, static_cast<std::uint32_t>(rng.next()));
+  }
+}
+
+// A small L2 (2 sets x 16 ways) with L1 off, so kTemporal lines leave L2
+// after a few dozen other lines.
+DeviceConfig small_l2_config() {
+  DeviceConfig cfg = tiny_config();
+  cfg.l1_for_global_loads = false;
+  cfg.l2_bytes = 4 * 1024;
+  return cfg;
+}
+
+TEST(Device, TemporalRetouchAfterL2EvictionMatchesTheReferenceModel) {
+  Device d(small_l2_config());
+  reference::Device ref(small_l2_config());
+  const std::uint64_t hot = d.alloc(128);
+  const std::uint64_t sweep = d.alloc(64 * 128);
+  const std::array<std::uint64_t, 1> hot_addr{hot};
+  std::array<std::uint64_t, 32> addrs{};
+
+  load_both(d, ref, hot_addr, 1u, Device::LoadHint::kTemporal);
+  EXPECT_EQ(d.counters().dram_transactions, 1u);
+  load_both(d, ref, hot_addr, 1u, Device::LoadHint::kTemporal);  // still in L2
+  EXPECT_EQ(d.counters().l2_hits, 1u);
+  for (int half = 0; half < 2; ++half) {  // 64 other lines: evicts `hot`
+    for (std::size_t l = 0; l < 32; ++l) addrs[l] = sweep + (32 * half + l) * 128;
+    load_both(d, ref, addrs, 0xffffffffu);
+  }
+  // A default load of the evicted line pays DRAM; a kTemporal one is a
+  // re-touch by a concurrent block and an L2 hit.
+  const Counters before = d.counters();
+  load_both(d, ref, hot_addr, 1u, Device::LoadHint::kTemporal);
+  EXPECT_EQ(d.counters().l2_hits, before.l2_hits + 1);
+  EXPECT_EQ(d.counters().dram_transactions, before.dram_transactions);
+}
+
+TEST(Device, TemporalLinesBeyondTheAllocationsMatchTheReferenceModel) {
+  Device d(small_l2_config());
+  reference::Device ref(small_l2_config());
+  // Never-allocated addresses: page zero, far past the bump pointer, the
+  // top of the 64-bit space, and 3000 lines spread across it (enough to
+  // grow the temporal set several times); each twice, with L2 long
+  // evicted by the second pass.
+  std::vector<std::uint64_t> far{0, std::uint64_t{1} << 40,
+                                 std::numeric_limits<std::uint64_t>::max()};
+  Xoshiro256 rng(41);
+  for (int i = 0; i < 3000; ++i) far.push_back(rng.next());
+  std::array<std::uint64_t, 32> addrs{};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < far.size(); i += 32) {
+      for (std::size_t l = 0; l < 32; ++l) addrs[l] = far[(i + l) % far.size()];
+      load_both(d, ref, addrs, 0xffffffffu, Device::LoadHint::kTemporal);
+    }
+  }
+  // Each of the 3003 lines pays DRAM once; every other transaction (the
+  // second pass, and the first pass's last warp wrapping onto its first
+  // five lines) is an L2 hit.
+  EXPECT_EQ(d.counters().dram_transactions, 3003u);
+  EXPECT_EQ(d.counters().l2_hits, d.counters().gld_transactions - 3003u);
+}
+
+TEST(Device, FlushCachesForgetsTemporalLines) {
+  Device d(small_l2_config());
+  reference::Device ref(small_l2_config());
+  const std::array<std::uint64_t, 1> addr{d.alloc(128)};
+  load_both(d, ref, addr, 1u, Device::LoadHint::kTemporal);
+  d.flush_caches();
+  ref.flush_caches();
+  // Out of L2 and out of the temporal set: a first touch again.
+  load_both(d, ref, addr, 1u, Device::LoadHint::kTemporal);
+  EXPECT_EQ(d.counters().dram_transactions, 2u);
+  load_both(d, ref, addr, 1u, Device::LoadHint::kTemporal);
+  EXPECT_EQ(d.counters().l2_hits, 1u);
 }
 
 }  // namespace

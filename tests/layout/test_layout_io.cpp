@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "forest/random_forest_gen.hpp"
@@ -150,6 +152,105 @@ TEST(LayoutIo, CorruptedConnectionIsCaughtByValidate) {
           {h.nodes().begin(), h.nodes().end()},
           {h.tree_subtree_begin().begin(), h.tree_subtree_begin().end()}),
       FormatError);
+}
+
+// The parts of a built layout, each editable before from_parts re-validates.
+struct HierParts {
+  std::vector<std::uint32_t> node_offset;
+  std::vector<std::uint8_t> depth;
+  std::vector<std::uint32_t> connection_offset;
+  std::vector<std::int32_t> connection;
+  std::vector<PackedNode> nodes;
+  std::vector<std::uint32_t> tree_begin;
+
+  explicit HierParts(const HierarchicalForest& h)
+      : node_offset(h.subtree_node_offsets().begin(), h.subtree_node_offsets().end()),
+        depth(h.subtree_depths().begin(), h.subtree_depths().end()),
+        connection_offset(h.connection_offsets().begin(), h.connection_offsets().end()),
+        connection(h.subtree_connection().begin(), h.subtree_connection().end()),
+        nodes(h.nodes().begin(), h.nodes().end()),
+        tree_begin(h.tree_subtree_begin().begin(), h.tree_subtree_begin().end()) {}
+
+  HierarchicalForest rebuild(const HierarchicalForest& h) const {
+    return HierarchicalForest::from_parts(h.config(), h.num_features(), h.num_classes(),
+                                          h.real_nodes(), node_offset, depth, connection_offset,
+                                          connection, nodes, tree_begin);
+  }
+};
+
+// Offset tables that keep every per-subtree count but do not span their
+// arrays used to pass validate(), which then read nodes out of bounds.
+TEST(LayoutIo, OffsetTablesMustSpanTheirArrays) {
+  const Forest f = demo_forest();
+  const HierarchicalForest h = HierarchicalForest::build(f, HierConfig{.subtree_depth = 4});
+  ASSERT_NO_THROW(HierParts(h).rebuild(h));
+  ASSERT_GE(h.num_trees(), 2u);
+
+  HierParts shifted(h);
+  for (auto& off : shifted.node_offset) off += std::uint32_t{1} << 26;
+  EXPECT_THROW(shifted.rebuild(h), FormatError);
+
+  HierParts short_nodes(h);
+  short_nodes.nodes.pop_back();
+  EXPECT_THROW(short_nodes.rebuild(h), FormatError);
+
+  HierParts conn_shifted(h);
+  for (auto& off : conn_shifted.connection_offset) off += std::uint32_t{1} << 26;
+  EXPECT_THROW(conn_shifted.rebuild(h), FormatError);
+
+  HierParts extra_conn(h);
+  extra_conn.connection.push_back(-1);
+  EXPECT_THROW(extra_conn.rebuild(h), FormatError);
+
+  HierParts trees_past_end(h);
+  trees_past_end.tree_begin.back() += 1;
+  EXPECT_THROW(trees_past_end.rebuild(h), FormatError);
+
+  HierParts trees_from_one(h);
+  trees_from_one.tree_begin.front() = 1;
+  EXPECT_THROW(trees_from_one.rebuild(h), FormatError);
+
+  HierParts trees_descending(h);
+  std::swap(trees_descending.tree_begin[1], trees_descending.tree_begin[2]);
+  EXPECT_THROW(trees_descending.rebuild(h), FormatError);
+}
+
+// A connection back to its own subtree or an earlier one would make
+// traversal loop forever.
+TEST(LayoutIo, ConnectionsMustPointForward) {
+  const Forest f = demo_forest();
+  const HierarchicalForest h = HierarchicalForest::build(f, HierConfig{.subtree_depth = 4});
+  HierParts parts(h);
+  bool corrupted = false;
+  for (std::size_t st = 0; st < h.num_subtrees() && !corrupted; ++st) {
+    for (std::uint32_t ci = parts.connection_offset[st]; ci < parts.connection_offset[st + 1];
+         ++ci) {
+      if (parts.connection[ci] >= 0) {
+        parts.connection[ci] = static_cast<std::int32_t>(st);  // same tree, not forward
+        corrupted = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(corrupted);
+  EXPECT_THROW(parts.rebuild(h), FormatError);
+}
+
+// A subtree cut short of its depth cap has no connection block, so its
+// bottom level must hold leaves only: an inner node there has nowhere to go.
+TEST(LayoutIo, ShortSubtreeBottomLevelMustBeLeaves) {
+  const Forest f = demo_forest();
+  const HierarchicalForest h = HierarchicalForest::build(f, HierConfig{.subtree_depth = 4});
+  HierParts parts(h);
+  bool corrupted = false;
+  for (std::size_t st = 0; st < h.num_subtrees() && !corrupted; ++st) {
+    if (parts.connection_offset[st] != parts.connection_offset[st + 1]) continue;
+    const std::uint32_t bottom = parts.node_offset[st + 1] - 1;  // last bottom-level slot
+    parts.nodes[bottom] = {0, 0.5f};
+    corrupted = true;
+  }
+  ASSERT_TRUE(corrupted);
+  EXPECT_THROW(parts.rebuild(h), FormatError);
 }
 
 TEST(LayoutIo, SavesAreAtomicAndLeaveNoTempFiles) {

@@ -49,13 +49,15 @@ step_build() {
 
 # perfbench/ compiles the src/ tree on its own (perfbench/CMakeLists.txt),
 # so a src/ signature change can break the benchmark's build while the
-# main tree still builds. Configure and build it here, with its tests
-# when GTest is found, so such a break fails CI rather than a benchmark run.
+# main tree still builds. Configure and build it here, and build and run
+# its tests when GTest is found, so such a break fails CI rather than a
+# benchmark run.
 step_perfbench_build() {
   cmake -B build-perfbench -S perfbench &&
   cmake --build build-perfbench -j "$JOBS" --target perfbench || return
   if cmake --build build-perfbench --target help | grep perfbench_tests > /dev/null; then
-    cmake --build build-perfbench -j "$JOBS" --target perfbench_tests
+    cmake --build build-perfbench -j "$JOBS" --target perfbench_tests &&
+    build-perfbench/perfbench_tests
   fi
 }
 
