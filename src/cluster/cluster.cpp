@@ -685,6 +685,7 @@ serve::LatencyStats ClusterRouter::latency() const {
     merged.execute.merge(one.execute);
     merged.end_to_end.merge(one.end_to_end);
     merged.reload.merge(one.reload);
+    merged.batch_size.merge(one.batch_size);
   }
   return merged;
 }
@@ -746,7 +747,6 @@ obs::MetricsSnapshot ClusterRouter::metrics_snapshot() const {
   for (const std::string& name : obs::cluster_counter_catalogue()) snap.counters[name] = 0;
   for (const auto& [name, value] : counters_.snapshot()) snap.counters[name] += value;
 
-  serve::LatencyStats lat;
   std::map<obs::RollupKey, obs::BackendRollup> merged_rollups;
   trace::TracerSummary traces{};
   double total_queue_depth = 0.0;
@@ -770,11 +770,15 @@ obs::MetricsSnapshot ClusterRouter::metrics_snapshot() const {
     if (!server) continue;
     const obs::MetricsSnapshot one = server->metrics_snapshot();
     for (const auto& [name, value] : one.counters) snap.counters[name] += value;
+    // Stages merge by name, in the order the shards first report them.
     for (const auto& [stage, hist] : one.histograms) {
-      if (stage == "queue_wait") lat.queue_wait.merge(hist);
-      if (stage == "execute") lat.execute.merge(hist);
-      if (stage == "end_to_end") lat.end_to_end.merge(hist);
-      if (stage == "reload") lat.reload.merge(hist);
+      const auto it = std::find_if(snap.histograms.begin(), snap.histograms.end(),
+                                   [&](const auto& h) { return h.first == stage; });
+      if (it == snap.histograms.end()) {
+        snap.histograms.emplace_back(stage, hist);
+      } else {
+        it->second.merge(hist);
+      }
     }
     for (const auto& [key, rollup] : one.rollups) merged_rollups[key].merge(rollup);
     if (one.has_traces) {
@@ -844,10 +848,6 @@ obs::MetricsSnapshot ClusterRouter::metrics_snapshot() const {
   snap.gauges["cluster_concurrency_limit"] = static_cast<double>(concurrency_limit());
   snap.gauges["cluster_in_flight"] = static_cast<double>(limiter_in_flight());
 
-  snap.histograms.emplace_back("queue_wait", lat.queue_wait);
-  snap.histograms.emplace_back("execute", lat.execute);
-  snap.histograms.emplace_back("end_to_end", lat.end_to_end);
-  snap.histograms.emplace_back("reload", lat.reload);
   snap.histograms.emplace_back("route", hist_route_.snapshot());
 
   snap.rollups.assign(merged_rollups.begin(), merged_rollups.end());

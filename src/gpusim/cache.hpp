@@ -11,8 +11,9 @@ namespace hrf::gpusim {
 /// modeled (no data — the simulator is functionally exact elsewhere).
 class Cache {
  public:
-  /// `line_bytes` must be a power of two; `ways` must divide the line
-  /// count (capacity need not be a power of two — the TITAN Xp L2 is 3 MB).
+  /// `line_bytes` must be a power of two, at least 2; `ways` must divide
+  /// the line count (capacity need not be a power of two — the TITAN Xp
+  /// L2 is 3 MB).
   Cache(std::size_t capacity_bytes, int ways, std::size_t line_bytes);
 
   /// Touches the line containing byte address `addr`. Returns true on hit.

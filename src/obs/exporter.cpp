@@ -1,11 +1,15 @@
 #include "obs/exporter.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <set>
+#include <span>
+#include <type_traits>
 
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
@@ -18,9 +22,18 @@ namespace {
 // start, not from the first snapshot.
 const std::chrono::steady_clock::time_point kProcessStart = std::chrono::steady_clock::now();
 
+constexpr const char* kLatencyFamily = "hrf_latency_seconds";
+constexpr const char* kFaultFamily = "hrf_fault_fired_total";
+
 std::string format_value(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
+  // Integral values below 10^15 print every digit, as the JSON export
+  // does: a counter past 10^10 must not lose digits to %g.
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.10g", v);
+  }
   return buf;
 }
 
@@ -40,13 +53,249 @@ std::string escape_label(const std::string& v) {
   return out;
 }
 
-std::string rollup_labels(const RollupKey& key) {
-  return "{variant=\"" + escape_label(key.variant) + "\",backend=\"" +
-         escape_label(key.backend) + "\",generation=\"" + std::to_string(key.generation) + "\"}";
-}
-
 void emit_type(std::string& out, const std::string& family, const std::string& type) {
   out += "# TYPE " + family + " " + type + "\n";
+}
+
+// --- Export blocks ---------------------------------------------------------
+//
+// Each row-shaped export block (rollups, shards, tenants, SLO alerts and
+// the tracer summary) is declared once, as a table of columns.
+// to_prometheus, snapshot_to_json, metric_catalogue() and
+// check_metrics_schema are all generated from these tables, so a field
+// cannot be exported one way and forgotten the other.
+
+/// How a column surfaces: as a Prometheus family, as a label on every
+/// family of its block, or only under its JSON key.
+enum class Col { Counter, Gauge, Label, JsonOnly };
+
+/// One field of a block row. `name` is the Prometheus family (Counter,
+/// Gauge) or label (Label); JsonOnly columns have none. The JSON kind the
+/// getter returns (number, bool or string) is the field's schema.
+template <typename Row>
+struct Column {
+  const char* name;
+  Col col;
+  const char* key;
+  json::Value (*get)(const Row&);
+};
+
+/// One export block, columns in JSON key order. Each row renders one
+/// sample per family, labeled by the label columns, and one JSON object
+/// holding every column. A block without label columns has exactly one
+/// row and exports it as a JSON object rather than an array.
+template <typename Row>
+struct Table {
+  MetricBlock block;
+  const char* json_key;
+  const char* count_family;  // gauge of the row count, or null
+  std::vector<Column<Row>> columns;
+};
+
+using V = json::Value;
+using RollupRow = std::pair<RollupKey, BackendRollup>;
+
+template <typename M>
+struct MemberOf;
+template <typename C, typename T>
+struct MemberOf<T C::*> {
+  using Class = C;
+};
+
+/// Getter reading one data member or const method of the row.
+template <auto M>
+V field(const typename MemberOf<decltype(M)>::Class& row) {
+  return std::invoke(M, row);
+}
+
+/// The same, of a rollup row's BackendRollup.
+template <auto M>
+V rollup(const RollupRow& row) {
+  return std::invoke(M, row.second);
+}
+
+// Every family of a block is emitted for every row: a GPU-only deployment
+// still exports zeroed FPGA gauges, a shed-free tenant a zeroed shed
+// counter, so dashboards and the schema checker never see families appear
+// and disappear with traffic mix or health.
+const Table<RollupRow> kRollups{
+    MetricBlock::Rollup, "rollups", nullptr,
+    {{"variant", Col::Label, "variant", [](const RollupRow& r) -> V { return r.first.variant; }},
+     {"backend", Col::Label, "backend", [](const RollupRow& r) -> V { return r.first.backend; }},
+     {"generation", Col::Label, "generation",
+      [](const RollupRow& r) -> V { return r.first.generation; }},
+     {"hrf_backend_requests_total", Col::Counter, "requests", rollup<&BackendRollup::requests>},
+     {"hrf_backend_queries_total", Col::Counter, "queries", rollup<&BackendRollup::queries>},
+     {"hrf_backend_seconds_total", Col::Counter, "seconds", rollup<&BackendRollup::seconds>},
+     {nullptr, Col::JsonOnly, "gpu_runs", rollup<&BackendRollup::gpu_runs>},
+     {"hrf_backend_branch_efficiency", Col::Gauge, "branch_efficiency",
+      [](const RollupRow& r) -> V {
+        return r.second.gpu_runs ? r.second.branch_efficiency() : 0.0;
+      }},
+     {"hrf_backend_txn_per_request", Col::Gauge, "txn_per_request",
+      rollup<&BackendRollup::txn_per_request>},
+     {"hrf_backend_onchip_hit_rate", Col::Gauge, "onchip_hit_rate",
+      rollup<&BackendRollup::onchip_hit_rate>},
+     {"hrf_backend_stage1_onchip_hit_rate", Col::Gauge, "stage1_onchip_hit_rate",
+      rollup<&BackendRollup::stage1_onchip_hit_rate>},
+     {"hrf_backend_dram_transactions_total", Col::Counter, "dram_transactions",
+      [](const RollupRow& r) -> V { return r.second.gpu.dram_transactions; }},
+     {nullptr, Col::JsonOnly, "smem_loads",
+      [](const RollupRow& r) -> V { return r.second.gpu.smem_loads; }},
+     {nullptr, Col::JsonOnly, "l2_hits",
+      [](const RollupRow& r) -> V { return r.second.gpu.l2_hits; }},
+     {nullptr, Col::JsonOnly, "fpga_runs", rollup<&BackendRollup::fpga_runs>},
+     {"hrf_backend_fpga_ii_stall_cycles", Col::Gauge, "fpga_ii_stall_cycles",
+      rollup<&BackendRollup::fpga_ii_stall_cycles>},
+     {"hrf_backend_fpga_stall_pct", Col::Gauge, "fpga_stall_pct",
+      rollup<&BackendRollup::fpga_stall_pct>}}};
+
+const Table<ShardHealth> kShards{
+    MetricBlock::Cluster, "shards", nullptr,
+    {{"shard", Col::Label, "index", field<&ShardHealth::index>},
+     {"hrf_shard_up", Col::Gauge, "up", field<&ShardHealth::up>},
+     {"hrf_shard_partitioned", Col::Gauge, "partitioned", field<&ShardHealth::partitioned>},
+     {"hrf_shard_breaker_state", Col::Gauge, "breaker_state", field<&ShardHealth::breaker_state>},
+     {"hrf_shard_queue_depth", Col::Gauge, "queue_depth", field<&ShardHealth::queue_depth>},
+     {"hrf_shard_model_generation", Col::Gauge, "generation", field<&ShardHealth::generation>},
+     {"hrf_shard_routed_total", Col::Counter, "routed", field<&ShardHealth::routed>},
+     {"hrf_shard_failures_total", Col::Counter, "failures", field<&ShardHealth::failures>},
+     {"hrf_shard_repairs_total", Col::Counter, "repairs", field<&ShardHealth::repairs>},
+     {"hrf_shard_worker_restarts_total", Col::Counter, "worker_restarts",
+      field<&ShardHealth::worker_restarts>}}};
+
+const Table<TenantStat> kTenants{
+    MetricBlock::Tenant, "tenants", nullptr,
+    {{"tenant", Col::Label, "name", field<&TenantStat::name>},
+     {"hrf_tenant_weight", Col::Gauge, "weight", field<&TenantStat::weight>},
+     {"hrf_tenant_reserved_slots", Col::Gauge, "reserved", field<&TenantStat::reserved>},
+     {"hrf_tenant_queue_depth", Col::Gauge, "queued", field<&TenantStat::queued>},
+     {"hrf_tenant_admitted_total", Col::Counter, "admitted", field<&TenantStat::admitted>},
+     {"hrf_tenant_quota_shed_total", Col::Counter, "shed", field<&TenantStat::shed>}}};
+
+// The count gauge marks an export as SLO-armed even while the row list is
+// momentarily empty. Incident bundles carry the same rows as "alerts".
+const Table<SloAlertState> kSlo{
+    MetricBlock::Slo, "slo", "hrf_slo_objectives",
+    {{"objective", Col::Label, "objective", field<&SloAlertState::objective>},
+     {"scope", Col::Label, "scope", field<&SloAlertState::scope>},
+     {"hrf_slo_state", Col::Gauge, "firing", field<&SloAlertState::firing>},
+     {"hrf_slo_burn_rate_fast", Col::Gauge, "fast_burn", field<&SloAlertState::fast_burn>},
+     {"hrf_slo_burn_rate_slow", Col::Gauge, "slow_burn", field<&SloAlertState::slow_burn>},
+     {"hrf_slo_alerts_fired_total", Col::Counter, "fired", field<&SloAlertState::fired_total>},
+     {"hrf_slo_alerts_cleared_total", Col::Counter, "cleared",
+      field<&SloAlertState::cleared_total>}}};
+
+using Traces = trace::TracerSummary;
+const Table<Traces> kTraces{
+    MetricBlock::Server, "traces", nullptr,
+    {{"hrf_traces_started_total", Col::Counter, "started", field<&Traces::started>},
+     {"hrf_traces_sampled_total", Col::Counter, "sampled", field<&Traces::sampled>},
+     {"hrf_traces_completed_total", Col::Counter, "completed", field<&Traces::completed>},
+     {"hrf_traces_evicted_total", Col::Counter, "evicted", field<&Traces::evicted>},
+     {"hrf_traces_retained", Col::Gauge, "retained", field<&Traces::retained>},
+     {"hrf_trace_sampling_rate", Col::Gauge, "sampling", field<&Traces::sampling>},
+     {nullptr, Col::JsonOnly, "capacity", field<&Traces::capacity>}}};
+
+bool is_family(Col col) { return col == Col::Counter || col == Col::Gauge; }
+const char* type_name(Col col) { return col == Col::Counter ? "counter" : "gauge"; }
+
+template <typename Row>
+bool one_row(const Table<Row>& t) {
+  return std::none_of(t.columns.begin(), t.columns.end(),
+                      [](const Column<Row>& c) { return c.col == Col::Label; });
+}
+
+std::string sample_value(const json::Value& v) {
+  return format_value(v.is_bool() ? (v.as_bool() ? 1.0 : 0.0) : v.as_number());
+}
+
+/// The row span is not deduced, so a vector or a one-element span binds.
+template <typename Row>
+void emit_table(std::string& out, const Table<Row>& t,
+                std::type_identity_t<std::span<const Row>> rows) {
+  if (t.count_family != nullptr) {
+    emit_type(out, t.count_family, "gauge");
+    out += std::string(t.count_family) + " " + format_value(static_cast<double>(rows.size())) +
+           "\n";
+  }
+  std::vector<std::string> labels;
+  for (const Row& row : rows) {
+    std::string set;
+    for (const Column<Row>& c : t.columns) {
+      if (c.col != Col::Label) continue;
+      const json::Value v = c.get(row);
+      set += (set.empty() ? "{" : ",") + std::string(c.name) + "=\"" +
+             (v.is_string() ? escape_label(v.as_string()) : sample_value(v)) + "\"";
+    }
+    labels.push_back(set.empty() ? set : set + "}");
+  }
+  for (const Column<Row>& c : t.columns) {
+    if (!is_family(c.col)) continue;
+    emit_type(out, c.name, type_name(c.col));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out += c.name + labels[i] + " " + sample_value(c.get(rows[i])) + "\n";
+    }
+  }
+}
+
+template <typename Row>
+json::Value row_json(const Table<Row>& t, const Row& row) {
+  json::Value obj = json::Value::object();
+  for (const Column<Row>& c : t.columns) obj[c.key] = c.get(row);
+  return obj;
+}
+
+template <typename Row>
+json::Value rows_json(const Table<Row>& t, const std::vector<Row>& rows) {
+  json::Value arr = json::Value::array();
+  for (const Row& row : rows) arr.push_back(row_json(t, row));
+  return arr;
+}
+
+template <typename Row>
+void add_families(std::vector<MetricInfo>& out, const Table<Row>& t) {
+  if (t.count_family != nullptr) out.push_back({t.count_family, "gauge", t.block});
+  for (const Column<Row>& c : t.columns) {
+    if (is_family(c.col)) out.push_back({c.name, type_name(c.col), t.block});
+  }
+}
+
+/// Throws FormatError (prefixed `what`) unless `row` carries every column
+/// of `t` with the JSON kind its getter produces.
+template <typename Row>
+void check_row(const Table<Row>& t, const json::Value& row, const std::string& what) {
+  const Row blank{};
+  for (const Column<Row>& c : t.columns) {
+    const json::Value* v = row.find(c.key);
+    if (v == nullptr || v->kind() != c.get(blank).kind()) {
+      throw FormatError(what + ": " + t.json_key + " row without a well-typed '" + c.key + "'");
+    }
+  }
+}
+
+constexpr const char* kSchemaFailed = "metrics schema check failed";
+
+[[noreturn]] void schema_fail(const std::string& what) {
+  throw FormatError(std::string(kSchemaFailed) + ": " + what);
+}
+
+/// Ties a block's JSON section to its Prometheus families: rows exist in
+/// both exports or in neither, and every row is complete.
+template <typename Row>
+void check_table_json(const Table<Row>& t, const json::Value& doc, bool exported) {
+  const json::Value* section = doc.find(t.json_key);
+  const bool has_rows = section != nullptr && section->size() > 0;
+  if (exported && !has_rows) schema_fail(std::string(t.json_key) + " families without JSON rows");
+  if (!exported && has_rows) {
+    schema_fail(std::string("JSON ") + t.json_key + " rows without their Prometheus families");
+  }
+  if (!has_rows) return;
+  if (one_row(t)) {
+    check_row(t, *section, kSchemaFailed);
+    return;
+  }
+  for (std::size_t i = 0; i < section->size(); ++i) check_row(t, section->at(i), kSchemaFailed);
 }
 
 }  // namespace
@@ -121,184 +370,39 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
   }
 
   if (!snapshot.histograms.empty()) {
-    emit_type(out, "hrf_latency_seconds", "histogram");
+    const std::string family = kLatencyFamily;
+    emit_type(out, family, "histogram");
     for (const auto& [stage, snap] : snapshot.histograms) {
       const std::string stage_label = "stage=\"" + escape_label(stage) + "\"";
       for (const auto& bucket : snap.cumulative()) {
-        out += "hrf_latency_seconds_bucket{" + stage_label + ",le=\"" +
+        out += family + "_bucket{" + stage_label + ",le=\"" +
                format_value(static_cast<double>(bucket.le_ns) / 1e9) + "\"} " +
                std::to_string(bucket.cumulative) + "\n";
       }
-      out += "hrf_latency_seconds_bucket{" + stage_label + ",le=\"+Inf\"} " +
-             std::to_string(snap.total) + "\n";
-      out += "hrf_latency_seconds_sum{" + stage_label + "} " +
-             format_value(static_cast<double>(snap.sum_ns) / 1e9) + "\n";
-      out += "hrf_latency_seconds_count{" + stage_label + "} " + std::to_string(snap.total) +
+      out += family + "_bucket{" + stage_label + ",le=\"+Inf\"} " + std::to_string(snap.total) +
              "\n";
+      out += family + "_sum{" + stage_label + "} " +
+             format_value(static_cast<double>(snap.sum_ns) / 1e9) + "\n";
+      out += family + "_count{" + stage_label + "} " + std::to_string(snap.total) + "\n";
     }
   }
 
-  if (!snapshot.rollups.empty()) {
-    // Every family is emitted for every key — a GPU-only deployment still
-    // exports zeroed FPGA gauges, so dashboards and the schema checker
-    // never see families appear and disappear with traffic mix.
-    struct RollupMetric {
-      const char* family;
-      const char* type;
-      double (*get)(const BackendRollup&);
-    };
-    static const RollupMetric kMetrics[] = {
-        {"hrf_backend_requests_total", "counter",
-         [](const BackendRollup& r) { return static_cast<double>(r.requests); }},
-        {"hrf_backend_queries_total", "counter",
-         [](const BackendRollup& r) { return static_cast<double>(r.queries); }},
-        {"hrf_backend_seconds_total", "counter", [](const BackendRollup& r) { return r.seconds; }},
-        {"hrf_backend_branch_efficiency", "gauge",
-         [](const BackendRollup& r) { return r.gpu_runs ? r.branch_efficiency() : 0.0; }},
-        {"hrf_backend_txn_per_request", "gauge",
-         [](const BackendRollup& r) { return r.txn_per_request(); }},
-        {"hrf_backend_onchip_hit_rate", "gauge",
-         [](const BackendRollup& r) { return r.onchip_hit_rate(); }},
-        {"hrf_backend_stage1_onchip_hit_rate", "gauge",
-         [](const BackendRollup& r) { return r.stage1_onchip_hit_rate(); }},
-        {"hrf_backend_dram_transactions_total", "counter",
-         [](const BackendRollup& r) { return static_cast<double>(r.gpu.dram_transactions); }},
-        {"hrf_backend_fpga_ii_stall_cycles", "gauge",
-         [](const BackendRollup& r) { return r.fpga_ii_stall_cycles(); }},
-        {"hrf_backend_fpga_stall_pct", "gauge",
-         [](const BackendRollup& r) { return r.fpga_stall_pct(); }},
-    };
-    for (const RollupMetric& m : kMetrics) {
-      emit_type(out, m.family, m.type);
-      for (const auto& [key, rollup] : snapshot.rollups) {
-        out += std::string(m.family) + rollup_labels(key) + " " + format_value(m.get(rollup)) +
-               "\n";
-      }
-    }
-  }
-
-  if (!snapshot.shards.empty()) {
-    // Like the rollup families: every shard family is emitted for every
-    // shard so a dashboard row never appears or vanishes with health.
-    struct ShardMetric {
-      const char* family;
-      const char* type;
-      double (*get)(const ShardHealth&);
-    };
-    static const ShardMetric kShardMetrics[] = {
-        {"hrf_shard_up", "gauge", [](const ShardHealth& s) { return s.up ? 1.0 : 0.0; }},
-        {"hrf_shard_partitioned", "gauge",
-         [](const ShardHealth& s) { return s.partitioned ? 1.0 : 0.0; }},
-        {"hrf_shard_breaker_state", "gauge",
-         [](const ShardHealth& s) { return static_cast<double>(s.breaker_state); }},
-        {"hrf_shard_queue_depth", "gauge",
-         [](const ShardHealth& s) { return static_cast<double>(s.queue_depth); }},
-        {"hrf_shard_model_generation", "gauge",
-         [](const ShardHealth& s) { return static_cast<double>(s.generation); }},
-        {"hrf_shard_routed_total", "counter",
-         [](const ShardHealth& s) { return static_cast<double>(s.routed); }},
-        {"hrf_shard_failures_total", "counter",
-         [](const ShardHealth& s) { return static_cast<double>(s.failures); }},
-        {"hrf_shard_repairs_total", "counter",
-         [](const ShardHealth& s) { return static_cast<double>(s.repairs); }},
-        {"hrf_shard_worker_restarts_total", "counter",
-         [](const ShardHealth& s) { return static_cast<double>(s.worker_restarts); }},
-    };
-    for (const ShardMetric& m : kShardMetrics) {
-      emit_type(out, m.family, m.type);
-      for (const ShardHealth& s : snapshot.shards) {
-        out += std::string(m.family) + "{shard=\"" + std::to_string(s.index) + "\"} " +
-               format_value(m.get(s)) + "\n";
-      }
-    }
-  }
-
-  if (!snapshot.tenants.empty()) {
-    // Same contract as the shard families: every tenant family is emitted
-    // for every tenant row, so a shed-free tenant still exports a zeroed
-    // hrf_tenant_quota_shed_total rather than no series at all.
-    struct TenantMetric {
-      const char* family;
-      const char* type;
-      double (*get)(const TenantStat&);
-    };
-    static const TenantMetric kTenantMetrics[] = {
-        {"hrf_tenant_weight", "gauge", [](const TenantStat& t) { return t.weight; }},
-        {"hrf_tenant_reserved_slots", "gauge",
-         [](const TenantStat& t) { return static_cast<double>(t.reserved); }},
-        {"hrf_tenant_queue_depth", "gauge",
-         [](const TenantStat& t) { return static_cast<double>(t.queued); }},
-        {"hrf_tenant_admitted_total", "counter",
-         [](const TenantStat& t) { return static_cast<double>(t.admitted); }},
-        {"hrf_tenant_quota_shed_total", "counter",
-         [](const TenantStat& t) { return static_cast<double>(t.shed); }},
-    };
-    for (const TenantMetric& m : kTenantMetrics) {
-      emit_type(out, m.family, m.type);
-      for (const TenantStat& t : snapshot.tenants) {
-        out += std::string(m.family) + "{tenant=\"" + escape_label(t.name) + "\"} " +
-               format_value(m.get(t)) + "\n";
-      }
-    }
-  }
+  if (!snapshot.rollups.empty()) emit_table(out, kRollups, snapshot.rollups);
+  if (!snapshot.shards.empty()) emit_table(out, kShards, snapshot.shards);
+  if (!snapshot.tenants.empty()) emit_table(out, kTenants, snapshot.tenants);
 
   if (!snapshot.fault_fired.empty()) {
     // Fired-zero sites are emitted too: "armed but never fired" is
     // exactly what a failing chaos run needs to see.
-    emit_type(out, "hrf_fault_fired_total", "counter");
+    emit_type(out, kFaultFamily, "counter");
     for (const auto& [site, count] : snapshot.fault_fired) {
-      out += "hrf_fault_fired_total{site=\"" + escape_label(site) + "\"} " +
+      out += std::string(kFaultFamily) + "{site=\"" + escape_label(site) + "\"} " +
              std::to_string(count) + "\n";
     }
   }
 
-  if (snapshot.has_slo) {
-    // Same block contract as the shard/tenant families: every SLO family
-    // is emitted for every (objective, scope) pair, and the sentinel
-    // gauge hrf_slo_objectives marks the export as SLO-armed even when
-    // the pair list is momentarily empty.
-    emit_type(out, "hrf_slo_objectives", "gauge");
-    out += "hrf_slo_objectives " + std::to_string(snapshot.slo.size()) + "\n";
-    struct SloMetric {
-      const char* family;
-      const char* type;
-      double (*get)(const SloAlertState&);
-    };
-    static const SloMetric kSloMetrics[] = {
-        {"hrf_slo_state", "gauge",
-         [](const SloAlertState& a) { return a.firing ? 1.0 : 0.0; }},
-        {"hrf_slo_burn_rate_fast", "gauge", [](const SloAlertState& a) { return a.fast_burn; }},
-        {"hrf_slo_burn_rate_slow", "gauge", [](const SloAlertState& a) { return a.slow_burn; }},
-        {"hrf_slo_alerts_fired_total", "counter",
-         [](const SloAlertState& a) { return static_cast<double>(a.fired_total); }},
-        {"hrf_slo_alerts_cleared_total", "counter",
-         [](const SloAlertState& a) { return static_cast<double>(a.cleared_total); }},
-    };
-    for (const SloMetric& m : kSloMetrics) {
-      emit_type(out, m.family, m.type);
-      for (const SloAlertState& a : snapshot.slo) {
-        out += std::string(m.family) + "{objective=\"" + escape_label(a.objective) +
-               "\",scope=\"" + escape_label(a.scope) + "\"} " + format_value(m.get(a)) + "\n";
-      }
-    }
-  }
-
-  if (snapshot.has_traces) {
-    const trace::TracerSummary& t = snapshot.traces;
-    emit_type(out, "hrf_traces_started_total", "counter");
-    out += "hrf_traces_started_total " + std::to_string(t.started) + "\n";
-    emit_type(out, "hrf_traces_sampled_total", "counter");
-    out += "hrf_traces_sampled_total " + std::to_string(t.sampled) + "\n";
-    emit_type(out, "hrf_traces_completed_total", "counter");
-    out += "hrf_traces_completed_total " + std::to_string(t.completed) + "\n";
-    emit_type(out, "hrf_traces_evicted_total", "counter");
-    out += "hrf_traces_evicted_total " + std::to_string(t.evicted) + "\n";
-    emit_type(out, "hrf_traces_retained", "gauge");
-    out += "hrf_traces_retained " + std::to_string(t.retained) + "\n";
-    emit_type(out, "hrf_trace_sampling_rate", "gauge");
-    out += "hrf_trace_sampling_rate " + format_value(t.sampling) + "\n";
-  }
-
+  if (snapshot.has_slo) emit_table(out, kSlo, snapshot.slo);
+  if (snapshot.has_traces) emit_table(out, kTraces, {&snapshot.traces, 1});
   return out;
 }
 
@@ -349,99 +453,25 @@ json::Value snapshot_to_json(const MetricsSnapshot& snapshot) {
   }
   doc["histograms"] = std::move(histograms);
 
-  json::Value rollups = json::Value::array();
-  for (const auto& [key, r] : snapshot.rollups) {
-    json::Value entry = json::Value::object();
-    entry["variant"] = key.variant;
-    entry["backend"] = key.backend;
-    entry["generation"] = key.generation;
-    entry["requests"] = r.requests;
-    entry["queries"] = r.queries;
-    entry["seconds"] = r.seconds;
-    entry["gpu_runs"] = r.gpu_runs;
-    entry["branch_efficiency"] = r.gpu_runs ? r.branch_efficiency() : 0.0;
-    entry["txn_per_request"] = r.txn_per_request();
-    entry["onchip_hit_rate"] = r.onchip_hit_rate();
-    entry["stage1_onchip_hit_rate"] = r.stage1_onchip_hit_rate();
-    entry["dram_transactions"] = r.gpu.dram_transactions;
-    entry["smem_loads"] = r.gpu.smem_loads;
-    entry["l2_hits"] = r.gpu.l2_hits;
-    entry["fpga_runs"] = r.fpga_runs;
-    entry["fpga_ii_stall_cycles"] = r.fpga_ii_stall_cycles();
-    entry["fpga_stall_pct"] = r.fpga_stall_pct();
-    rollups.push_back(std::move(entry));
-  }
-  doc["rollups"] = std::move(rollups);
-
-  if (!snapshot.tenants.empty()) {
-    json::Value tenants = json::Value::array();
-    for (const TenantStat& t : snapshot.tenants) {
-      json::Value row = json::Value::object();
-      row["name"] = t.name;
-      row["weight"] = t.weight;
-      row["reserved"] = t.reserved;
-      row["queued"] = t.queued;
-      row["admitted"] = t.admitted;
-      row["shed"] = t.shed;
-      tenants.push_back(std::move(row));
-    }
-    doc["tenants"] = std::move(tenants);
-  }
-
-  if (!snapshot.shards.empty()) {
-    json::Value shards = json::Value::array();
-    for (const ShardHealth& s : snapshot.shards) {
-      json::Value row = json::Value::object();
-      row["index"] = s.index;
-      row["up"] = s.up;
-      row["partitioned"] = s.partitioned;
-      row["breaker_state"] = static_cast<std::uint64_t>(s.breaker_state);
-      row["queue_depth"] = s.queue_depth;
-      row["generation"] = s.generation;
-      row["routed"] = s.routed;
-      row["failures"] = s.failures;
-      row["repairs"] = s.repairs;
-      row["worker_restarts"] = s.worker_restarts;
-      shards.push_back(std::move(row));
-    }
-    doc["shards"] = std::move(shards);
-  }
-
+  doc[kRollups.json_key] = rows_json(kRollups, snapshot.rollups);
+  if (!snapshot.tenants.empty()) doc[kTenants.json_key] = rows_json(kTenants, snapshot.tenants);
+  if (!snapshot.shards.empty()) doc[kShards.json_key] = rows_json(kShards, snapshot.shards);
   if (!snapshot.fault_fired.empty()) {
     json::Value faults = json::Value::object();
     for (const auto& [site, count] : snapshot.fault_fired) faults[site] = count;
     doc["fault_fired"] = std::move(faults);
   }
-
-  if (snapshot.has_slo) {
-    json::Value alerts = json::Value::array();
-    for (const SloAlertState& a : snapshot.slo) {
-      json::Value row = json::Value::object();
-      row["objective"] = a.objective;
-      row["scope"] = a.scope;
-      row["firing"] = a.firing;
-      row["fast_burn"] = a.fast_burn;
-      row["slow_burn"] = a.slow_burn;
-      row["fired"] = a.fired_total;
-      row["cleared"] = a.cleared_total;
-      alerts.push_back(std::move(row));
-    }
-    doc["slo"] = std::move(alerts);
-  }
-
-  if (snapshot.has_traces) {
-    json::Value t = json::Value::object();
-    t["started"] = snapshot.traces.started;
-    t["sampled"] = snapshot.traces.sampled;
-    t["completed"] = snapshot.traces.completed;
-    t["evicted"] = snapshot.traces.evicted;
-    t["retained"] = static_cast<std::uint64_t>(snapshot.traces.retained);
-    t["sampling"] = snapshot.traces.sampling;
-    t["capacity"] = static_cast<std::uint64_t>(snapshot.traces.capacity);
-    doc["traces"] = std::move(t);
-  }
-
+  if (snapshot.has_slo) doc[kSlo.json_key] = slo_rows_json(snapshot.slo);
+  if (snapshot.has_traces) doc[kTraces.json_key] = row_json(kTraces, snapshot.traces);
   return doc;
+}
+
+json::Value slo_rows_json(const std::vector<SloAlertState>& alerts) {
+  return rows_json(kSlo, alerts);
+}
+
+void check_slo_rows_json(const json::Value& rows, const std::string& what) {
+  for (std::size_t i = 0; i < rows.size(); ++i) check_row(kSlo, rows.at(i), what);
 }
 
 namespace {
@@ -568,61 +598,28 @@ std::map<std::string, PromFamily> parse_prometheus(const std::string& text) {
 const std::vector<MetricInfo>& metric_catalogue() {
   static const std::vector<MetricInfo> kCatalogue = [] {
     std::vector<MetricInfo> v;
-    for (const std::string& name : counter_catalogue()) {
-      v.push_back({"hrf_" + prometheus_name(name) + "_total", "counter", false});
-    }
-    v.push_back({"hrf_build_info", "gauge", false});
-    v.push_back({"hrf_uptime_seconds", "gauge", false});
-    v.push_back({"hrf_queue_depth", "gauge", false});
-    v.push_back({"hrf_workers", "gauge", false});
-    v.push_back({"hrf_breaker_state", "gauge", false});
-    v.push_back({"hrf_model_generation", "gauge", false});
-    v.push_back({"hrf_latency_seconds", "histogram", false});
-    v.push_back({"hrf_traces_started_total", "counter", false});
-    v.push_back({"hrf_traces_sampled_total", "counter", false});
-    v.push_back({"hrf_traces_completed_total", "counter", false});
-    v.push_back({"hrf_traces_evicted_total", "counter", false});
-    v.push_back({"hrf_traces_retained", "gauge", false});
-    v.push_back({"hrf_trace_sampling_rate", "gauge", false});
-    v.push_back({"hrf_backend_requests_total", "counter", true});
-    v.push_back({"hrf_backend_queries_total", "counter", true});
-    v.push_back({"hrf_backend_seconds_total", "counter", true});
-    v.push_back({"hrf_backend_branch_efficiency", "gauge", true});
-    v.push_back({"hrf_backend_txn_per_request", "gauge", true});
-    v.push_back({"hrf_backend_onchip_hit_rate", "gauge", true});
-    v.push_back({"hrf_backend_stage1_onchip_hit_rate", "gauge", true});
-    v.push_back({"hrf_backend_dram_transactions_total", "counter", true});
-    v.push_back({"hrf_backend_fpga_ii_stall_cycles", "gauge", true});
-    v.push_back({"hrf_backend_fpga_stall_pct", "gauge", true});
-    for (const std::string& name : cluster_counter_catalogue()) {
-      v.push_back({"hrf_" + prometheus_name(name) + "_total", "counter", false, true});
-    }
-    v.push_back({"hrf_cluster_shards", "gauge", false, true});
-    v.push_back({"hrf_cluster_shards_available", "gauge", false, true});
-    v.push_back({"hrf_cluster_hedge_delay_seconds", "gauge", false, true});
-    v.push_back({"hrf_cluster_concurrency_limit", "gauge", false, true});
-    v.push_back({"hrf_cluster_in_flight", "gauge", false, true});
-    v.push_back({"hrf_shard_up", "gauge", false, true});
-    v.push_back({"hrf_shard_partitioned", "gauge", false, true});
-    v.push_back({"hrf_shard_breaker_state", "gauge", false, true});
-    v.push_back({"hrf_shard_queue_depth", "gauge", false, true});
-    v.push_back({"hrf_shard_model_generation", "gauge", false, true});
-    v.push_back({"hrf_shard_routed_total", "counter", false, true});
-    v.push_back({"hrf_shard_failures_total", "counter", false, true});
-    v.push_back({"hrf_shard_repairs_total", "counter", false, true});
-    v.push_back({"hrf_shard_worker_restarts_total", "counter", false, true});
-    v.push_back({"hrf_tenant_weight", "gauge", false, false, true});
-    v.push_back({"hrf_tenant_reserved_slots", "gauge", false, false, true});
-    v.push_back({"hrf_tenant_queue_depth", "gauge", false, false, true});
-    v.push_back({"hrf_tenant_admitted_total", "counter", false, false, true});
-    v.push_back({"hrf_tenant_quota_shed_total", "counter", false, false, true});
-    v.push_back({"hrf_fault_fired_total", "counter", false, false, false, true});
-    v.push_back({"hrf_slo_objectives", "gauge", false, false, false, false, true});
-    v.push_back({"hrf_slo_state", "gauge", false, false, false, false, true});
-    v.push_back({"hrf_slo_burn_rate_fast", "gauge", false, false, false, false, true});
-    v.push_back({"hrf_slo_burn_rate_slow", "gauge", false, false, false, false, true});
-    v.push_back({"hrf_slo_alerts_fired_total", "counter", false, false, false, false, true});
-    v.push_back({"hrf_slo_alerts_cleared_total", "counter", false, false, false, false, true});
+    const auto add_registry = [&v](const std::vector<std::string>& names, const char* suffix,
+                                   const char* type, MetricBlock block) {
+      for (const std::string& name : names) {
+        v.push_back({"hrf_" + prometheus_name(name) + suffix, type, block});
+      }
+    };
+    add_registry(counter_catalogue(), "_total", "counter", MetricBlock::Server);
+    v.push_back({"hrf_build_info", "gauge", MetricBlock::Server});
+    v.push_back({"hrf_uptime_seconds", "gauge", MetricBlock::Server});
+    add_registry({"queue_depth", "workers", "breaker_state", "model_generation"}, "", "gauge",
+                 MetricBlock::Server);
+    v.push_back({kLatencyFamily, "histogram", MetricBlock::Server});
+    add_families(v, kTraces);
+    add_families(v, kRollups);
+    add_registry(cluster_counter_catalogue(), "_total", "counter", MetricBlock::Cluster);
+    add_registry({"cluster_shards", "cluster_shards_available", "cluster_hedge_delay_seconds",
+                  "cluster_concurrency_limit", "cluster_in_flight"},
+                 "", "gauge", MetricBlock::Cluster);
+    add_families(v, kShards);
+    add_families(v, kTenants);
+    v.push_back({kFaultFamily, "counter", MetricBlock::Fault});
+    add_families(v, kSlo);
     return v;
   }();
   return kCatalogue;
@@ -669,36 +666,40 @@ const std::vector<std::string>& cluster_counter_catalogue() {
   return kCounters;
 }
 
-namespace {
-
-[[noreturn]] void schema_fail(const std::string& what) {
-  throw FormatError("metrics schema check failed: " + what);
-}
-
-}  // namespace
-
 void check_metrics_schema(const std::string& prometheus_text, const std::string& json_text) {
   const std::map<std::string, PromFamily> families = parse_prometheus(prometheus_text);
+  const std::vector<MetricInfo>& catalogue = metric_catalogue();
 
   const auto has_family = [&](const std::string& name) {
     const auto it = families.find(name);
     return it != families.end() && !it->second.samples.empty();
   };
+  const auto catalogued = [&](const std::string& name, const char* type) {
+    return std::any_of(catalogue.begin(), catalogue.end(), [&](const MetricInfo& m) {
+      return m.name == name && (type == nullptr || m.type == type);
+    });
+  };
 
-  const bool have_rollups = has_family("hrf_backend_requests_total");
-  // Cluster families are required as a block: a router snapshot exports
-  // all of them, a single-server snapshot none. Tenant families likewise
-  // come and go together with the quota configuration.
-  const bool have_cluster = has_family("hrf_cluster_shards");
-  const bool have_tenants = has_family("hrf_tenant_weight");
-  const bool have_faults = has_family("hrf_fault_fired_total");
-  const bool have_slo = has_family("hrf_slo_objectives");
-  for (const MetricInfo& info : metric_catalogue()) {
-    if (info.per_rollup_key && !have_rollups) continue;
-    if (info.cluster_only && !have_cluster) continue;
-    if (info.tenant_only && !have_tenants) continue;
-    if (info.fault_only && !have_faults) continue;
-    if (info.slo_only && !have_slo) continue;
+  // Two-way: every exported family is catalogued...
+  for (const auto& [name, family] : families) {
+    if (catalogued(name, nullptr) || catalogued(family_of(name), "histogram")) continue;
+    schema_fail("exported family " + name + " is not in the catalogue");
+  }
+
+  // ...and every catalogued family is exported. Families are required per
+  // block: server families always, the others all together once any of
+  // them is exported (rollups once traffic produced a key, cluster and
+  // shard families in a ClusterRouter snapshot, tenant families with quotas
+  // configured, the fault family once a site was armed, SLO families with
+  // an armed SloEngine).
+  std::set<MetricBlock> exported = {MetricBlock::Server};
+  for (const MetricInfo& info : catalogue) {
+    if (has_family(info.type == "histogram" ? info.name + "_count" : info.name)) {
+      exported.insert(info.block);
+    }
+  }
+  for (const MetricInfo& info : catalogue) {
+    if (!exported.count(info.block)) continue;
     if (info.type == "histogram") {
       for (const char* suffix : {"_bucket", "_sum", "_count"}) {
         if (!has_family(info.name + suffix)) {
@@ -736,67 +737,20 @@ void check_metrics_schema(const std::string& prometheus_text, const std::string&
   for (const std::string& name : counter_catalogue()) {
     if (!counters.find(name)) schema_fail("JSON counters missing '" + name + "'");
   }
-  if (have_cluster) {
+  if (exported.count(MetricBlock::Cluster)) {
     for (const std::string& name : cluster_counter_catalogue()) {
       if (!counters.find(name)) schema_fail("JSON counters missing '" + name + "'");
     }
-    const json::Value* shards = doc.find("shards");
-    if (!shards || shards->size() == 0) {
-      schema_fail("cluster snapshot without a per-shard health array");
-    }
-    for (std::size_t i = 0; i < shards->size(); ++i) {
-      const json::Value& s = shards->at(i);
-      s.get("index").as_number();
-      s.get("up").as_bool();
-      s.get("partitioned").as_bool();
-      s.get("breaker_state").as_number();
-      s.get("generation").as_number();
-      s.get("routed").as_number();
-      s.get("failures").as_number();
-      s.get("repairs").as_number();
-      s.get("worker_restarts").as_number();
-    }
   }
-  if (have_faults) {
+  if (exported.count(MetricBlock::Fault)) {
     const json::Value* faults = doc.find("fault_fired");
     if (!faults) schema_fail("fault families exported without a JSON fault_fired object");
-    for (const PromSample& s : families.at("hrf_fault_fired_total").samples) {
+    for (const PromSample& s : families.at(kFaultFamily).samples) {
       const auto site = s.labels.find("site");
-      if (site == s.labels.end()) schema_fail("hrf_fault_fired_total sample without site label");
+      if (site == s.labels.end()) schema_fail(std::string(kFaultFamily) + " sample without site");
       if (!faults->find(site->second)) {
         schema_fail("JSON fault_fired missing site '" + site->second + "'");
       }
-    }
-  }
-  if (have_slo) {
-    const json::Value* slo = doc.find("slo");
-    if (!slo || slo->size() == 0) {
-      schema_fail("SLO families exported without a JSON slo alert array");
-    }
-    for (std::size_t i = 0; i < slo->size(); ++i) {
-      const json::Value& a = slo->at(i);
-      a.get("objective").as_string();
-      a.get("scope").as_string();
-      a.get("firing").as_bool();
-      a.get("fast_burn").as_number();
-      a.get("slow_burn").as_number();
-      a.get("fired").as_number();
-      a.get("cleared").as_number();
-    }
-  }
-  if (have_tenants) {
-    const json::Value* tenants = doc.find("tenants");
-    if (!tenants || tenants->size() == 0) {
-      schema_fail("tenant families exported without a per-tenant array");
-    }
-    for (std::size_t i = 0; i < tenants->size(); ++i) {
-      const json::Value& t = tenants->at(i);
-      t.get("name").as_string();
-      t.get("weight").as_number();
-      t.get("reserved").as_number();
-      t.get("queued").as_number();
-      t.get("admitted").as_number();
-      t.get("shed").as_number();
     }
   }
   const json::Value& histograms = doc.get("histograms");
@@ -806,21 +760,12 @@ void check_metrics_schema(const std::string& prometheus_text, const std::string&
     h.get("count").as_number();
     h.get("buckets");
   }
-  const json::Value& rollups = doc.get("rollups");
-  for (std::size_t i = 0; i < rollups.size(); ++i) {
-    const json::Value& r = rollups.at(i);
-    r.get("variant").as_string();
-    r.get("backend").as_string();
-    r.get("generation").as_number();
-    r.get("branch_efficiency").as_number();
-    r.get("txn_per_request").as_number();
-    r.get("onchip_hit_rate").as_number();
-    r.get("stage1_onchip_hit_rate").as_number();
-    r.get("fpga_ii_stall_cycles").as_number();
-  }
-  if (have_rollups && rollups.size() == 0) {
-    schema_fail("Prometheus file has rollups but JSON rollups array is empty");
-  }
+  doc.get(kRollups.json_key);  // always present, empty before the first request
+  check_table_json(kRollups, doc, exported.count(kRollups.block) > 0);
+  check_table_json(kShards, doc, exported.count(kShards.block) > 0);
+  check_table_json(kTenants, doc, exported.count(kTenants.block) > 0);
+  check_table_json(kSlo, doc, exported.count(kSlo.block) > 0);
+  check_table_json(kTraces, doc, exported.count(kTraces.block) > 0);
 }
 
 void write_metrics_files(const MetricsSnapshot& snapshot, const std::string& path) {

@@ -94,7 +94,7 @@ struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> fault_fired;
   /// SLO burn-rate alert states, one per (objective, scope) pair; empty
   /// unless an SloEngine is armed (exported as hrf_slo_* families labeled
-  /// {objective,scope}, gated on the hrf_slo_objectives sentinel gauge).
+  /// {objective,scope}, plus a row-count gauge whenever has_slo is set).
   std::vector<SloAlertState> slo;
   bool has_slo = false;
 };
@@ -154,25 +154,20 @@ struct PromFamily {
 /// or unparseable values.
 std::map<std::string, PromFamily> parse_prometheus(const std::string& text);
 
+/// The export block a catalogued family belongs to. Server families are
+/// in every export; each other block's families are exported all together
+/// or not at all: rollup families once traffic produced a (variant,
+/// backend, generation) key, cluster families (router counters, fleet
+/// gauges, per-shard rows) in ClusterRouter snapshots, tenant families when
+/// quotas are configured, the fault family once a fault site was armed,
+/// and SLO families when an SloEngine is armed.
+enum class MetricBlock { Server, Rollup, Cluster, Tenant, Fault, Slo };
+
 /// One documented metric family (docs/observability.md catalogue).
 struct MetricInfo {
   std::string name;  // full Prometheus family name, e.g. "hrf_latency_seconds"
   std::string type;  // "counter" | "gauge" | "histogram"
-  /// True for rollup families, which only exist once traffic produced at
-  /// least one (variant, backend, generation) key.
-  bool per_rollup_key = false;
-  /// True for cluster families, which only a ClusterRouter snapshot
-  /// exports (detected via the hrf_cluster_shards gauge).
-  bool cluster_only = false;
-  /// True for tenant families, which only exist when tenant quotas are
-  /// configured (detected via the hrf_tenant_weight gauge).
-  bool tenant_only = false;
-  /// True for the fault-injection family, which only exists when some
-  /// fault site was armed during the process lifetime.
-  bool fault_only = false;
-  /// True for SLO families, which only exist when an SloEngine is armed
-  /// (detected via the hrf_slo_objectives gauge).
-  bool slo_only = false;
+  MetricBlock block = MetricBlock::Server;
 };
 
 /// The documented Prometheus metric catalogue, in docs order.
@@ -187,12 +182,22 @@ const std::vector<std::string>& counter_catalogue();
 const std::vector<std::string>& cluster_counter_catalogue();
 
 /// Validates an exported Prometheus file + JSON snapshot pair against the
-/// documented catalogue: every catalogue family present with the declared
-/// type, histogram series complete (_bucket/_sum/_count, +Inf), JSON
-/// schema/version match, every documented counter present in the JSON,
-/// and rollup entries carrying branch_efficiency/txn_per_request. Throws
-/// FormatError describing the first violation.
+/// documented catalogue, in both directions: every exported family is
+/// catalogued, and every catalogued family of an exported block is present
+/// with the declared type (histogram series complete with _bucket/_sum/
+/// _count and +Inf). The JSON must match its schema/version, carry every
+/// documented counter, and hold complete, well-typed rows for exactly the
+/// blocks the Prometheus file exports. Throws FormatError describing the
+/// first violation.
 void check_metrics_schema(const std::string& prometheus_text, const std::string& json_text);
+
+/// The SLO alert rows as one JSON array, the shape of both the metrics
+/// snapshot's "slo" section and an incident bundle's "alerts".
+json::Value slo_rows_json(const std::vector<SloAlertState>& alerts);
+
+/// Throws FormatError, prefixed `what`, unless every element of `rows`
+/// is a complete, well-typed SLO alert row.
+void check_slo_rows_json(const json::Value& rows, const std::string& what);
 
 /// Writes `path` (Prometheus text) and `path + ".json"` atomically
 /// (util/atomic_file): a scraper or tail never sees a half-written file.

@@ -145,21 +145,7 @@ json::Value Monitor::build_bundle_locked(const std::string& reason, double now) 
   doc["build"] = build_info_json();
   doc["uptime_seconds"] = uptime_seconds();
 
-  json::Value alerts = json::Value::array();
-  if (engine_) {
-    for (const SloAlertState& a : engine_->alerts()) {
-      json::Value row = json::Value::object();
-      row["objective"] = a.objective;
-      row["scope"] = a.scope;
-      row["firing"] = a.firing;
-      row["fast_burn"] = a.fast_burn;
-      row["slow_burn"] = a.slow_burn;
-      row["fired"] = a.fired_total;
-      row["cleared"] = a.cleared_total;
-      alerts.push_back(std::move(row));
-    }
-  }
-  doc["alerts"] = std::move(alerts);
+  doc["alerts"] = slo_rows_json(engine_ ? engine_->alerts() : std::vector<SloAlertState>{});
 
   json::Value windows = json::Value::array();
   for (const WindowSample& w : registry_.recent(options_.bundle_windows)) {
@@ -266,15 +252,7 @@ void check_incident_bundle(const json::Value& bundle) {
   build.get("commit").as_string();
   build.get("compiler").as_string();
   bundle.get("uptime_seconds").as_number();
-  const json::Value& alerts = bundle.get("alerts");
-  for (std::size_t i = 0; i < alerts.size(); ++i) {
-    const json::Value& a = alerts.at(i);
-    a.get("objective").as_string();
-    a.get("scope").as_string();
-    a.get("firing").as_bool();
-    a.get("fast_burn").as_number();
-    a.get("slow_burn").as_number();
-  }
+  check_slo_rows_json(bundle.get("alerts"), "incident bundle check failed");
   const json::Value& windows = bundle.get("windows");
   for (std::size_t i = 0; i < windows.size(); ++i) {
     const json::Value& w = windows.at(i);

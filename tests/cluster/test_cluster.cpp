@@ -397,6 +397,30 @@ TEST_F(ClusterTest, MetricsSnapshotPassesTheSchemaGate) {
   EXPECT_EQ(snap.gauges.at("cluster_shards_available"), 2.0);
 }
 
+TEST_F(ClusterTest, MetricsSnapshotMergesEveryShardStageByName) {
+  serve::ServerOptions so = fast_server();
+  so.batching.max_requests = 4;
+  const ClusterOptions co = quiet_cluster(2);
+  ClusterRouter router(forest_, cpu_options(), so, co);
+  for (const std::size_t shard : {0u, 1u, 1u}) {
+    (void)router.query(queries_, {.key = key_for_shard(co, shard)});
+  }
+
+  std::uint64_t shard_batches = 0;
+  for (std::size_t s = 0; s < 2; ++s) shard_batches += router.shard(s).latency().batch_size.total;
+  EXPECT_EQ(shard_batches, 3u);
+  EXPECT_EQ(router.latency().batch_size.total, shard_batches);
+
+  const obs::MetricsSnapshot snap = router.metrics_snapshot();
+  const auto stage = std::find_if(snap.histograms.begin(), snap.histograms.end(),
+                                  [](const auto& h) { return h.first == "batch_size"; });
+  ASSERT_NE(stage, snap.histograms.end());
+  EXPECT_EQ(stage->second.total, shard_batches);
+  EXPECT_NO_THROW(obs::check_metrics_schema(obs::to_prometheus(snap),
+                                            obs::snapshot_to_json(snap).dump(2)));
+  router.shutdown();
+}
+
 TEST_F(ClusterTest, TenantQuotaShedPropagatesWithoutFeedingTheBreaker) {
   serve::ServerOptions so = fast_server();
   so.queue_capacity = 2;        // 1 reserved slot per tenant, no spare

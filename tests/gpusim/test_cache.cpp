@@ -21,6 +21,7 @@ TEST(Cache, ConstructorValidation) {
   EXPECT_THROW(Cache(1024, 4, 100), hrf::ConfigError);  // line not pow2
   EXPECT_THROW(Cache(0, 1, 128), hrf::ConfigError);     // smaller than a set
   EXPECT_THROW(Cache(128, 3, 128), hrf::ConfigError);   // ways don't divide
+  EXPECT_THROW(Cache(1024, 4, 1), hrf::ConfigError);    // tag of line 2^64 - 1 wraps to 0
   EXPECT_NO_THROW(Cache(3 * 1024 * 1024, 16, 128));     // the TITAN Xp L2
 }
 

@@ -215,6 +215,17 @@ TEST_F(MonitorTest, CheckIncidentBundleRejectsBadDocuments) {
   json::Value bundle = json::Value::parse(read_file(monitor.last_bundle_path()));
   bundle["version"] = 2;
   EXPECT_THROW(check_incident_bundle(bundle), FormatError);
+
+  // So must an alert row that lost a field of the SLO row schema.
+  bundle["version"] = 1;
+  ASSERT_NO_THROW(check_incident_bundle(bundle));
+  json::Value row = json::Value::object();
+  for (const auto& [key, value] : bundle.get("alerts").at(0).members()) {
+    if (key != "cleared") row[key] = value;
+  }
+  bundle["alerts"] = json::Value::array();
+  bundle["alerts"].push_back(row);
+  EXPECT_THROW(check_incident_bundle(bundle), FormatError);
 }
 
 }  // namespace

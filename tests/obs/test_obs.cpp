@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -247,6 +252,52 @@ TEST(Exporter, SchemaCheckRejectsMissingFamily) {
   EXPECT_THROW(check_metrics_schema(filtered, snapshot_to_json(snap).dump(2)), FormatError);
 }
 
+TEST(Exporter, SchemaCheckRejectsUncataloguedFamily) {
+  const MetricsSnapshot snap = sample_snapshot();
+  const std::string prom =
+      to_prometheus(snap) + "# TYPE hrf_bogus_total counter\nhrf_bogus_total 1\n";
+  EXPECT_THROW(check_metrics_schema(prom, snapshot_to_json(snap).dump(2)), FormatError);
+}
+
+TEST(Exporter, SchemaCheckTiesJsonRowsToTheirFamilies) {
+  MetricsSnapshot snap = sample_snapshot();
+  snap.tenants.push_back({"gold", 1.0, 2, 0, 5, 1});
+  const std::string prom = to_prometheus(snap);
+  const json::Value doc = snapshot_to_json(snap);
+  ASSERT_NO_THROW(check_metrics_schema(prom, doc.dump(2)));
+
+  // Tenant families without tenant rows in the JSON, and the reverse.
+  json::Value without_rows = doc;
+  without_rows["tenants"] = json::Value::array();
+  EXPECT_THROW(check_metrics_schema(prom, without_rows.dump(2)), FormatError);
+  snap.tenants.clear();
+  EXPECT_THROW(check_metrics_schema(to_prometheus(snap), doc.dump(2)), FormatError);
+
+  // A row missing a key, or carrying it with the wrong JSON kind.
+  json::Value bad_kind = doc;
+  bad_kind["tenants"] = json::Value::array();
+  json::Value row = doc.get("tenants").at(0);
+  row["shed"] = "one";
+  bad_kind["tenants"].push_back(row);
+  EXPECT_THROW(check_metrics_schema(prom, bad_kind.dump(2)), FormatError);
+}
+
+TEST(Exporter, IntegralValuesPrintEveryDigit) {
+  MetricsSnapshot snap = sample_snapshot();
+  snap.rollups[0].second.queries = 12'345'678'901;
+  snap.rollups[0].second.seconds = 0.125;
+  const std::string text = to_prometheus(snap);
+  EXPECT_NE(text.find("hrf_backend_queries_total{variant=\"csr\",backend=\"fpga-sim\","
+                      "generation=\"3\"} 12345678901\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("hrf_backend_seconds_total{variant=\"csr\",backend=\"fpga-sim\","
+                      "generation=\"3\"} 0.125\n"),
+            std::string::npos);
+  EXPECT_DOUBLE_EQ(parse_prometheus(text).at("hrf_backend_queries_total").samples[0].value,
+                   12'345'678'901.0);
+}
+
 TEST(Exporter, SchemaCheckRejectsWrongJsonSchema) {
   const MetricsSnapshot snap = sample_snapshot();
   EXPECT_THROW(check_metrics_schema(to_prometheus(snap), R"({"schema":"other","version":1})"),
@@ -265,6 +316,247 @@ TEST(Exporter, CatalogueCoversEveryServerCounter) {
     }
     EXPECT_EQ(found, 1) << family;
   }
+}
+
+// --- Every family, read back ---------------------------------------------
+
+/// One exported field: its Prometheus family (null when JSON only), its
+/// JSON key, and the value each row carries.
+struct Field {
+  const char* family;
+  const char* key;
+  std::vector<double> rows;
+};
+
+double number_of(const json::Value& v) {
+  return v.is_bool() ? (v.as_bool() ? 1.0 : 0.0) : v.as_number();
+}
+
+void expect_close(double actual, double expected, const std::string& what) {
+  EXPECT_NEAR(actual, expected, 1e-9 * std::max(1.0, std::abs(expected))) << what;
+}
+
+/// Checks every field of one block in both exports: the sample labeled
+/// `labels[r]` and JSON row `json_rows[r]` carry `rows[r]`.
+void expect_block(const std::map<std::string, PromFamily>& prom,
+                  const std::vector<const json::Value*>& json_rows,
+                  const std::vector<std::map<std::string, std::string>>& labels,
+                  const std::vector<Field>& fields, std::set<std::string>& asserted) {
+  for (const Field& f : fields) {
+    ASSERT_EQ(f.rows.size(), json_rows.size()) << f.key;
+    for (std::size_t r = 0; r < f.rows.size(); ++r) {
+      const json::Value* v = json_rows[r]->find(f.key);
+      ASSERT_NE(v, nullptr) << f.key;
+      expect_close(number_of(*v), f.rows[r], std::string("JSON ") + f.key);
+      if (f.family == nullptr) continue;
+      ASSERT_TRUE(prom.count(f.family)) << f.family;
+      const auto& samples = prom.at(f.family).samples;
+      const auto s = std::find_if(samples.begin(), samples.end(),
+                                  [&](const PromSample& p) { return p.labels == labels[r]; });
+      ASSERT_NE(s, samples.end()) << f.family << " row " << r;
+      expect_close(s->value, f.rows[r], f.family);
+      asserted.insert(f.family);
+    }
+  }
+}
+
+TEST(Exporter, EveryCataloguedFamilyReadsBackItsField) {
+  // Every field of every row type holds a distinct value below 10^10, so
+  // a family or key wired to the wrong field reads back the wrong number.
+  MetricsSnapshot snap;
+  double next = 1000.0;
+  for (const std::string& name : counter_catalogue()) {
+    snap.counters[name] = static_cast<std::uint64_t>(next++);
+  }
+  for (const std::string& name : cluster_counter_catalogue()) {
+    snap.counters[name] = static_cast<std::uint64_t>(next++);
+  }
+  for (const char* name : {"queue_depth", "workers", "breaker_state", "model_generation",
+                           "cluster_shards", "cluster_shards_available",
+                           "cluster_hedge_delay_seconds", "cluster_concurrency_limit",
+                           "cluster_in_flight"}) {
+    snap.gauges[name] = next++ + 0.5;
+  }
+  LatencyHistogram h;
+  for (std::uint64_t us = 1; us <= 37; ++us) h.record_ns(us * 1000);
+  snap.histograms.emplace_back("execute", h.snapshot());
+
+  BackendRollup gpu;
+  gpu.requests = 2'000'000'001;
+  gpu.queries = 9'876'543'210;
+  gpu.seconds = 12.75;
+  gpu.gpu_runs = 2'000'000'003;
+  gpu.gpu.gld_requests = 2'000'000'004;
+  gpu.gpu.gld_transactions = 2'000'000'005;
+  gpu.gpu.l1_hits = 2'000'000'006;
+  gpu.gpu.l2_hits = 2'000'000'007;
+  gpu.gpu.dram_transactions = 2'000'000'008;
+  gpu.gpu.smem_loads = 2'000'000'009;
+  gpu.gpu.branches = 2'000'000'010;
+  gpu.gpu.divergent_branches = 200'000'011;
+  gpu.fpga_runs = 2'000'000'012;
+  gpu.fpga_total_cycles = 2'000'000'013.0;
+  gpu.fpga_pipeline_cycles = 1'000'000'014.0;
+  BackendRollup fpga;
+  fpga.requests = 3'001;
+  fpga.queries = 3'002;
+  fpga.seconds = 3.25;
+  fpga.fpga_runs = 3'004;
+  fpga.fpga_total_cycles = 3'005.0;
+  fpga.fpga_pipeline_cycles = 2'006.0;
+  snap.rollups = {{{"csr", "fpga-sim", 8}, fpga}, {{"hybrid", "gpu-sim", 7}, gpu}};
+
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    ShardHealth s;
+    s.index = 4 + i;
+    s.up = i == 0;
+    s.partitioned = i == 1;
+    s.breaker_state = static_cast<int>(1 + i);
+    s.queue_depth = 4'011 + 100 * i;
+    s.generation = 4'012 + 100 * i;
+    s.routed = 4'013 + 100 * i;
+    s.failures = 4'014 + 100 * i;
+    s.repairs = 4'015 + 100 * i;
+    s.worker_restarts = 4'016 + 100 * i;
+    snap.shards.push_back(s);
+  }
+  snap.tenants.push_back({"gold", 5.5, 5'011, 5'012, 5'013, 5'014});
+  snap.tenants.push_back({"bro\"nze", 0.25, 5'111, 5'112, 5'113, 5'114});
+  snap.fault_fired = {{"resource:gpu", 6'001}, {"bitflip:layout", 6'002}};
+  snap.slo.push_back({"success_rate", "server", true, 7.25, 7.5, 7'011, 7'012});
+  snap.slo.push_back({"p95_latency", "tenant:gold", false, 7.75, 8.25, 7'111, 7'112});
+  snap.has_slo = true;
+  snap.traces = {8'001, 8'002, 8'003, 8'004, 8'005, 0.625, 8'007};
+  snap.has_traces = true;
+
+  const std::string prom_text = to_prometheus(snap);
+  const auto prom = parse_prometheus(prom_text);
+  const json::Value doc = json::Value::parse(snapshot_to_json(snap).dump(2));
+  ASSERT_NO_THROW(check_metrics_schema(prom_text, doc.dump(2)));
+  std::set<std::string> asserted;
+
+  for (const auto& [name, value] : snap.counters) {
+    const std::string family = "hrf_" + prometheus_name(name) + "_total";
+    ASSERT_TRUE(prom.count(family)) << family;
+    EXPECT_EQ(prom.at(family).samples.at(0).value, static_cast<double>(value)) << family;
+    EXPECT_EQ(doc.get("counters").get(name).as_number(), static_cast<double>(value)) << name;
+    asserted.insert(family);
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    const std::string family = "hrf_" + prometheus_name(name);
+    ASSERT_TRUE(prom.count(family)) << family;
+    EXPECT_EQ(prom.at(family).samples.at(0).value, value) << family;
+    EXPECT_EQ(doc.get("gauges").get(name).as_number(), value) << name;
+    asserted.insert(family);
+  }
+  const std::map<std::string, std::string> build_labels = {
+      {"version", build_info().version},
+      {"commit", build_info().commit},
+      {"compiler", build_info().compiler}};
+  EXPECT_EQ(prom.at("hrf_build_info").samples.at(0).labels, build_labels);
+  EXPECT_EQ(prom.at("hrf_build_info").samples.at(0).value, 1.0);
+  EXPECT_EQ(doc.get("build").get("commit").as_string(), build_info().commit);
+  EXPECT_GE(prom.at("hrf_uptime_seconds").samples.at(0).value, 0.0);
+  EXPECT_GE(doc.get("uptime_seconds").as_number(), 0.0);
+  asserted.insert({"hrf_build_info", "hrf_uptime_seconds"});
+  const PromSample& count = prom.at("hrf_latency_seconds_count").samples.at(0);
+  EXPECT_EQ(count.labels.at("stage"), "execute");
+  EXPECT_EQ(count.value, 37.0);
+  EXPECT_EQ(doc.get("histograms").at(0).get("count").as_number(), 37.0);
+  asserted.insert("hrf_latency_seconds");
+  const json::Value& faults = doc.get("fault_fired");
+  for (const PromSample& s : prom.at("hrf_fault_fired_total").samples) {
+    const double expected = static_cast<double>(snap.fault_fired.at(s.labels.at("site")));
+    EXPECT_EQ(s.value, expected);
+    EXPECT_EQ(faults.get(s.labels.at("site")).as_number(), expected);
+  }
+  EXPECT_EQ(prom.at("hrf_fault_fired_total").samples.size(), 2u);
+  asserted.insert("hrf_fault_fired_total");
+  EXPECT_EQ(prom.at("hrf_slo_objectives").samples.at(0).value, 2.0);
+  asserted.insert("hrf_slo_objectives");
+
+  const auto rows_of = [&](const char* key) {
+    std::vector<const json::Value*> rows;
+    for (std::size_t i = 0; i < doc.get(key).size(); ++i) rows.push_back(&doc.get(key).at(i));
+    return rows;
+  };
+  const BackendRollup& r0 = fpga;
+  const BackendRollup& r1 = gpu;
+  expect_block(
+      prom, rows_of("rollups"),
+      {{{"variant", "csr"}, {"backend", "fpga-sim"}, {"generation", "8"}},
+       {{"variant", "hybrid"}, {"backend", "gpu-sim"}, {"generation", "7"}}},
+      {{nullptr, "generation", {8, 7}},
+       {"hrf_backend_requests_total", "requests", {3'001, 2'000'000'001}},
+       {"hrf_backend_queries_total", "queries", {3'002, 9'876'543'210}},
+       {"hrf_backend_seconds_total", "seconds", {3.25, 12.75}},
+       {nullptr, "gpu_runs", {0, 2'000'000'003}},
+       {"hrf_backend_branch_efficiency", "branch_efficiency", {0.0, r1.branch_efficiency()}},
+       {"hrf_backend_txn_per_request", "txn_per_request",
+        {r0.txn_per_request(), r1.txn_per_request()}},
+       {"hrf_backend_onchip_hit_rate", "onchip_hit_rate",
+        {r0.onchip_hit_rate(), r1.onchip_hit_rate()}},
+       {"hrf_backend_stage1_onchip_hit_rate", "stage1_onchip_hit_rate",
+        {r0.stage1_onchip_hit_rate(), r1.stage1_onchip_hit_rate()}},
+       {"hrf_backend_dram_transactions_total", "dram_transactions", {0, 2'000'000'008}},
+       {nullptr, "smem_loads", {0, 2'000'000'009}},
+       {nullptr, "l2_hits", {0, 2'000'000'007}},
+       {nullptr, "fpga_runs", {3'004, 2'000'000'012}},
+       {"hrf_backend_fpga_ii_stall_cycles", "fpga_ii_stall_cycles", {999, 1'000'000'000 - 1}},
+       {"hrf_backend_fpga_stall_pct", "fpga_stall_pct",
+        {r0.fpga_stall_pct(), r1.fpga_stall_pct()}}},
+      asserted);
+  EXPECT_EQ(rows_of("rollups")[1]->get("variant").as_string(), "hybrid");
+  EXPECT_EQ(rows_of("rollups")[1]->get("backend").as_string(), "gpu-sim");
+
+  expect_block(prom, rows_of("shards"), {{{"shard", "4"}}, {{"shard", "5"}}},
+               {{nullptr, "index", {4, 5}},
+                {"hrf_shard_up", "up", {1, 0}},
+                {"hrf_shard_partitioned", "partitioned", {0, 1}},
+                {"hrf_shard_breaker_state", "breaker_state", {1, 2}},
+                {"hrf_shard_queue_depth", "queue_depth", {4'011, 4'111}},
+                {"hrf_shard_model_generation", "generation", {4'012, 4'112}},
+                {"hrf_shard_routed_total", "routed", {4'013, 4'113}},
+                {"hrf_shard_failures_total", "failures", {4'014, 4'114}},
+                {"hrf_shard_repairs_total", "repairs", {4'015, 4'115}},
+                {"hrf_shard_worker_restarts_total", "worker_restarts", {4'016, 4'116}}},
+               asserted);
+
+  expect_block(prom, rows_of("tenants"), {{{"tenant", "gold"}}, {{"tenant", "bro\"nze"}}},
+               {{"hrf_tenant_weight", "weight", {5.5, 0.25}},
+                {"hrf_tenant_reserved_slots", "reserved", {5'011, 5'111}},
+                {"hrf_tenant_queue_depth", "queued", {5'012, 5'112}},
+                {"hrf_tenant_admitted_total", "admitted", {5'013, 5'113}},
+                {"hrf_tenant_quota_shed_total", "shed", {5'014, 5'114}}},
+               asserted);
+  EXPECT_EQ(rows_of("tenants")[1]->get("name").as_string(), "bro\"nze");
+
+  expect_block(prom, rows_of("slo"),
+               {{{"objective", "success_rate"}, {"scope", "server"}},
+                {{"objective", "p95_latency"}, {"scope", "tenant:gold"}}},
+               {{"hrf_slo_state", "firing", {1, 0}},
+                {"hrf_slo_burn_rate_fast", "fast_burn", {7.25, 7.75}},
+                {"hrf_slo_burn_rate_slow", "slow_burn", {7.5, 8.25}},
+                {"hrf_slo_alerts_fired_total", "fired", {7'011, 7'111}},
+                {"hrf_slo_alerts_cleared_total", "cleared", {7'012, 7'112}}},
+               asserted);
+  EXPECT_EQ(rows_of("slo")[1]->get("scope").as_string(), "tenant:gold");
+
+  expect_block(prom, {&doc.get("traces")}, {{}},
+               {{"hrf_traces_started_total", "started", {8'001}},
+                {"hrf_traces_sampled_total", "sampled", {8'002}},
+                {"hrf_traces_completed_total", "completed", {8'003}},
+                {"hrf_traces_evicted_total", "evicted", {8'004}},
+                {"hrf_traces_retained", "retained", {8'005}},
+                {"hrf_trace_sampling_rate", "sampling", {0.625}},
+                {nullptr, "capacity", {8'007}}},
+               asserted);
+
+  // Every catalogued family was read back above, and nothing else was.
+  std::set<std::string> catalogued;
+  for (const MetricInfo& m : metric_catalogue()) catalogued.insert(m.name);
+  EXPECT_EQ(asserted, catalogued);
+  EXPECT_EQ(catalogued.size(), 96u);
 }
 
 // --- Paper differential: stage-1 on-chip staging --------------------------

@@ -6,7 +6,8 @@
 # The plain build also runs a reload-chaos step: a publisher killed
 # mid-write (crash:publish / crash:manifest fault sites) must leave the
 # versioned model store recoverable and still serveable — a
-# metrics-schema step: a traced serve run must export Prometheus + JSON
+# metrics-schema step (also alone, --metrics-schema): a traced serve run
+# and a micro-batching 2-shard cluster run must export Prometheus + JSON
 # files that hrf_cli --mode metrics-check accepts against the documented
 # metric catalogue (docs/observability.md) — and a cluster-chaos step:
 # the degraded-mode SLO suite (ctest -L chaos: kill-shard-mid-reload and
@@ -35,14 +36,14 @@
 # gates the incident-bundle schema end to end.
 #
 # Usage: tools/check.sh [--plain-only|--sanitize-only|--tsan-only|
-#                        --cluster-chaos|--qos-chaos|--batch-chaos|
-#                        --integrity-chaos]...
+#                        --metrics-schema|--cluster-chaos|--qos-chaos|
+#                        --batch-chaos|--integrity-chaos]...
 # With several flags, each flag's suites run in turn, in the order given.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
-USAGE="usage: tools/check.sh [--plain-only|--sanitize-only|--tsan-only|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos]..."
+USAGE="usage: tools/check.sh [--plain-only|--sanitize-only|--tsan-only|--metrics-schema|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos]..."
 
 run_suite() {  # run_suite <build-dir> <extra cmake args...>
   local dir="$1"; shift
@@ -107,11 +108,24 @@ metrics_schema() {  # metrics_schema <build-dir>
          --workers 2 --clients 2 --requests 3 --batch 64 > "$dir/serve.log" 2>&1 || {
     echo "metrics-schema: traced serve run failed" >&2
     cat "$dir/serve.log" >&2; rm -rf "$dir"; return 1; }
-  "$cli" --mode metrics-check --metrics "$dir/metrics.prom" || {
-    echo "metrics-schema: exported metrics failed the schema check" >&2
+  # A micro-batching 2-shard fleet: cluster and shard families, and the
+  # batch_size stage merged across shards.
+  "$cli" --mode cluster --data "$dir/d.hrfd" --model "$dir/m.hrff" \
+         --shards 2 --batch-max 4 --clients 2 --requests 4 --batch 64 \
+         --metrics-out "$dir/cluster.prom" > "$dir/cluster.log" 2>&1 || {
+    echo "metrics-schema: cluster run failed" >&2
+    cat "$dir/cluster.log" >&2; rm -rf "$dir"; return 1; }
+  local prom
+  for prom in metrics.prom cluster.prom; do
+    "$cli" --mode metrics-check --metrics "$dir/$prom" || {
+      echo "metrics-schema: exported $prom failed the schema check" >&2
+      rm -rf "$dir"; return 1; }
+  done
+  grep -q 'stage="batch_size"' "$dir/cluster.prom" || {
+    echo "metrics-schema: cluster export lacks the batch_size stage" >&2
     rm -rf "$dir"; return 1; }
   rm -rf "$dir"
-  echo "metrics-schema: export matches the documented catalogue"
+  echo "metrics-schema: serve and cluster exports match the documented catalogue"
 }
 
 cluster_chaos() {  # cluster_chaos <build-dir>
@@ -171,6 +185,11 @@ run_mode() {  # run_mode <mode>: every suite one flag (or "all") selects
       reload_chaos build
       metrics_schema build
       ;;&
+    --metrics-schema)
+      cmake -B build -S . -DHRF_BUILD_BENCHES=OFF
+      cmake --build build -j "$JOBS" --target hrf_cli
+      metrics_schema build
+      ;;
     all|--plain-only|--cluster-chaos)
       if [ "$MODE" = --cluster-chaos ]; then
         cmake -B build -S . -DHRF_BUILD_BENCHES=OFF
@@ -220,7 +239,7 @@ MODES=("$@")
 [ "${#MODES[@]}" -gt 0 ] || MODES=(all)
 for mode in "${MODES[@]}"; do  # reject a bad flag before any suite runs
   case "$mode" in
-    all|--plain-only|--sanitize-only|--tsan-only|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos) ;;
+    all|--plain-only|--sanitize-only|--tsan-only|--metrics-schema|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos) ;;
     *) echo "$USAGE" >&2; exit 2 ;;
   esac
 done

@@ -65,24 +65,12 @@ step_tier1() {
   ctest --test-dir build --output-on-failure -j "$JOBS" -L tier1
 }
 
-# Mirrors check.sh's metrics-schema gate: a traced serve run must export
-# Prometheus + JSON files that --mode metrics-check accepts against the
-# documented catalogue (docs/observability.md).
+# check.sh's metrics-schema gate: a traced serve run and a micro-batching
+# 2-shard cluster run must export Prometheus + JSON files that --mode
+# metrics-check accepts against the documented catalogue
+# (docs/observability.md).
 step_metrics_schema() {
-  local cli=build/tools/hrf_cli dir rc=0
-  dir="$(mktemp -d)"
-  {
-    "$cli" --mode gen --dataset susy --samples 1500 --out "$dir/d.hrfd" > /dev/null &&
-    "$cli" --mode train --data "$dir/d.hrfd" --trees 6 --depth 7 \
-           --out "$dir/m.hrff" > /dev/null &&
-    "$cli" --mode serve --data "$dir/d.hrfd" --model "$dir/m.hrff" \
-           --backend gpu-sim --variant hybrid --sd 4 \
-           --trace-sample 1.0 --metrics-out "$dir/metrics.prom" \
-           --workers 2 --clients 2 --requests 3 --batch 64 > "$dir/serve.log" 2>&1 &&
-    "$cli" --mode metrics-check --metrics "$dir/metrics.prom"
-  } || rc=$?
-  rm -rf "$dir"
-  return "$rc"
+  tools/check.sh --metrics-schema
 }
 
 # Incident-bundle schema gate (docs/observability.md, "Time series,
