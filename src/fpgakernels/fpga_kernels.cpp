@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <string>
 
 #include "fpgakernels/traversal_counts.hpp"
@@ -99,10 +100,13 @@ FpgaResult run_independent_fpga(const HierarchicalForest& forest, QueryView quer
 FpgaResult run_collaborative_fpga(const HierarchicalForest& forest, QueryView queries,
                                   const fpgasim::FpgaConfig& cfg,
                                   const fpgasim::CuLayout& layout) {
-  // The largest subtree must fit in on-chip memory next to the pipeline.
+  // The largest subtree, root subtrees included, must fit in on-chip
+  // memory next to the pipeline.
   fault_point("resource:fpga-bram");
+  const HierConfig& hc = forest.config();
   const std::size_t max_subtree_bytes =
-      complete_tree_nodes(forest.config().subtree_depth) * sizeof(PackedNode);
+      complete_tree_nodes(std::max(hc.subtree_depth, hc.effective_root_depth())) *
+      sizeof(PackedNode);
   if (max_subtree_bytes * static_cast<std::size_t>(layout.cus_per_slr) >
       cfg.onchip_bytes_per_slr) {
     throw ResourceError("collaborative FPGA kernel: subtree buffers exceed BRAM/URAM");

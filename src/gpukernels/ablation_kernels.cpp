@@ -8,46 +8,38 @@
 namespace hrf::gpukernels {
 
 using detail::kWarpSize;
+using detail::Residency;
 
 KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
                                 QueryView queries) {
-  require(forest.num_features() == queries.num_features(), "query width != forest features");
-  const detail::DeviceQueries q(device, queries);
+  detail::Launch launch(device, forest, queries);
   const detail::DeviceSubtrees subtrees(device, forest);
 
   const auto& cfg = device.config();
-  const auto k = static_cast<std::size_t>(forest.num_classes());
-  std::vector<std::uint32_t> votes(q.count() * k, 0);
   // Global vote matrix: with blocks partitioned by TREE, different blocks
   // update the same query's votes -> global atomics instead of registers.
-  const gpusim::DeviceArray<std::uint32_t> votes_buf(device, votes);
-  detail::SubtreeWalk walk(device, subtrees, q, votes, k);
+  const gpusim::DeviceArray<std::uint32_t> votes_buf(device, launch.votes);
+  detail::SubtreeWalk walk(device, subtrees, launch);
   std::uint64_t vote_addrs[kWarpSize] = {};
 
   // Grid: one block per tree; each block's warps sweep all queries.
   for (std::size_t t = 0; t < forest.num_trees(); ++t) {
     const int sm = static_cast<int>(t % static_cast<std::size_t>(cfg.num_sms));
-    for (std::size_t first = 0; first < q.count(); first += kWarpSize) {
-      const std::uint32_t warp_mask = detail::lane_mask(q.count() - first);
-      detail::for_each_lane(warp_mask, [&](int l) { walk.subtree[l] = forest.root_subtree(t); });
-      walk.enter(sm, warp_mask);
-      walk.run(sm, first, warp_mask, [&](std::uint32_t leaf_mask) {
+    for (std::size_t first = 0; first < launch.q.count(); first += kWarpSize) {
+      const std::uint32_t warp_mask = detail::lane_mask(launch.q.count() - first);
+      walk.enter<Residency::kGlobal>(sm, warp_mask, forest.root_subtree(t));
+      walk.run<Residency::kGlobal>(sm, first, warp_mask, [&](std::uint32_t leaf_mask) {
         // atomicAdd on the global vote matrix: one scattered read + write
         // per finishing lane — Optimization 2's structural cost.
         detail::for_each_lane(leaf_mask, [&](int l) {
-          vote_addrs[l] = votes_buf.addr((first + static_cast<std::size_t>(l)) * k +
+          vote_addrs[l] = votes_buf.addr((first + static_cast<std::size_t>(l)) * launch.k +
                                          walk.leaf_class(l));
         });
         device.warp_atomic_rmw(sm, vote_addrs, leaf_mask, sizeof(std::uint32_t));
       });
     }
   }
-
-  KernelResult r;
-  r.predictions = detail::finalize_votes(device, votes, q.count(), k);
-  r.counters = device.counters();
-  r.timing = device.estimate();
-  return r;
+  return launch.finish(device);
 }
 
 std::vector<std::uint32_t> presort_queries(QueryView queries, int bins) {

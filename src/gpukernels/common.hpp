@@ -2,6 +2,14 @@
 
 // Internal helpers shared by the simulated GPU kernels. Not part of the
 // public API (bench/test code should use kernels.hpp).
+//
+// Every kernel opens and closes a Launch. The hierarchical kernels share
+// one per-node step, SubtreeWalk::run, and differ in where the subtree a
+// lane steps through resides (paper §3.2):
+//   - Residency::kShared, staged by the block: collaborative (every
+//     subtree) and hybrid stage 1 (each tree's root subtree);
+//   - Residency::kGlobal, read from global memory: independent, hybrid
+//     stage 2 and tree-per-block.
 
 #include <bit>
 #include <cstdint>
@@ -25,8 +33,9 @@ struct DeviceQueries {
   QueryView host;
   gpusim::DeviceArray<float> features;
 
-  DeviceQueries(gpusim::Device& device, QueryView queries)
+  DeviceQueries(gpusim::Device& device, QueryView queries, std::size_t model_features)
       : host(queries), features(device, queries.features()) {
+    require(model_features == queries.num_features(), "query width != forest features");
     require(queries.num_samples() > 0, "no queries to classify");
   }
 
@@ -50,103 +59,197 @@ void for_each_lane(std::uint32_t mask, Fn&& fn) {
   for (; mask != 0; mask &= mask - 1) fn(std::countr_zero(mask));
 }
 
-/// Iterates the kernel grid: one thread per query, `block_size` threads per
-/// block, block b resident on SM (b mod num_sms). `fn(sm, first_query,
-/// active_mask)` is invoked once per warp; the mask covers lanes whose
-/// query id is in range.
+/// Iterates the kernel grid, one thread per query and `block_size`
+/// threads per block: fn(sm, b) runs once per block b, which is resident
+/// on SM (b mod num_sms).
 template <typename Fn>
-void for_each_warp(const gpusim::DeviceConfig& cfg, std::size_t num_queries, Fn&& fn) {
-  const std::size_t block_size = static_cast<std::size_t>(cfg.block_size);
-  const std::size_t num_blocks = (num_queries + block_size - 1) / block_size;
+void for_each_block(const gpusim::DeviceConfig& cfg, std::size_t num_queries, Fn&& fn) {
+  const std::size_t num_blocks = ceil_div(num_queries, static_cast<std::size_t>(cfg.block_size));
   for (std::size_t b = 0; b < num_blocks; ++b) {
-    const int sm = static_cast<int>(b % static_cast<std::size_t>(cfg.num_sms));
-    for (std::size_t w = 0; w < block_size / kWarpSize; ++w) {
-      const std::size_t first = b * block_size + w * kWarpSize;
-      if (first >= num_queries) break;
-      fn(sm, first, lane_mask(num_queries - first));
-    }
+    fn(static_cast<int>(b % static_cast<std::size_t>(cfg.num_sms)), b);
   }
 }
 
-/// A hierarchical layout's node records and subtree topology mirrored on
-/// the device, in this allocation order, for the kernels whose lanes walk
-/// subtrees out of global memory.
+/// Iterates block b's warps that hold a query: fn(w, first_query,
+/// active_mask) per warp w; the mask covers lanes whose query id is in
+/// range.
+template <typename Fn>
+void for_each_warp_of(const gpusim::DeviceConfig& cfg, std::size_t num_queries, std::size_t b,
+                      Fn&& fn) {
+  const std::size_t block_size = static_cast<std::size_t>(cfg.block_size);
+  for (std::size_t w = 0; w < block_size / kWarpSize; ++w) {
+    const std::size_t first = b * block_size + w * kWarpSize;
+    if (first >= num_queries) break;
+    fn(w, first, lane_mask(num_queries - first));
+  }
+}
+
+/// Iterates the whole grid warp by warp: fn(sm, first_query, active_mask).
+template <typename Fn>
+void for_each_warp(const gpusim::DeviceConfig& cfg, std::size_t num_queries, Fn&& fn) {
+  for_each_block(cfg, num_queries, [&](int sm, std::size_t b) {
+    for_each_warp_of(cfg, num_queries, b, [&](std::size_t, std::size_t first,
+                                              std::uint32_t mask) { fn(sm, first, mask); });
+  });
+}
+
+/// The prologue and tail every kernel shares: construction checks the
+/// query width and mirrors the queries on the device; finish() writes out
+/// the per-query majority votes as the kernel's final global store and
+/// reports the launch's counters and modeled time.
+struct Launch {
+  DeviceQueries q;
+  std::size_t k;                     // classes
+  std::vector<std::uint32_t> votes;  // row-major (query x class) histogram
+
+  template <typename Model>
+  Launch(gpusim::Device& device, const Model& model, QueryView queries)
+      : q(device, queries, model.num_features()),
+        k(static_cast<std::size_t>(model.num_classes())),
+        votes(q.count() * k, 0) {}
+
+  void vote(std::size_t row, std::uint8_t cls) { ++votes[row * k + cls]; }
+
+  /// The winner rule is Forest::vote_winner (ties to the higher class id =
+  /// Fig. 1a's `tmp < N/2 ? A : B` in the binary case).
+  KernelResult finish(gpusim::Device& device) const {
+    KernelResult r;
+    r.predictions.resize(q.count());
+    const gpusim::DeviceArray<std::uint8_t> result_buf(device, r.predictions);
+    for_each_warp(device.config(), q.count(), [&](int sm, std::size_t first, std::uint32_t active) {
+      std::uint64_t addrs[kWarpSize] = {};
+      for_each_lane(active, [&](int l) {
+        const std::size_t row = first + static_cast<std::size_t>(l);
+        r.predictions[row] = Forest::vote_winner({votes.data() + row * k, k});
+        addrs[l] = result_buf.addr(row);
+      });
+      device.warp_store(sm, addrs, active, 1);
+    });
+    r.counters = device.counters();
+    r.timing = device.estimate();
+    return r;
+  }
+};
+
+/// Where the subtree a lane steps through resides.
+enum class Residency {
+  kShared,  // staged by the block: a node read is one smem load
+  kGlobal,  // in global memory: a node read is one packed-node warp load
+};
+
+/// A hierarchical layout's node records, per-subtree metadata and
+/// connection table mirrored on the device, in this allocation order. A
+/// kernel whose walks never reach Residency::kGlobal (collaborative) reads
+/// the metadata as block-uniform values, so it mirrors only the nodes and
+/// the connection table.
 struct DeviceSubtrees {
+  const HierarchicalForest& forest;
   gpusim::DeviceArray<PackedNode> nodes;
   gpusim::DeviceArray<std::uint32_t> node_offset;
   gpusim::DeviceArray<std::uint8_t> subtree_depth;
   gpusim::DeviceArray<std::uint32_t> conn_offset;
   gpusim::DeviceArray<std::int32_t> connection;
 
-  DeviceSubtrees(gpusim::Device& device, const HierarchicalForest& forest)
-      : nodes(device, forest.nodes()),
-        node_offset(device, forest.subtree_node_offsets()),
-        subtree_depth(device, forest.subtree_depths()),
-        conn_offset(device, forest.connection_offsets()),
-        connection(device, forest.subtree_connection()) {}
-};
-
-/// The independent traversal of paper §3.2 for one warp at a time, shared
-/// by the independent kernel, the hybrid kernel's stage 2 and
-/// tree-per-block: every lane walks its own subtree out of global memory.
-/// A step costs ONE packed node load (feature + value travel together,
-/// §3.2's 48-bit node record) plus the query-feature read; children are
-/// found arithmetically (2n+1 / 2n+2). The CSR-like indirection
-/// (connection entry + subtree metadata) is paid only when crossing to the
-/// next subtree, i.e. once every SD levels.
-class SubtreeWalk {
- public:
-  SubtreeWalk(gpusim::Device& device, const DeviceSubtrees& st, const DeviceQueries& q,
-              std::vector<std::uint32_t>& votes, std::size_t num_classes)
-      : device_(device), st_(st), q_(q), votes_(votes), k_(num_classes) {}
-
-  /// Lane l's subtree, read by enter().
-  std::uint32_t subtree[kWarpSize] = {};
-
-  /// Loads the per-subtree metadata for every lane in `mask` (node offset,
-  /// depth, connection offset) — the indirect accesses paid per hop — and
-  /// puts those lanes at their subtree's root.
-  void enter(int sm, std::uint32_t mask) {
-    for_each_lane(mask, [&](int l) {
-      const std::uint32_t s = subtree[l];
-      off_addr_[l] = st_.node_offset.addr(s);
-      depth_addr_[l] = st_.subtree_depth.addr(s);
-      coff_addr_[l] = st_.conn_offset.addr(s);
-      pos_[l] = 0;
-      off_[l] = st_.node_offset[s];
-      bottom_first_[l] = static_cast<std::uint32_t>(pow2(st_.subtree_depth[s] - 1) - 1);
-      coff_[l] = st_.conn_offset[s];
-    });
-    device_.warp_load(sm, off_addr_, mask, sizeof(std::uint32_t));
-    device_.warp_load(sm, depth_addr_, mask, sizeof(std::uint8_t));
-    device_.warp_load(sm, coff_addr_, mask, sizeof(std::uint32_t));
+  DeviceSubtrees(gpusim::Device& device, const HierarchicalForest& f,
+                 Residency reaches = Residency::kGlobal)
+      : forest(f), nodes(device, f.nodes()) {
+    if (reaches == Residency::kGlobal) {
+      node_offset = {device, f.subtree_node_offsets()};
+      subtree_depth = {device, f.subtree_depths()};
+      conn_offset = {device, f.connection_offsets()};
+    }
+    connection = {device, f.subtree_connection()};
   }
 
-  /// Walks the lanes in `active` (entered, lane 0 = query `first`) to
-  /// their leaves and counts their votes. `on_leaves(leaf_mask)` runs right
-  /// after each step's leaf branch, while leaf_class() still reads the
-  /// leaves just reached.
-  template <typename OnLeaves>
-  void run(int sm, std::size_t first, std::uint32_t active, OnLeaves&& on_leaves) {
+  /// Cooperative, coalesced staging of nodes [first, first + count) into
+  /// the block's shared memory: consecutive lanes load consecutive packed
+  /// nodes (one 128 B transaction per 16 nodes), one store per warp load.
+  void stage(gpusim::Device& device, int sm, std::size_t first, std::size_t count,
+             gpusim::Device::LoadHint hint = gpusim::Device::LoadHint::kDefault) const {
+    std::uint64_t addrs[kWarpSize] = {};
+    for (std::size_t chunk = 0; chunk < count; chunk += kWarpSize) {
+      const std::uint32_t mask = lane_mask(count - chunk);
+      for_each_lane(mask, [&](int l) {
+        addrs[l] = nodes.addr(first + chunk + static_cast<std::size_t>(l));
+      });
+      device.warp_load(sm, addrs, mask, sizeof(PackedNode), hint);
+      device.smem_store(1);
+    }
+  }
+};
+
+/// One warp's lanes walking subtrees, the per-node step of paper §3.2. A
+/// step costs ONE packed node read (feature + value travel together,
+/// §3.2's 48-bit node record) plus the query-feature read; children are
+/// found arithmetically (2n+1 / 2n+2). The connection entry is paid only
+/// when crossing to the next subtree, i.e. once every SD levels, and in
+/// global residency so are the next subtree's metadata.
+class SubtreeWalk {
+ public:
+  SubtreeWalk(gpusim::Device& device, const DeviceSubtrees& st, Launch& launch)
+      : device_(device), st_(st), launch_(launch) {}
+
+  /// Lane l's subtree, read by enter() and written by a hop.
+  std::uint32_t subtree[kWarpSize] = {};
+
+  /// Puts the lanes in `mask` at their subtree's root. In global
+  /// residency this loads the subtree metadata (node offset, depth,
+  /// connection offset), the indirect accesses paid per hop; a staged
+  /// subtree's metadata is uniform across the block and costs nothing.
+  template <Residency R>
+  void enter(int sm, std::uint32_t mask) {
+    for_each_lane(mask, [&](int l) { place(l, root_of(subtree[l])); });
+    load_metadata<R>(sm, mask);
+  }
+
+  /// enter() with every lane in `mask` at subtree `s`, looked up once.
+  template <Residency R>
+  void enter(int sm, std::uint32_t mask, std::uint32_t s) {
+    const Root root = root_of(s);
+    for_each_lane(mask, [&](int l) {
+      subtree[l] = s;
+      place(l, root);
+    });
+    load_metadata<R>(sm, mask);
+  }
+
+  struct End {
+    std::uint32_t left = 0;  // lanes that hopped out of a staged subtree
+    int steps = 0;           // steps the warp took
+  };
+
+  /// Walks the lanes in `active` (entered, lane 0 = query `first`) and
+  /// counts the votes of those reaching a leaf. In global residency a lane
+  /// hops on until it reaches a leaf; in shared residency a lane that
+  /// leaves the staged subtree stops, in End::left, with subtree[l] set to
+  /// the next one. `on_leaves(leaf_mask)` runs right after each step's leaf
+  /// branch, while leaf_class() still reads the leaves just reached.
+  template <Residency R, typename OnLeaves>
+  End run(int sm, std::size_t first, std::uint32_t active, OnLeaves&& on_leaves) {
     const auto instructions_per_step =
         static_cast<std::uint64_t>(device_.config().instructions_per_step);
+    End end;
     while (active != 0) {
+      ++end.steps;
       // One host pass per step; the device calls below replay it in order.
       std::uint32_t leaf_mask = 0;
       std::uint32_t hop_mask = 0;
-      for_each_lane(active, [&](int l) {
+      // for_each_lane open-coded: GCC at -O2 keeps a lambda this size out
+      // of line, one call per lane.
+      for (std::uint32_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+        const int l = std::countr_zero(lanes);
         const std::uint32_t node = off_[l] + pos_[l];
-        node_addr_[l] = st_.nodes.addr(node);
+        if constexpr (R == Residency::kGlobal) node_addr_[l] = st_.nodes.addr(node);
         const PackedNode n = st_.nodes[node];
         const std::size_t row = first + static_cast<std::size_t>(l);
         if (n.feature == kLeafFeature) {
           leaf_mask |= 1u << l;
-          ++votes_[row * k_ + static_cast<std::uint8_t>(n.value)];
-          return;
+          launch_.vote(row, static_cast<std::uint8_t>(n.value));
+          continue;
         }
         const auto f = static_cast<std::size_t>(n.feature);
-        feature_addr_[l] = q_.addr(row, f);
-        const std::uint32_t right = !(q_.value(row, f) < n.value);
+        feature_addr_[l] = launch_.q.addr(row, f);
+        const std::uint32_t right = !(launch_.q.value(row, f) < n.value);
         if (pos_[l] >= bottom_first_[l]) {
           hop_mask |= 1u << l;  // bottom-level inner node: cross subtrees
           const std::uint32_t ci = coff_[l] + 2 * (pos_[l] - bottom_first_[l]) + right;
@@ -155,11 +258,15 @@ class SubtreeWalk {
         } else {
           pos_[l] = 2 * pos_[l] + 1 + right;
         }
-      });
+      }
 
-      // Within a subtree the nodes sit in one contiguous array, so nearby
-      // positions share cache lines.
-      device_.warp_load(sm, node_addr_, active, sizeof(PackedNode));
+      if constexpr (R == Residency::kShared) {
+        device_.smem_load(1);
+      } else {
+        // Within a subtree the nodes sit in one contiguous array, so
+        // nearby positions share cache lines.
+        device_.warp_load(sm, node_addr_, active, sizeof(PackedNode));
+      }
       device_.warp_branch(leaf_mask, active);
       on_leaves(leaf_mask);
       active &= ~leaf_mask;
@@ -170,14 +277,21 @@ class SubtreeWalk {
       device_.warp_branch(hop_mask, active);
       if (hop_mask != 0) {
         device_.warp_load(sm, hop_addr_, hop_mask, sizeof(std::int32_t));
-        enter(sm, hop_mask);
+        if constexpr (R == Residency::kGlobal) {
+          enter<R>(sm, hop_mask);
+        } else {
+          end.left |= hop_mask;
+          active &= ~hop_mask;
+        }
       }
       device_.add_instructions(instructions_per_step);
     }
+    return end;
   }
 
-  void run(int sm, std::size_t first, std::uint32_t active) {
-    run(sm, first, active, [](std::uint32_t) {});
+  template <Residency R>
+  End run(int sm, std::size_t first, std::uint32_t active) {
+    return run<R>(sm, first, active, [](std::uint32_t) {});
   }
 
   /// The class vote of the leaf lane l stands on.
@@ -186,15 +300,45 @@ class SubtreeWalk {
   }
 
  private:
+  /// A subtree's node offset, the position of its bottom level's first
+  /// node, and its first connection entry.
+  struct Root {
+    std::uint32_t off, bottom_first, coff;
+  };
+
+  Root root_of(std::uint32_t s) const {
+    return {st_.forest.subtree_node_offset(s),
+            static_cast<std::uint32_t>(pow2(st_.forest.subtree_depth(s) - 1) - 1),
+            st_.forest.connection_offset(s)};
+  }
+
+  void place(int l, const Root& r) {
+    pos_[l] = 0;
+    off_[l] = r.off;
+    bottom_first_[l] = r.bottom_first;
+    coff_[l] = r.coff;
+  }
+
+  template <Residency R>
+  void load_metadata(int sm, std::uint32_t mask) {
+    if constexpr (R == Residency::kGlobal) {
+      for_each_lane(mask, [&](int l) {
+        off_addr_[l] = st_.node_offset.addr(subtree[l]);
+        depth_addr_[l] = st_.subtree_depth.addr(subtree[l]);
+        coff_addr_[l] = st_.conn_offset.addr(subtree[l]);
+      });
+      device_.warp_load(sm, off_addr_, mask, sizeof(std::uint32_t));
+      device_.warp_load(sm, depth_addr_, mask, sizeof(std::uint8_t));
+      device_.warp_load(sm, coff_addr_, mask, sizeof(std::uint32_t));
+    }
+  }
+
   gpusim::Device& device_;
   const DeviceSubtrees& st_;
-  const DeviceQueries& q_;
-  std::vector<std::uint32_t>& votes_;
-  std::size_t k_;
-  // Per lane: node offset of its subtree, position in it, first node of
-  // the subtree's bottom level, and its first connection entry.
-  std::uint32_t off_[kWarpSize] = {};
+  Launch& launch_;
+  // Per lane: its position in its subtree, and that subtree's Root fields.
   std::uint32_t pos_[kWarpSize] = {};
+  std::uint32_t off_[kWarpSize] = {};
   std::uint32_t bottom_first_[kWarpSize] = {};
   std::uint32_t coff_[kWarpSize] = {};
   // Per-lane addresses of each warp-wide load.
@@ -205,27 +349,5 @@ class SubtreeWalk {
   std::uint64_t feature_addr_[kWarpSize] = {};
   std::uint64_t hop_addr_[kWarpSize] = {};
 };
-
-/// Writes out per-query majority votes as the kernel's final global store
-/// and returns the predictions. `votes` is a row-major (query x class)
-/// histogram; the winner rule is Forest::vote_winner (ties to the higher
-/// class id = Fig. 1a's `tmp < N/2 ? A : B` in the binary case).
-inline std::vector<std::uint8_t> finalize_votes(gpusim::Device& device,
-                                                const std::vector<std::uint32_t>& votes,
-                                                std::size_t num_queries,
-                                                std::size_t num_classes) {
-  std::vector<std::uint8_t> out(num_queries);
-  gpusim::DeviceArray<std::uint8_t> result_buf(device, out);
-  for_each_warp(device.config(), num_queries, [&](int sm, std::size_t first, std::uint32_t active) {
-    std::uint64_t addrs[kWarpSize] = {};
-    for_each_lane(active, [&](int l) {
-      const std::size_t q = first + static_cast<std::size_t>(l);
-      out[q] = Forest::vote_winner({votes.data() + q * num_classes, num_classes});
-      addrs[l] = result_buf.addr(q);
-    });
-    device.warp_store(sm, addrs, active, 1);
-  });
-  return out;
-}
 
 }  // namespace hrf::gpukernels::detail

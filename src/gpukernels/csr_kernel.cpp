@@ -12,8 +12,8 @@ using detail::kWarpSize;
 /// eliminates. Warps reconverge at the end of each tree's while-loop, so a
 /// warp pays the longest lane path per tree (lock-step divergence).
 KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView queries) {
-  require(csr.num_features() == queries.num_features(), "query width != forest features");
-  const detail::DeviceQueries q(device, queries);
+  detail::Launch launch(device, csr, queries);
+  const detail::DeviceQueries& q = launch.q;
   const gpusim::DeviceArray<std::int32_t> feature_id(device, csr.feature_id());
   const gpusim::DeviceArray<float> value(device, csr.value());
   const gpusim::DeviceArray<std::int32_t> children_arr(device, csr.children_arr());
@@ -21,9 +21,6 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView que
   const gpusim::DeviceArray<std::int32_t> tree_root(device, csr.tree_root());
 
   const auto& cfg = device.config();
-  const auto k = static_cast<std::size_t>(csr.num_classes());
-  std::vector<std::uint32_t> votes(q.count() * k, 0);
-
   const auto instructions_per_step = static_cast<std::uint64_t>(cfg.instructions_per_step);
   detail::for_each_warp(cfg, q.count(), [&](int sm, std::size_t first, std::uint32_t warp_mask) {
     std::uint32_t lane_node[kWarpSize] = {};
@@ -51,8 +48,7 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView que
           value_addrs[l] = value.addr(n);
           if (feature_id[n] == kLeafFeature) {
             leaf_mask |= 1u << l;
-            ++votes[(first + static_cast<std::size_t>(l)) * k +
-                    static_cast<std::uint8_t>(value[n])];
+            launch.vote(first + static_cast<std::size_t>(l), static_cast<std::uint8_t>(value[n]));
           }
         });
         device.warp_load(sm, fid_addrs, active, sizeof(std::int32_t));
@@ -83,11 +79,7 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView que
     }
   });
 
-  KernelResult r;
-  r.predictions = detail::finalize_votes(device, votes, q.count(), k);
-  r.counters = device.counters();
-  r.timing = device.estimate();
-  return r;
+  return launch.finish(device);
 }
 
 }  // namespace hrf::gpukernels

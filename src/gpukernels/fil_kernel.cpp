@@ -12,19 +12,16 @@ using detail::kWarpSize;
 /// hierarchical layouts beat by adding shared-memory residency.
 KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
                               const DeviceImage& image, QueryView queries) {
-  require(forest.num_features() == queries.num_features(), "query width != forest features");
   require(image.fil_tree_offset().size() == forest.tree_count() + 1,
           "device image was not prepared from this forest");
   const std::span<const FilNode> fil_nodes = image.fil_nodes();
   const std::span<const std::uint32_t> fil_tree_offset = image.fil_tree_offset();
-  const detail::DeviceQueries q(device, queries);
+  detail::Launch launch(device, forest, queries);
+  const detail::DeviceQueries& q = launch.q;
   const gpusim::DeviceArray<FilNode> nodes(device, fil_nodes);
   const gpusim::DeviceArray<std::uint32_t> tree_offset(device, fil_tree_offset);
 
   const auto& cfg = device.config();
-  const auto k = static_cast<std::size_t>(forest.num_classes());
-  std::vector<std::uint32_t> votes(q.count() * k, 0);
-
   const auto instructions_per_step = static_cast<std::uint64_t>(cfg.instructions_per_step);
   detail::for_each_warp(cfg, q.count(), [&](int sm, std::size_t first, std::uint32_t warp_mask) {
     std::uint64_t node_addrs[kWarpSize] = {};
@@ -47,7 +44,7 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
           const std::size_t row = first + static_cast<std::size_t>(l);
           if (n.feature == kLeafFeature) {
             leaf_mask |= 1u << l;
-            ++votes[row * k + static_cast<std::uint8_t>(n.value)];
+            launch.vote(row, static_cast<std::uint8_t>(n.value));
             return;
           }
           const auto f = static_cast<std::size_t>(n.feature);
@@ -66,11 +63,7 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
     }
   });
 
-  KernelResult r;
-  r.predictions = detail::finalize_votes(device, votes, q.count(), k);
-  r.counters = device.counters();
-  r.timing = device.estimate();
-  return r;
+  return launch.finish(device);
 }
 
 }  // namespace hrf::gpukernels

@@ -175,11 +175,15 @@ TEST(FpgaKernels, CollaborativeRejectsOversizedSubtreeBuffers) {
   spec.max_depth = 22;
   spec.branch_prob = 0.0;
   const Forest f = make_random_forest(spec);
-  HierConfig cfg;
-  cfg.subtree_depth = 21;  // one subtree would need 16.8 MB of BRAM
-  const HierarchicalForest h = HierarchicalForest::build(f, cfg);
   const Dataset q = make_random_queries(16, spec.num_features);
-  EXPECT_THROW(run_collaborative_fpga(h, q), ResourceError);
+  // One subtree of depth 21 would need 16.8 MB of BRAM, whether it is
+  // every subtree (SD 21) or only the root subtree (RSD 21).
+  for (const HierConfig cfg : {HierConfig{.subtree_depth = 21},
+                               HierConfig{.subtree_depth = 4, .root_subtree_depth = 21}}) {
+    SCOPED_TRACE(cfg.subtree_depth);
+    const HierarchicalForest h = HierarchicalForest::build(f, cfg);
+    EXPECT_THROW(run_collaborative_fpga(h, q), ResourceError);
+  }
 }
 
 TEST(FpgaKernels, DeeperSubtreesReduceIndependentTime) {

@@ -6,9 +6,12 @@
 //
 // Row counts: one lane, a partial warp, a partial block and a grid of 31
 // blocks, which wraps the 30 SMs so two blocks share one L1. Each case
-// launches twice on one device without flushing it, so the second launch
-// runs against warm caches and accumulated counters. Every kernel runs on
-// the TITAN Xp config; the hybrid kernel also runs with a shrunken L2.
+// launches twice on one device without resetting it. Device::alloc never
+// rewinds, so launch 2 mirrors every array at fresh addresses; what it
+// pins is the counters accumulated across launches. Every kernel runs on
+// the TITAN Xp config; the hybrid kernel also runs with a shrunken L2, and
+// the collaborative kernel with 1 KiB of shared memory (128 packed nodes),
+// so each tree's subtrees are staged over several batches.
 
 #include <gtest/gtest.h>
 
@@ -157,7 +160,25 @@ constexpr Golden kGolden[] = {
     {"hybrid_small_l2", 7681, 1, {33316, 241, 153096, 241, 143728, 789, 8579, 8450, 372, 31014, 8006, 0, 206449},
      {3262.1273424657534, 2.0620273972602738e-06, 1787.125, 3262.1273424657534, 1776.9717479452054, 0, "dram"}},
     {"hybrid_small_l2", 7681, 2, {66632, 482, 306192, 482, 287456, 1578, 17158, 16900, 744, 62028, 16012, 0, 412898},
-     {6524.2546849315067, 4.1240547945205477e-06, 3574.25, 6524.2546849315067, 3553.9434958904108, 0, "dram"}}
+     {6524.2546849315067, 4.1240547945205477e-06, 3574.25, 6524.2546849315067, 3553.9434958904108, 0, "dram"}},
+    // The collaborative kernel with 1 KiB of shared memory: 128 packed nodes
+    // per batch, so every tree is staged over several batches.
+    {"collaborative_small_smem", 1, 1, {149, 1, 365, 1, 135, 0, 230, 44, 118, 892, 0, 0, 2376},
+     {85.436668493150677, 5.400547945205479e-08, 19.800000000000001, 85.436668493150677, 42.718334246575338, 0, "dram"}},
+    {"collaborative_small_smem", 1, 2, {298, 2, 730, 2, 270, 0, 460, 88, 236, 1784, 0, 0, 4752},
+     {170.87333698630135, 1.0801095890410958e-07, 39.600000000000001, 170.87333698630135, 85.436668493150677, 0, "dram"}},
+    {"collaborative_small_smem", 31, 1, {258, 1, 833, 1, 576, 0, 257, 186, 118, 1125, 78, 0, 3769},
+     {95.422772602739727, 6.0317808219178076e-08, 32.05833333333333, 95.422772602739727, 47.711386301369863, 0, "dram"}},
+    {"collaborative_small_smem", 31, 2, {516, 2, 1666, 2, 1152, 0, 514, 372, 236, 2250, 156, 0, 7538},
+     {190.84554520547945, 1.2063561643835615e-07, 64.11666666666666, 190.84554520547945, 95.422772602739727, 0, "dram"}},
+    {"collaborative_small_smem", 1000, 1, {5417, 32, 16594, 32, 15245, 792, 557, 6495, 472, 36809, 2738, 0, 119867},
+     {1021.7083333333334, 6.4583333333333333e-07, 1021.7083333333334, 217.8450118721461, 255.38536621004565, 0, "compute"}},
+    {"collaborative_small_smem", 1000, 2, {10834, 64, 33188, 64, 30490, 1584, 1114, 12990, 944, 73618, 5476, 0, 239734},
+     {2043.4166666666667, 1.2916666666666667e-06, 2043.4166666666667, 435.6900237442922, 510.77073242009129, 0, "compute"}},
+    {"collaborative_small_smem", 7681, 1, {41779, 241, 127877, 241, 117689, 7750, 2438, 49861, 3658, 278991, 21164, 0, 912906},
+     {7783.916666666667, 4.920301306363253e-06, 7783.916666666667, 990.8434410958904, 1928.6125881278538, 0, "compute"}},
+    {"collaborative_small_smem", 7681, 2, {83558, 482, 255754, 482, 235378, 15500, 4876, 99722, 7316, 557982, 42328, 0, 1825812},
+     {15567.833333333334, 9.8406026127265061e-06, 15567.833333333334, 1981.6868821917808, 3857.2251762557075, 0, "compute"}}
 };
 
 std::string row_literal(const char* kernel, std::size_t rows, int launch, const KernelResult& r) {
@@ -212,7 +233,7 @@ struct GoldenModel {
   KernelResult run(const std::string& kernel, gpusim::Device& d, const Dataset& q) const {
     if (kernel == "csr") return run_csr(d, csr, q);
     if (kernel == "independent") return run_independent(d, hier, q);
-    if (kernel == "collaborative") return run_collaborative(d, hier, q);
+    if (kernel.starts_with("collaborative")) return run_collaborative(d, hier, q);
     if (kernel.starts_with("hybrid")) return run_hybrid(d, hier, q);
     if (kernel == "fil") return run_fil_baseline(d, forest, fil_image, q);
     return run_tree_per_block(d, hier, q);
@@ -230,10 +251,11 @@ TEST_P(GoldenCounters, EveryKernelReproducesItsRecordedCountersAndTiming) {
 
   int checked = 0;
   for (const char* kernel : {"csr", "independent", "collaborative", "hybrid", "fil",
-                             "tree_per_block", "hybrid_small_l2"}) {
+                             "tree_per_block", "hybrid_small_l2", "collaborative_small_smem"}) {
     SCOPED_TRACE(kernel);
     gpusim::DeviceConfig cfg = gpusim::DeviceConfig::titan_xp();
     if (std::string(kernel) == "hybrid_small_l2") cfg.l2_bytes = 24 * 1024;
+    if (std::string(kernel) == "collaborative_small_smem") cfg.shared_mem_per_block = 1024;
     gpusim::Device device(cfg);
     for (int launch = 1; launch <= 2; ++launch) {
       const KernelResult got = model.run(kernel, device, queries);
@@ -272,7 +294,7 @@ TEST_P(GoldenCounters, EveryKernelReproducesItsRecordedCountersAndTiming) {
       EXPECT_EQ(t.limiter, wt.limiter);
     }
   }
-  EXPECT_EQ(checked, 14);
+  EXPECT_EQ(checked, 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(Rows, GoldenCounters, testing::Values(1, 31, 1000, 7681),

@@ -140,6 +140,26 @@ TEST(GpuKernels, HybridRejectsRootSubtreeBiggerThanSharedMemory) {
   EXPECT_THROW(run_hybrid(d, h, q), ResourceError);
 }
 
+TEST(GpuKernels, CollaborativeRejectsSubtreesBiggerThanSharedMemory) {
+  // 48 KB of shared memory batch 6,144 packed nodes. The largest subtree
+  // the kernel stages has 2^13 - 1 = 8,191, as the root subtree (RSD 13)
+  // or as every subtree (SD 13); it must fail to launch, not spin on an
+  // empty batch.
+  RandomForestSpec spec;
+  spec.num_trees = 1;
+  spec.max_depth = 14;
+  spec.branch_prob = 1.0;  // complete tree so depth-13 subtrees exist
+  const Forest f = make_random_forest(spec);
+  const Dataset q = make_random_queries(32, spec.num_features);
+  for (const HierConfig cfg : {HierConfig{.subtree_depth = 8, .root_subtree_depth = 13},
+                               HierConfig{.subtree_depth = 13}}) {
+    SCOPED_TRACE(cfg.subtree_depth);
+    const HierarchicalForest h = HierarchicalForest::build(f, cfg);
+    gpusim::Device d(small_gpu());
+    EXPECT_THROW(run_collaborative(d, h, q), ResourceError);
+  }
+}
+
 TEST(GpuKernels, RsdTwelveIsTheSharedMemoryLimit) {
   // Table 2 stops at RSD 12 because (2^12 - 1) * 8 B = 32 KB fits in the
   // 48 KB shared memory while RSD 13 (64 KB) does not.

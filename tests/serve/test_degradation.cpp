@@ -207,6 +207,25 @@ TEST_F(Degradation, OversizedRootSubtreeShrinksToFit) {
   EXPECT_EQ(d[1], "degrade: shrink rsd 14 -> 12");
 }
 
+TEST_F(Degradation, CollaborativeRootOverSharedMemoryDowngradesToIndependent) {
+  // No injected fault: an RSD 13 root subtree ((2^13 - 1) * 8 B) exceeds
+  // the 48 KB the collaborative kernel stages a batch in. The ladder has
+  // no shrink step for collaborative, so it runs independent on the GPU.
+  ClassifierOptions opt = base_options(Backend::GpuSim, Variant::Collaborative);
+  opt.layout.root_subtree_depth = 13;
+  const serve::ServeResult r = serve(opt);
+  EXPECT_EQ(r.report.predictions, reference_);
+  EXPECT_TRUE(r.report.simulated);
+  EXPECT_TRUE(r.report.gpu_counters.has_value());
+  EXPECT_FALSE(r.via_fallback);
+  const std::vector<std::string>& d = r.report.degradations;
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_TRUE(d[0].starts_with("serve: primary gpu-sim/collaborative failed after 2 attempt(s)"))
+      << d[0];
+  EXPECT_NE(d[0].find("exceeds shared memory"), std::string::npos) << d[0];
+  EXPECT_EQ(d[1], "degrade: variant collaborative -> independent");
+}
+
 TEST_F(Degradation, FpgaHybridRootOverPerCuBudgetShrinksAndStaysOnFpga) {
   // Four compute units per SLR split the on-chip budget four ways: RSD 9
   // ((2^9 - 1) * 8 B = 4088 B) would fit one CU's 8 KB but not a quarter

@@ -45,10 +45,13 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 USAGE="usage: tools/check.sh [--plain-only|--sanitize-only|--tsan-only|--metrics-schema|--cluster-chaos|--qos-chaos|--batch-chaos|--integrity-chaos]..."
 
+# The shared build/ tree is configured without -DHRF_BUILD_BENCHES, so it
+# keeps whatever its cache holds (bench/ targets included by default);
+# only the private sanitizer trees turn the benches off.
 run_suite() {  # run_suite <build-dir> <extra cmake args...>
   local dir="$1"; shift
   echo "=== configure $dir ==="
-  cmake -B "$dir" -S . -DHRF_BUILD_BENCHES=OFF "$@"
+  cmake -B "$dir" -S . "$@"
   echo "=== build $dir ==="
   cmake --build "$dir" -j "$JOBS"
   echo "=== test $dir ==="
@@ -186,13 +189,13 @@ run_mode() {  # run_mode <mode>: every suite one flag (or "all") selects
       metrics_schema build
       ;;&
     --metrics-schema)
-      cmake -B build -S . -DHRF_BUILD_BENCHES=OFF
+      cmake -B build -S .
       cmake --build build -j "$JOBS" --target hrf_cli
       metrics_schema build
       ;;
     all|--plain-only|--cluster-chaos)
       if [ "$MODE" = --cluster-chaos ]; then
-        cmake -B build -S . -DHRF_BUILD_BENCHES=OFF
+        cmake -B build -S .
         cmake --build build -j "$JOBS" --target hrf_cli test_cluster_chaos
       fi
       cluster_chaos build
@@ -200,7 +203,7 @@ run_mode() {  # run_mode <mode>: every suite one flag (or "all") selects
     all|--sanitize-only)
       # Sanitized configs keep examples/tools on so the CLI end-to-end test
       # (which needs the hrf_cli target) runs under ASan+UBSan too.
-      run_suite build-asan "-DHRF_SANITIZE=address;undefined"
+      run_suite build-asan -DHRF_BUILD_BENCHES=OFF "-DHRF_SANITIZE=address;undefined"
       ;;&
     all|--tsan-only)
       # TSan build runs only the concurrency suites (serving layer, fault

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Single-entry CI pipeline: builds the plain tree and the perfbench tree,
-# then runs the tier-1 correctness gate, the metrics-schema gate, the
-# incident-bundle schema gate, the chaos matrix (ctest -L chaos plus the
-# tools/chaos.sh CLI harness), the simulator suites under ASan+UBSan, and
-# the ThreadSanitizer concurrency suites — and emits a
-# machine-readable JSON report with one pass/fail entry per step, so a
-# CI job can publish structured results instead of scraping logs.
+# Single-entry CI pipeline: builds the plain tree, the perfbench tree and
+# the bench/ tree, then runs the tier-1 correctness gate, the
+# metrics-schema gate, the incident-bundle schema gate, the chaos matrix
+# (ctest -L chaos plus the tools/chaos.sh CLI harness), the simulator
+# suites under ASan+UBSan, and the ThreadSanitizer concurrency suites —
+# and emits a machine-readable JSON report with one pass/fail entry per
+# step, so a CI job can publish structured results instead of scraping
+# logs.
 #
 # Every step runs even when an earlier one fails (the report then shows
 # exactly which gates broke); the script exits nonzero if any step failed.
@@ -59,6 +60,17 @@ step_perfbench_build() {
     cmake --build build-perfbench -j "$JOBS" --target perfbench_tests &&
     build-perfbench/perfbench_tests
   fi
+}
+
+# bench/ calls the kernels directly (micro_traversal and
+# ablation_negative_results the gpu-sim ones, fig9, fig10, table2 and
+# table3 the FPGA ones), but the tree step_build configures leaves it out.
+# Compile it on its own tree, so a kernel signature change that breaks a
+# bench fails CI; nothing here runs a bench.
+step_bench_build() {
+  cmake -B build-bench -S . -DHRF_BUILD_BENCHES=ON -DHRF_BUILD_TESTS=OFF \
+        -DHRF_BUILD_EXAMPLES=OFF -DHRF_WERROR=ON &&
+  cmake --build build-bench -j "$JOBS"
 }
 
 step_tier1() {
@@ -125,6 +137,7 @@ step_tsan() {
 
 run_step build step_build
 run_step perfbench-build step_perfbench_build
+run_step bench-build step_bench_build
 run_step tier1 step_tier1
 run_step metrics-schema step_metrics_schema
 run_step incident-schema step_incident_schema
