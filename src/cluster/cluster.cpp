@@ -124,11 +124,12 @@ ClusterRouter::ClusterRouter(const Forest& forest, const ClassifierOptions& clas
       limiter_(options.limit),
       probe_queries_(make_probe_queries(forest.num_features(), forest.num_classes())) {
   // The factory outlives this constructor (scale_up() replays it), so it
-  // owns a copy of the model instead of borrowing the caller's.
+  // owns one copy of the model instead of borrowing the caller's; every
+  // shard, including those scale_up() adds later, shares that copy.
   auto model = std::make_shared<const Forest>(forest);
   init_shards(classifier_options, shard_options,
               [model, classifier_options](const serve::ServerOptions& per_shard) {
-                return std::make_unique<serve::ForestServer>(*model, classifier_options,
+                return std::make_unique<serve::ForestServer>(model, classifier_options,
                                                              per_shard);
               });
 }
@@ -145,7 +146,7 @@ ClusterRouter::ClusterRouter(const serve::ModelStore& store,
     require(current.has_value(), "cluster: model store has no complete generation");
     const serve::LoadedModel model = store.load(*current);
     probe_queries_ =
-        make_probe_queries(model.forest.num_features(), model.forest.num_classes());
+        make_probe_queries(model.forest->num_features(), model.forest->num_classes());
   }
   // The store is captured by reference: it must outlive the router (the
   // same lifetime rolling_reload() already requires).

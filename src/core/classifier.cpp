@@ -51,46 +51,66 @@ void Classifier::check_variant_backend() const {
   }
 }
 
-Classifier::Classifier(Forest forest, ClassifierOptions options)
-    : forest_(std::move(forest)), options_(options) {
+namespace {
+
+std::shared_ptr<const Forest> require_forest(std::shared_ptr<const Forest> forest) {
+  require(forest != nullptr, "classifier needs a forest");
+  return forest;
+}
+
+}  // namespace
+
+Classifier::Classifier(std::shared_ptr<const Forest> forest, ClassifierOptions options)
+    : forest_(require_forest(std::move(forest))), options_(options) {
   check_variant_backend();
   switch (options_.variant) {
     case Variant::Csr:
-      csr_.emplace(CsrForest::build(forest_));
+      csr_.emplace(CsrForest::build(*forest_));
       break;
     case Variant::FilBaseline:
-      image_.emplace(forest_);  // FIL's only layout is its device image
+      image_.emplace(*forest_);  // FIL's only layout is its device image
       break;
     default:
-      hier_.emplace(HierarchicalForest::build(forest_, options_.layout));
+      hier_.emplace(HierarchicalForest::build(*forest_, options_.layout));
       break;
   }
 }
 
-Classifier::Classifier(Forest forest, CsrForest layout, ClassifierOptions options)
-    : forest_(std::move(forest)), options_(options) {
+Classifier::Classifier(Forest forest, ClassifierOptions options)
+    : Classifier(std::make_shared<const Forest>(std::move(forest)), options) {}
+
+Classifier::Classifier(std::shared_ptr<const Forest> forest, CsrForest layout,
+                       ClassifierOptions options)
+    : forest_(require_forest(std::move(forest))), options_(options) {
   require(options_.variant == Variant::Csr,
           "a precompiled CSR layout requires the csr variant");
   check_variant_backend();
-  require(layout.num_features() == forest_.num_features() &&
-              layout.num_classes() == forest_.num_classes(),
+  require(layout.num_features() == forest_->num_features() &&
+              layout.num_classes() == forest_->num_classes(),
           "precompiled CSR layout does not match the forest's feature/class shape");
   csr_.emplace(std::move(layout));
 }
 
-Classifier::Classifier(Forest forest, HierarchicalForest layout, ClassifierOptions options)
-    : forest_(std::move(forest)), options_(options) {
+Classifier::Classifier(std::shared_ptr<const Forest> forest, HierarchicalForest layout,
+                       ClassifierOptions options)
+    : forest_(require_forest(std::move(forest))), options_(options) {
   require(options_.variant == Variant::Independent ||
               options_.variant == Variant::Collaborative || options_.variant == Variant::Hybrid,
           "a precompiled hierarchical layout requires a hierarchical variant "
           "(independent/collaborative/hybrid)");
   check_variant_backend();
-  require(layout.num_features() == forest_.num_features() &&
-              layout.num_classes() == forest_.num_classes(),
+  require(layout.num_features() == forest_->num_features() &&
+              layout.num_classes() == forest_->num_classes(),
           "precompiled hierarchical layout does not match the forest's feature/class shape");
   options_.layout = layout.config();
   hier_.emplace(std::move(layout));
 }
+
+Classifier::Classifier(Forest forest, CsrForest layout, ClassifierOptions options)
+    : Classifier(std::make_shared<const Forest>(std::move(forest)), std::move(layout), options) {}
+
+Classifier::Classifier(Forest forest, HierarchicalForest layout, ClassifierOptions options)
+    : Classifier(std::make_shared<const Forest>(std::move(forest)), std::move(layout), options) {}
 
 Classifier Classifier::train(const Dataset& train, const TrainConfig& train_config,
                              ClassifierOptions options) {
@@ -132,10 +152,10 @@ void set_backend_span_attrs(const trace::Span& span, const RunReport& report) {
 }
 
 void Classifier::validate_queries(QueryView queries) const {
-  if (queries.num_features() != forest_.num_features()) {
+  if (queries.num_features() != forest_->num_features()) {
     throw ConfigError("query batch has " + std::to_string(queries.num_features()) +
                       " features but the model expects " +
-                      std::to_string(forest_.num_features()));
+                      std::to_string(forest_->num_features()));
   }
   const std::span<const float> feats = queries.features();
   for (std::size_t i = 0; i < feats.size(); ++i) {
@@ -189,7 +209,7 @@ RunReport Classifier::classify(QueryView queries, std::optional<Variant> request
           break;
         case Variant::Hybrid: k = gpukernels::run_hybrid(device, *hier_, queries); break;
         case Variant::FilBaseline:
-          k = gpukernels::run_fil_baseline(device, forest_, *image_, queries);
+          k = gpukernels::run_fil_baseline(device, *forest_, *image_, queries);
           break;
       }
       r.predictions = std::move(k.predictions);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,9 +79,10 @@ struct ClassifierOptions {
   bool fpga_split_stage1 = false;
 };
 
-/// The library's front door: owns a trained forest plus the inference
-/// layout it was compiled into (the FIL baseline's is its device image),
-/// validates query batches and executes them on the configured backend.
+/// The library's front door: holds a trained forest (immutable, shared)
+/// plus the inference layout it was compiled into (the FIL baseline's is
+/// its device image), validates query batches and executes them on the
+/// configured backend.
 /// It neither retries nor degrades: that is the degradation plan's job
 /// (core/degradation_plan.hpp).
 ///
@@ -95,6 +97,12 @@ struct ClassifierOptions {
 /// and always propagate to the caller.
 class Classifier {
  public:
+  /// The forest is held through a shared immutable pointer: classifiers
+  /// built from one pointer (every rung of a degradation plan, every
+  /// worker of a server, every shard of a cluster) share one copy. The
+  /// by-value overloads move the forest into a pointer of their own.
+  /// A null pointer throws ConfigError.
+  Classifier(std::shared_ptr<const Forest> forest, ClassifierOptions options);
   Classifier(Forest forest, ClassifierOptions options);
 
   /// Wraps a forest plus a *precompiled* layout blob (layout_io), skipping
@@ -102,6 +110,9 @@ class Classifier {
   /// happened offline. The layout must match the forest's feature/class
   /// shape (ConfigError otherwise); variant must be Csr for a CSR layout,
   /// hierarchical for a hierarchical one.
+  Classifier(std::shared_ptr<const Forest> forest, CsrForest layout, ClassifierOptions options);
+  Classifier(std::shared_ptr<const Forest> forest, HierarchicalForest layout,
+             ClassifierOptions options);
   Classifier(Forest forest, CsrForest layout, ClassifierOptions options);
   Classifier(Forest forest, HierarchicalForest layout, ClassifierOptions options);
 
@@ -122,7 +133,9 @@ class Classifier {
   /// ResourceError from a simulated backend propagates.
   RunReport classify(QueryView queries, std::optional<Variant> variant = {}) const;
 
-  const Forest& forest() const { return forest_; }
+  const Forest& forest() const { return *forest_; }
+  /// The shared forest itself, to build further classifiers over it.
+  const std::shared_ptr<const Forest>& shared_forest() const { return forest_; }
   const ClassifierOptions& options() const { return options_; }
   /// The hierarchical layout (built or adopted in the constructor; throws
   /// for CSR/FIL variants).
@@ -142,7 +155,7 @@ class Classifier {
   /// compiled layout serves it on its backend; ConfigError otherwise.
   Variant served_variant(std::optional<Variant> variant) const;
 
-  Forest forest_;
+  std::shared_ptr<const Forest> forest_;
   ClassifierOptions options_;
   std::optional<CsrForest> csr_;
   std::optional<HierarchicalForest> hier_;

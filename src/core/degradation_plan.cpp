@@ -24,7 +24,8 @@ int max_fitting_rsd(const ClassifierOptions& options) {
 
 DegradationPlan build_degradation_plan(std::shared_ptr<const Classifier> primary) {
   const ClassifierOptions& opt = primary->options();
-  const Forest& forest = primary->forest();
+  // Every rung shares the primary's forest; only layouts are per rung.
+  const std::shared_ptr<const Forest>& forest = primary->shared_forest();
   DegradationPlan plan;
   plan.push_back({primary, opt.variant, ""});
   if (opt.backend != Backend::CpuNative) {

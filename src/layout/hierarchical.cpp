@@ -1,6 +1,6 @@
 #include "layout/hierarchical.hpp"
 
-#include <deque>
+#include <algorithm>
 #include <string>
 
 #include "util/error.hpp"
@@ -10,8 +10,65 @@ namespace hrf {
 
 namespace {
 
-/// Depth (1-based) of slot p within a complete binary tree array.
-int slot_level(std::uint32_t p) { return ilog2(p + 1) + 1; }
+/// Exact output sizes of a build, from one O(nodes) pass over the forest.
+struct BuildSizes {
+  std::size_t subtrees = 0;
+  std::size_t slots = 0;
+  std::size_t connections = 0;
+  int max_height = 0;  // levels of the tallest tree (a single leaf = 1)
+};
+
+/// Subtree roots are node 0 (cap `rsd`) and every node at 0-based depth
+/// rsd + k*sd (cap `sd`): a subtree that reaches its cap spawns one child
+/// subtree per child of its bottom-level inner nodes, i.e. at the next
+/// cap boundary. A root whose subtree spans `height` levels stores
+/// 2^min(cap, height) - 1 slots, plus 2^cap connection entries when
+/// height >= cap.
+BuildSizes count_build(const Forest& forest, int sd, int rsd) {
+  BuildSizes sizes;
+  std::vector<std::int32_t> order;       // node ids, breadth-first
+  std::vector<int> height;               // per BFS position; 0 = inner, not yet known
+  std::vector<std::size_t> level_begin;  // BFS position of each level's first node
+  for (const DecisionTree& tree : forest.trees()) {
+    // Level-synchronous BFS: the children of one level's inner nodes are
+    // appended, in order, as the next level.
+    order.assign(1, 0);
+    height.clear();
+    level_begin.clear();
+    for (std::size_t begin = 0, end = 1; begin < end; begin = end, end = order.size()) {
+      level_begin.push_back(begin);
+      for (std::size_t i = begin; i < end; ++i) {
+        const TreeNode& n = tree.node(static_cast<std::size_t>(order[i]));
+        height.push_back(n.is_leaf() ? 1 : 0);
+        if (!n.is_leaf()) {
+          order.push_back(n.left);
+          order.push_back(n.right);
+        }
+      }
+    }
+    level_begin.push_back(order.size());
+
+    // Bottom-up: walking positions in reverse, each inner node's children
+    // are the last two positions not yet claimed.
+    std::size_t child = order.size();
+    for (std::size_t level = level_begin.size() - 1; level-- > 0;) {
+      const int d = static_cast<int>(level);
+      const int cap = d == 0 ? rsd : (d >= rsd && (d - rsd) % sd == 0 ? sd : 0);
+      for (std::size_t i = level_begin[level + 1]; i-- > level_begin[level];) {
+        if (height[i] == 0) {
+          child -= 2;
+          height[i] = 1 + std::max(height[child], height[child + 1]);
+        }
+        if (cap == 0) continue;
+        ++sizes.subtrees;
+        sizes.slots += complete_tree_nodes(std::min(cap, height[i]));
+        if (height[i] >= cap) sizes.connections += pow2(cap);
+      }
+    }
+    sizes.max_height = std::max(sizes.max_height, height[0]);
+  }
+  return sizes;
+}
 
 }  // namespace
 
@@ -27,10 +84,23 @@ HierarchicalForest HierarchicalForest::build(const Forest& forest, const HierCon
   h.num_features_ = forest.num_features();
   h.num_classes_ = forest.num_classes();
 
+  // Every output array is allocated once, at its final size.
+  const BuildSizes sizes = count_build(forest, config.subtree_depth, rsd);
   h.tree_subtree_begin_.reserve(forest.tree_count() + 1);
+  h.subtree_node_offset_.reserve(sizes.subtrees + 1);
+  h.subtree_depth_.reserve(sizes.subtrees);
+  h.connection_offset_.reserve(sizes.subtrees + 1);
+  h.subtree_connection_.reserve(sizes.connections);
+  h.nodes_.reserve(sizes.slots);
   h.subtree_node_offset_.push_back(0);
   h.connection_offset_.push_back(0);
 
+  // Scratch: original node id per slot (-1 = padding), sized for the
+  // largest subtree any tree can fill. Between subtrees it is all -1; each
+  // subtree resets only the prefix it wrote.
+  const int widest = std::min(std::max(rsd, config.subtree_depth), sizes.max_height);
+  std::vector<std::int32_t> slots(complete_tree_nodes(widest), -1);
+  std::vector<std::int32_t> pending;  // FIFO of subtree-root node ids
   std::uint32_t next_subtree_id = 0;
 
   for (std::size_t t = 0; t < forest.tree_count(); ++t) {
@@ -38,40 +108,34 @@ HierarchicalForest HierarchicalForest::build(const Forest& forest, const HierCon
     h.tree_subtree_begin_.push_back(next_subtree_id);
     h.real_nodes_ += tree.node_count();
 
-    // FIFO over subtree roots: ids are assigned at enqueue time, so the
-    // processing order below matches the id order exactly.
-    std::deque<std::int32_t> pending{0};  // original node ids
-    ++next_subtree_id;                    // id of the root subtree, consumed now
-    bool is_root_subtree = true;
+    // Subtree ids are assigned at enqueue time, so the processing order
+    // below matches the id order exactly.
+    pending.assign(1, 0);
+    ++next_subtree_id;  // id of the root subtree, consumed now
 
-    std::vector<std::int32_t> slots;  // original node id per slot, -1 = padding
-
-    while (!pending.empty()) {
-      const std::int32_t start = pending.front();
-      pending.pop_front();
-      const int cap = is_root_subtree ? rsd : config.subtree_depth;
-      is_root_subtree = false;
+    for (std::size_t head = 0; head < pending.size(); ++head) {
+      const int cap = head == 0 ? rsd : config.subtree_depth;
+      const std::uint32_t bottom_first = static_cast<std::uint32_t>(pow2(cap - 1) - 1);
 
       // Fill the complete-tree slot array by implicit BFS: children of slot
-      // p land at 2p+1 / 2p+2 while the level stays below the cap.
-      const std::size_t max_slots = complete_tree_nodes(cap);
-      slots.assign(max_slots, -1);
-      slots[0] = start;
-      int actual_depth = 1;
-      for (std::uint32_t p = 0; p < max_slots; ++p) {
+      // p land at 2p+1 / 2p+2 while p sits above the bottom level. `last`
+      // is the highest filled slot, so the scan stops where the data does.
+      slots[0] = pending[head];
+      std::uint32_t last = 0;
+      for (std::uint32_t p = 0; p <= last && p < bottom_first; ++p) {
         const std::int32_t orig = slots[p];
         if (orig < 0) continue;
-        const int level = slot_level(p);
-        actual_depth = level > actual_depth ? level : actual_depth;
         const TreeNode& n = tree.node(static_cast<std::size_t>(orig));
-        if (!n.is_leaf() && level < cap) {
+        if (!n.is_leaf()) {
           slots[2 * p + 1] = n.left;
           slots[2 * p + 2] = n.right;
+          last = 2 * p + 2;
         }
       }
 
-      // Shrink a subtree cut early (no real node at the next level) to its
-      // actual depth; it stays a complete tree of that smaller depth.
+      // A subtree cut early (no real node at the next level) shrinks to the
+      // level of its last slot; it stays a complete tree of that depth.
+      const int actual_depth = ilog2(std::uint64_t{last} + 1) + 1;
       const std::size_t used_slots = complete_tree_nodes(actual_depth);
 
       // Emit node attributes (padding slots get leaf-coded null attributes;
@@ -90,10 +154,8 @@ HierarchicalForest HierarchicalForest::build(const Forest& forest, const HierCon
       // Bottom-level connections exist only when the subtree reached its
       // cap: a shorter subtree's bottom level holds tree leaves only.
       if (actual_depth == cap) {
-        const std::uint32_t bottom_first = static_cast<std::uint32_t>(pow2(cap - 1) - 1);
-        const std::uint32_t bottom_count = static_cast<std::uint32_t>(pow2(cap - 1));
-        for (std::uint32_t k = 0; k < bottom_count; ++k) {
-          const std::int32_t orig = slots[bottom_first + k];
+        for (std::uint32_t p = bottom_first; p < used_slots; ++p) {
+          const std::int32_t orig = slots[p];
           if (orig >= 0 && !tree.node(static_cast<std::size_t>(orig)).is_leaf()) {
             const TreeNode& n = tree.node(static_cast<std::size_t>(orig));
             pending.push_back(n.left);
@@ -107,6 +169,7 @@ HierarchicalForest HierarchicalForest::build(const Forest& forest, const HierCon
         }
       }
       h.connection_offset_.push_back(static_cast<std::uint32_t>(h.subtree_connection_.size()));
+      std::fill(slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(last) + 1, -1);
     }
   }
   h.tree_subtree_begin_.push_back(next_subtree_id);

@@ -207,6 +207,7 @@ bool one_row(const Table<Row>& t) {
 }
 
 std::string sample_value(const json::Value& v) {
+  if (v.is_integer()) return v.dump();  // every digit, past 2^53 too
   return format_value(v.is_bool() ? (v.as_bool() ? 1.0 : 0.0) : v.as_number());
 }
 

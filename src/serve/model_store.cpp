@@ -383,7 +383,7 @@ LoadedModel ModelStore::load(std::uint64_t id) const {
   LoadedModel out;
   out.generation = id;
   out.layout_kind = gen.layout_kind;
-  out.forest = Forest::load(gen.dir + "/" + kForestName);
+  out.forest = std::make_shared<const Forest>(Forest::load(gen.dir + "/" + kForestName));
   const std::string layout_path = gen.dir + "/" + kLayoutName;
   const std::string blob_kind = peek_layout_kind(layout_path);
   if (blob_kind != gen.layout_kind) {

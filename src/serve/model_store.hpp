@@ -84,10 +84,11 @@ struct StoreReport {
 };
 
 /// A generation fully loaded and validated, ready to build classifier
-/// replicas from. Exactly one of csr/hier is set, per layout_kind.
+/// replicas from. Exactly one of csr/hier is set, per layout_kind. The
+/// forest is immutable and shared by every replica built from it.
 struct LoadedModel {
   std::uint64_t generation = 0;
-  Forest forest;
+  std::shared_ptr<const Forest> forest;
   std::string layout_kind;
   std::optional<CsrForest> csr;
   std::optional<HierarchicalForest> hier;

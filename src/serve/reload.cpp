@@ -150,14 +150,14 @@ ReloadReport ForestServer::reload(const ModelStore& store, std::uint64_t gen,
     std::optional<Dataset> generated;
     if (opts.probe == nullptr) {
       generated = make_random_queries(opts.shadow_queries,
-                                      static_cast<int>(model.forest.num_features()),
+                                      static_cast<int>(model.forest->num_features()),
                                       opts.shadow_seed);
     }
     const Dataset& probe = opts.probe ? *opts.probe : *generated;
     rep.shadow_queries = probe.num_samples();
     try {
       const std::vector<std::uint8_t> expected =
-          model.forest.classify_batch(probe.features(), probe.num_samples());
+          model.forest->classify_batch(probe.features(), probe.num_samples());
       const RunReport got = candidate0->primary().classify(probe);
       std::size_t mismatches = 0;
       for (std::size_t i = 0; i < expected.size(); ++i) {

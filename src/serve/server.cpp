@@ -68,8 +68,9 @@ void ForestServer::validate_options() const {
 }
 
 std::shared_ptr<const ForestServer::WorkerModel> ForestServer::build_worker_model(
-    const Forest& forest, const CsrForest* csr, const HierarchicalForest* hier,
-    std::uint64_t generation, std::shared_ptr<ModelHealth> health) const {
+    const std::shared_ptr<const Forest>& forest, const CsrForest* csr,
+    const HierarchicalForest* hier, std::uint64_t generation,
+    std::shared_ptr<ModelHealth> health) const {
   // Precompiled layout when the store supplied one (shape/kind checked by
   // the Classifier ctor); otherwise compile from the forest.
   std::shared_ptr<const Classifier> primary;
@@ -160,10 +161,15 @@ LoadedModel load_current(const ModelStore& store) {
 
 }  // namespace
 
-ForestServer::ForestServer(Forest forest, ClassifierOptions classifier_options,
-                           ServerOptions options)
+ForestServer::ForestServer(std::shared_ptr<const Forest> forest,
+                           ClassifierOptions classifier_options, ServerOptions options)
     : ForestServer(LoadedModel{0, std::move(forest), "", std::nullopt, std::nullopt},
                    classifier_options, options) {}
+
+ForestServer::ForestServer(Forest forest, ClassifierOptions classifier_options,
+                           ServerOptions options)
+    : ForestServer(std::make_shared<const Forest>(std::move(forest)), classifier_options,
+                   options) {}
 
 ForestServer::ForestServer(const ModelStore& store, ClassifierOptions classifier_options,
                            ServerOptions options)
@@ -379,6 +385,11 @@ std::string LatencyStats::to_markdown() const {
 std::size_t ForestServer::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
+}
+
+DegradationPlan ForestServer::worker_plan(std::size_t w) const {
+  require(w < options_.num_workers, "worker_plan: no such worker");
+  return model_for(w)->plan;
 }
 
 ServerStats ForestServer::stats() const {
@@ -1021,9 +1032,11 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
   flight_event("integrity", "replica_quarantined", "worker " + std::to_string(w));
   runtimes_[w]->audit_streak.store(0, std::memory_order_relaxed);
 
-  // Rebuild. Preferred source: the store's current generation, whose blob
-  // CRCs are re-verified on read; otherwise recompile from the pristine
-  // in-memory forest the CPU replica carries.
+  // Rebuild over the generation's shared forest (immutable, so never the
+  // corrupted part). Preferred layout source: the store's current
+  // generation, whose blob CRCs are re-verified on read; otherwise
+  // recompile the layout from that forest.
+  const std::shared_ptr<const Forest>& forest = suspect->oracle().shared_forest();
   std::shared_ptr<const WorkerModel> fresh;
   if (!options_.integrity.rebuild_store_dir.empty()) {
     try {
@@ -1031,7 +1044,7 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
       const std::optional<std::uint64_t> cur = store.current();
       if (cur && *cur == suspect->generation) {
         const LoadedModel lm = store.load(*cur);
-        fresh = build_worker_model(lm.forest, lm.csr ? &*lm.csr : nullptr,
+        fresh = build_worker_model(forest, lm.csr ? &*lm.csr : nullptr,
                                    lm.hier ? &*lm.hier : nullptr, lm.generation, suspect->health);
       }
     } catch (const std::exception&) {
@@ -1040,8 +1053,8 @@ void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerMod
   }
   if (!fresh) {
     try {
-      fresh = build_worker_model(suspect->oracle().forest(), nullptr, nullptr,
-                                 suspect->generation, suspect->health);
+      fresh = build_worker_model(forest, nullptr, nullptr, suspect->generation,
+                                 suspect->health);
     } catch (const std::exception&) {
       return;  // keep serving degraded-but-correct on the oracle
     }
@@ -1063,10 +1076,11 @@ void ForestServer::inject_replica_corruption() {
   try {
     if (primary.options().variant == Variant::Csr) {
       corrupted = std::make_shared<const Classifier>(
-          primary.forest(), corrupt_replica_copy(primary.csr()), classifier_options_);
+          primary.shared_forest(), corrupt_replica_copy(primary.csr()), classifier_options_);
     } else {
       corrupted = std::make_shared<const Classifier>(
-          primary.forest(), corrupt_replica_copy(primary.hierarchical()), classifier_options_);
+          primary.shared_forest(), corrupt_replica_copy(primary.hierarchical()),
+          classifier_options_);
     }
   } catch (const std::exception&) {
     return;  // e.g. a stump forest with no internal node: nothing to flip

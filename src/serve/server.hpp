@@ -241,7 +241,10 @@ struct DrainReport {
 class ForestServer {
  public:
   /// Builds one degradation plan per worker, then starts the worker pool
-  /// (paused when options.start_paused).
+  /// (paused when options.start_paused). Every rung of every worker's
+  /// plan shares the one immutable forest; only layouts are per replica.
+  ForestServer(std::shared_ptr<const Forest> forest, ClassifierOptions classifier_options,
+               ServerOptions options);
   ForestServer(Forest forest, ClassifierOptions classifier_options, ServerOptions options);
 
   /// Serves the store's current generation (precompiled layout blob);
@@ -335,6 +338,11 @@ class ForestServer {
   /// Every reload attempt since construction, in order.
   std::vector<ReloadReport> reload_history() const;
 
+  /// The degradation plan worker `w` serves right now (a snapshot: a
+  /// reload or repair may swap it afterwards). Its classifiers are
+  /// immutable, so any thread may inspect them.
+  DegradationPlan worker_plan(std::size_t w) const;
+
  private:
   using TimePoint = std::chrono::steady_clock::time_point;
 
@@ -392,8 +400,9 @@ class ForestServer {
   /// Builds one worker's degradation plan from a forest and optional
   /// precompiled layout (ConfigError on shape/kind mismatch).
   std::shared_ptr<const WorkerModel> build_worker_model(
-      const Forest& forest, const CsrForest* csr, const HierarchicalForest* hier,
-      std::uint64_t generation, std::shared_ptr<ModelHealth> health) const;
+      const std::shared_ptr<const Forest>& forest, const CsrForest* csr,
+      const HierarchicalForest* hier, std::uint64_t generation,
+      std::shared_ptr<ModelHealth> health) const;
 
   std::shared_ptr<const WorkerModel> model_for(std::size_t w) const;
   void install_model(std::size_t w, std::shared_ptr<const WorkerModel> m);

@@ -1,9 +1,11 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -213,6 +215,18 @@ class Parser {
     }
     const std::string tok = text_.substr(start, pos_ - start);
     char* end = nullptr;
+    // A token with no fraction or exponent is an integer; keep it exact
+    // when it fits 64 bits (else fall through to the nearest double).
+    if (tok.find_first_of(".eE") == std::string::npos) {
+      errno = 0;
+      if (tok[0] == '-') {
+        const long long n = std::strtoll(tok.c_str(), &end, 10);
+        if (end != tok.c_str() && *end == '\0' && errno == 0) return Value(std::int64_t{n});
+      } else {
+        const unsigned long long n = std::strtoull(tok.c_str(), &end, 10);
+        if (end != tok.c_str() && *end == '\0' && errno == 0) return Value(std::uint64_t{n});
+      }
+    }
     const double n = std::strtod(tok.c_str(), &end);
     if (end == tok.c_str() || *end != '\0' || !std::isfinite(n)) fail("bad number '" + tok + "'");
     return Value(n);
@@ -232,6 +246,14 @@ bool Value::as_bool() const {
 double Value::as_number() const {
   if (kind_ != Kind::Number) bad("expected a number");
   return number_;
+}
+
+std::uint64_t Value::as_uint64() const {
+  const bool negative = integer_ == Integer::Signed && static_cast<std::int64_t>(bits_) < 0;
+  if (kind_ != Kind::Number || integer_ == Integer::None || negative) {
+    bad("expected a non-negative integer");
+  }
+  return bits_;
 }
 
 const std::string& Value::as_string() const {
@@ -294,7 +316,15 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::Null: out += "null"; break;
     case Kind::Bool: out += bool_ ? "true" : "false"; break;
-    case Kind::Number: append_number(out, number_); break;
+    case Kind::Number:
+      if (integer_ == Integer::Signed) {
+        out += std::to_string(static_cast<std::int64_t>(bits_));
+      } else if (integer_ == Integer::Unsigned) {
+        out += std::to_string(bits_);
+      } else {
+        append_number(out, number_);
+      }
+      break;
     case Kind::String: append_escaped(out, string_); break;
     case Kind::Array: {
       if (array_.empty()) {

@@ -360,6 +360,35 @@ void expect_block(const std::map<std::string, PromFamily>& prom,
   }
 }
 
+TEST(Exporter, CountersPast2To53ReadBackIdenticallyInBothExports) {
+  // 2^53 + 1 is the first integer a double cannot hold: a registry
+  // counter and a table counter (rollup queries) must keep every digit in
+  // the Prometheus text and in the JSON document, after parsing too.
+  constexpr std::uint64_t kOdd = (std::uint64_t{1} << 53) + 1;
+  MetricsSnapshot snap = sample_snapshot();
+  snap.counters["requests.submitted"] = kOdd;
+  snap.rollups[0].second.queries = kOdd + 2;
+
+  const std::string prom = to_prometheus(snap);
+  EXPECT_NE(prom.find("\nhrf_requests_submitted_total 9007199254740993\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("hrf_backend_queries_total{variant=\"csr\",backend=\"fpga-sim\","
+                      "generation=\"3\"} 9007199254740995\n"),
+            std::string::npos)
+      << prom;
+
+  const json::Value doc = json::Value::parse(snapshot_to_json(snap).dump());
+  EXPECT_EQ(doc.get("counters").get("requests.submitted").as_uint64(), kOdd);
+  const json::Value& rollups = doc.get("rollups");
+  bool saw_csr = false;
+  for (std::size_t i = 0; i < rollups.size(); ++i) {
+    if (rollups.at(i).get("variant").as_string() != "csr") continue;
+    saw_csr = true;
+    EXPECT_EQ(rollups.at(i).get("queries").as_uint64(), kOdd + 2);
+  }
+  EXPECT_TRUE(saw_csr);
+}
+
 TEST(Exporter, EveryCataloguedFamilyReadsBackItsField) {
   // Every field of every row type holds a distinct value below 10^10, so
   // a family or key wired to the wrong field reads back the wrong number.

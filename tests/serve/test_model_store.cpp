@@ -96,7 +96,7 @@ TEST_F(ModelStoreTest, PublishCsrRoundTrips) {
   EXPECT_EQ(m.layout_kind, "csr");
   ASSERT_TRUE(m.csr.has_value());
   EXPECT_FALSE(m.hier.has_value());
-  EXPECT_EQ(m.forest.num_features(), forest_.num_features());
+  EXPECT_EQ(m.forest->num_features(), forest_.num_features());
 }
 
 TEST_F(ModelStoreTest, PublishHierarchicalRoundTrips) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "util/error.hpp"
@@ -87,6 +88,40 @@ TEST(Json, MalformedInputThrows) {
 
 TEST(Json, NonFiniteNumbersRefuseToSerialize) {
   EXPECT_THROW(Value(std::numeric_limits<double>::infinity()).dump(), FormatError);
+}
+
+TEST(Json, IntegersPast2To53KeepEveryDigit) {
+  // 2^53 + 1 is the first integer a double cannot hold.
+  constexpr std::uint64_t kOdd = (std::uint64_t{1} << 53) + 1;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  Value root = Value::object();
+  root["odd"] = kOdd;
+  root["max"] = kMax;
+  root["min"] = kMin;
+  const std::string text = root.dump();
+  EXPECT_EQ(text, R"({"odd":9007199254740993,"max":18446744073709551615,)"
+                  R"("min":-9223372036854775808})");
+  const Value back = Value::parse(text);
+  EXPECT_TRUE(back.get("odd").is_integer());
+  EXPECT_EQ(back.get("odd").as_uint64(), kOdd);
+  EXPECT_EQ(back.get("max").as_uint64(), kMax);
+  EXPECT_THROW(back.get("min").as_uint64(), FormatError);
+  EXPECT_EQ(back.dump(), text);
+}
+
+TEST(Json, Uint64AccessorAcceptsOnlyNonNegativeIntegers) {
+  EXPECT_EQ(Value(42).as_uint64(), 42u);
+  EXPECT_EQ(Value::parse("7").as_uint64(), 7u);
+  EXPECT_FALSE(Value::parse("7.0").is_integer());
+  EXPECT_THROW(Value::parse("7.0").as_uint64(), FormatError);
+  EXPECT_THROW(Value(7.0).as_uint64(), FormatError);
+  EXPECT_THROW(Value(-1).as_uint64(), FormatError);
+  EXPECT_THROW(Value("7").as_uint64(), FormatError);
+  // Past 64 bits an integer token falls back to the nearest double.
+  const Value huge = Value::parse("123456789012345678901234567890");
+  EXPECT_FALSE(huge.is_integer());
+  EXPECT_DOUBLE_EQ(huge.as_number(), 1.2345678901234568e29);
 }
 
 TEST(Json, ObjectPreservesInsertionOrder) {

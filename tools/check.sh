@@ -214,7 +214,7 @@ run_mode() {  # run_mode <mode>: every suite one flag (or "all") selects
       echo "=== configure build-tsan ==="
       cmake -B build-tsan -S . -DHRF_BUILD_BENCHES=OFF "-DHRF_SANITIZE=thread"
       echo "=== build build-tsan ==="
-      cmake --build build-tsan -j "$JOBS" --target test_server test_circuit_breaker test_fault test_metrics test_histogram test_model_store test_reload test_trace test_obs test_cluster test_qos test_autoscaler test_cluster_chaos test_batcher test_batch_chaos test_integrity test_integrity_chaos test_flight_recorder test_monitor test_slo test_timeseries
+      cmake --build build-tsan -j "$JOBS" --target test_server test_forest_sharing test_circuit_breaker test_fault test_metrics test_histogram test_model_store test_reload test_trace test_obs test_cluster test_qos test_autoscaler test_cluster_chaos test_batcher test_batch_chaos test_integrity test_integrity_chaos test_flight_recorder test_monitor test_slo test_timeseries
       echo "=== test build-tsan (concurrency suites) ==="
       OMP_NUM_THREADS=1 TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \

@@ -42,10 +42,13 @@ run_step() {  # run_step <name> <function>
   fi
 }
 
-# Warnings are errors in CI: src/ builds warning-free, and stays so.
+# Warnings are errors in CI: src/ builds warning-free, and stays so. CI
+# builds in its own tree, so a developer's build/ keeps its cache (bench/
+# targets, warning settings) after a CI run.
+CI_BUILD=build-ci
 step_build() {
-  cmake -B build -S . -DHRF_BUILD_BENCHES=OFF -DHRF_WERROR=ON &&
-  cmake --build build -j "$JOBS"
+  cmake -B "$CI_BUILD" -S . -DHRF_BUILD_BENCHES=OFF -DHRF_WERROR=ON &&
+  cmake --build "$CI_BUILD" -j "$JOBS"
 }
 
 # perfbench/ compiles the src/ tree on its own (perfbench/CMakeLists.txt),
@@ -74,7 +77,7 @@ step_bench_build() {
 }
 
 step_tier1() {
-  ctest --test-dir build --output-on-failure -j "$JOBS" -L tier1
+  ctest --test-dir "$CI_BUILD" --output-on-failure -j "$JOBS" -L tier1
 }
 
 # check.sh's metrics-schema gate: a traced serve run and a micro-batching
@@ -90,7 +93,7 @@ step_metrics_schema() {
 # deterministic --trigger-incident must drop a bundle that --mode
 # incident accepts against the "hrf-incident" v1 schema.
 step_incident_schema() {
-  local cli=build/tools/hrf_cli dir rc=0
+  local cli="$CI_BUILD/tools/hrf_cli" dir rc=0
   dir="$(mktemp -d)"
   {
     "$cli" --mode gen --dataset susy --samples 1500 --out "$dir/d.hrfd" > /dev/null &&
@@ -113,8 +116,8 @@ step_incident_schema() {
 # SLOs, batching freeze storm, integrity corruption/hang storm) plus the
 # scenario-driven CLI harness.
 step_chaos() {
-  ctest --test-dir build --output-on-failure -L chaos &&
-  tools/chaos.sh build/tools/hrf_cli
+  ctest --test-dir "$CI_BUILD" --output-on-failure -L chaos &&
+  tools/chaos.sh "$CI_BUILD/tools/hrf_cli"
 }
 
 # The simulator and kernel suites under ASan+UBSan: the coalescer and the

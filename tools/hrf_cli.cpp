@@ -624,7 +624,7 @@ int mode_serve(const CliArgs& args) {
     // The lifecycle demo republishes the *same* model, so predictions stay
     // bit-identical across the hot swap and one reference validates all.
     const serve::LoadedModel m = store->load(*cur);
-    reference = m.forest.classify_batch(queries.features(), queries.num_samples());
+    reference = m.forest->classify_batch(queries.features(), queries.num_samples());
     // Repairs of a corrupted replica re-load the generation from disk
     // when the store still serves it (blob CRCs re-verified on read).
     sopt.integrity.rebuild_store_dir = store_dir;
@@ -1016,7 +1016,7 @@ int mode_cluster(const CliArgs& args) {
                         " has no complete generation; run --mode publish first");
     }
     const serve::LoadedModel m = store->load(*cur);
-    reference = m.forest.classify_batch(queries.features(), queries.num_samples());
+    reference = m.forest->classify_batch(queries.features(), queries.num_samples());
     sopt.integrity.rebuild_store_dir = store_dir;
     router.emplace(*store, opt, sopt, clopt);
   } else {
