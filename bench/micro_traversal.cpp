@@ -80,7 +80,9 @@ BENCHMARK(BM_PointerForest)->Unit(benchmark::kMillisecond);
 // Host cost of one simulated gpu-sim/hybrid launch as serving pays it: a
 // fresh device plus the kernel over the resident layout. The forest has
 // the perfbench shape (100 trees, depth 20, HIGGS width); rows per call
-// 32 (a small serving batch) and 1024 (an offline block).
+// 32 (a small serving batch), 1024 (an offline block) and 7681 (31
+// blocks, every SM busy). Real time, because the simulator runs a
+// launch's SMs on up to one host thread per CPU.
 void BM_GpuSimHybrid(benchmark::State& state) {
   static const Forest forest = make_random_forest(
       {.num_trees = 100, .max_depth = 20, .branch_prob = 0.72, .num_features = 28, .seed = 5});
@@ -106,6 +108,8 @@ BENCHMARK(BM_GpuSimHybrid)
     ->Arg(1)
     ->Arg(32)
     ->Arg(1024)
+    ->Arg(7681)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

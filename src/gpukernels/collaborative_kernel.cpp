@@ -40,12 +40,12 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
   }
 
   const detail::DeviceSubtrees subtrees(device, forest, Residency::kShared);
-  detail::SubtreeWalk walk(device, subtrees, launch);
-  // Per block lane: the subtree its query walks next, or kDone.
-  std::vector<std::uint32_t> pending(static_cast<std::size_t>(cfg.block_size));
   const auto instructions_per_step = static_cast<std::uint64_t>(cfg.instructions_per_step);
 
-  detail::for_each_block(cfg, launch.q.count(), [&](int sm, std::size_t b) {
+  detail::for_each_block(device, launch.q.count(), [&](int sm, std::size_t b) {
+    detail::SubtreeWalk walk(device, subtrees, launch);
+    // Per block lane: the subtree its query walks next, or kDone.
+    std::vector<std::uint32_t> pending(static_cast<std::size_t>(cfg.block_size));
     for (std::size_t t = 0; t < forest.num_trees(); ++t) {
       const std::uint32_t st_end = forest.tree_subtree_begin()[t + 1];
       std::fill(pending.begin(), pending.end(), forest.root_subtree(t));
@@ -73,8 +73,8 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
             detail::for_each_lane(warp_mask, [&](int l) {
               if (lane_pending[l] == st) present |= 1u << l;
             });
-            device.warp_branch(present, warp_mask);
-            device.add_instructions(1);
+            device.warp_branch(sm, present, warp_mask);
+            device.add_instructions(sm, 1);
             if (present == 0) return;
 
             walk.enter<Residency::kShared>(sm, present, st);
@@ -87,8 +87,8 @@ KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest&
             // non-present and finished lanes idle through the remaining
             // levels, still occupying issue slots and shared-memory reads.
             for (int s = end.steps; s < forest.subtree_depth(st); ++s) {
-              device.smem_load(1);
-              device.add_instructions(instructions_per_step + 1);
+              device.smem_load(sm, 1);
+              device.add_instructions(sm, instructions_per_step + 1);
             }
           });
         }

@@ -59,15 +59,14 @@ void for_each_lane(std::uint32_t mask, Fn&& fn) {
   for (; mask != 0; mask &= mask - 1) fn(std::countr_zero(mask));
 }
 
-/// Iterates the kernel grid, one thread per query and `block_size`
-/// threads per block: fn(sm, b) runs once per block b, which is resident
-/// on SM (b mod num_sms).
+/// Runs the kernel grid, one thread per query and `block_size` threads
+/// per block: fn(sm, b) runs once per block b, which is resident on SM
+/// (b mod num_sms). Blocks of different SMs may run on different host
+/// threads (gpusim::Device::run_blocks), so fn keeps its scratch inside.
 template <typename Fn>
-void for_each_block(const gpusim::DeviceConfig& cfg, std::size_t num_queries, Fn&& fn) {
-  const std::size_t num_blocks = ceil_div(num_queries, static_cast<std::size_t>(cfg.block_size));
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    fn(static_cast<int>(b % static_cast<std::size_t>(cfg.num_sms)), b);
-  }
+void for_each_block(gpusim::Device& device, std::size_t num_queries, Fn&& fn) {
+  device.run_blocks(ceil_div(num_queries, static_cast<std::size_t>(device.config().block_size)),
+                    fn);
 }
 
 /// Iterates block b's warps that hold a query: fn(w, first_query,
@@ -84,12 +83,15 @@ void for_each_warp_of(const gpusim::DeviceConfig& cfg, std::size_t num_queries, 
   }
 }
 
-/// Iterates the whole grid warp by warp: fn(sm, first_query, active_mask).
+/// Runs the whole grid warp by warp: fn(sm, first_query, active_mask),
+/// each block's warps in order (see for_each_block).
 template <typename Fn>
-void for_each_warp(const gpusim::DeviceConfig& cfg, std::size_t num_queries, Fn&& fn) {
-  for_each_block(cfg, num_queries, [&](int sm, std::size_t b) {
-    for_each_warp_of(cfg, num_queries, b, [&](std::size_t, std::size_t first,
-                                              std::uint32_t mask) { fn(sm, first, mask); });
+void for_each_warp(gpusim::Device& device, std::size_t num_queries, Fn&& fn) {
+  for_each_block(device, num_queries, [&](int sm, std::size_t b) {
+    for_each_warp_of(device.config(), num_queries, b,
+                     [&](std::size_t, std::size_t first, std::uint32_t mask) {
+                       fn(sm, first, mask);
+                     });
   });
 }
 
@@ -111,20 +113,25 @@ struct Launch {
   void vote(std::size_t row, std::uint8_t cls) { ++votes[row * k + cls]; }
 
   /// The winner rule is Forest::vote_winner (ties to the higher class id =
-  /// Fig. 1a's `tmp < N/2 ? A : B` in the binary case).
+  /// Fig. 1a's `tmp < N/2 ? A : B` in the binary case). Runs on the calling
+  /// thread: stores probe no cache, so there is nothing to replay.
   KernelResult finish(gpusim::Device& device) const {
     KernelResult r;
     r.predictions.resize(q.count());
     const gpusim::DeviceArray<std::uint8_t> result_buf(device, r.predictions);
-    for_each_warp(device.config(), q.count(), [&](int sm, std::size_t first, std::uint32_t active) {
+    const auto& cfg = device.config();
+    for (std::size_t first = 0; first < q.count(); first += kWarpSize) {
+      const std::uint32_t active = lane_mask(q.count() - first);
       std::uint64_t addrs[kWarpSize] = {};
       for_each_lane(active, [&](int l) {
         const std::size_t row = first + static_cast<std::size_t>(l);
         r.predictions[row] = Forest::vote_winner({votes.data() + row * k, k});
         addrs[l] = result_buf.addr(row);
       });
-      device.warp_store(sm, addrs, active, 1);
-    });
+      const std::size_t block = first / static_cast<std::size_t>(cfg.block_size);
+      device.warp_store(static_cast<int>(block % static_cast<std::size_t>(cfg.num_sms)), addrs,
+                        active, 1);
+    }
     r.counters = device.counters();
     r.timing = device.estimate();
     return r;
@@ -173,7 +180,7 @@ struct DeviceSubtrees {
         addrs[l] = nodes.addr(first + chunk + static_cast<std::size_t>(l));
       });
       device.warp_load(sm, addrs, mask, sizeof(PackedNode), hint);
-      device.smem_store(1);
+      device.smem_store(sm, 1);
     }
   }
 };
@@ -261,20 +268,20 @@ class SubtreeWalk {
       }
 
       if constexpr (R == Residency::kShared) {
-        device_.smem_load(1);
+        device_.smem_load(sm, 1);
       } else {
         // Within a subtree the nodes sit in one contiguous array, so
         // nearby positions share cache lines.
         device_.warp_load(sm, node_addr_, active, sizeof(PackedNode));
       }
-      device_.warp_branch(leaf_mask, active);
+      device_.warp_branch(sm, leaf_mask, active);
       on_leaves(leaf_mask);
       active &= ~leaf_mask;
       if (active == 0) break;
 
       device_.warp_load(sm, feature_addr_, active, sizeof(float));
-      device_.add_instructions(1);  // left/right pick compiles to a predicated select
-      device_.warp_branch(hop_mask, active);
+      device_.add_instructions(sm, 1);  // left/right pick compiles to a predicated select
+      device_.warp_branch(sm, hop_mask, active);
       if (hop_mask != 0) {
         device_.warp_load(sm, hop_addr_, hop_mask, sizeof(std::int32_t));
         if constexpr (R == Residency::kGlobal) {
@@ -284,7 +291,7 @@ class SubtreeWalk {
           active &= ~hop_mask;
         }
       }
-      device_.add_instructions(instructions_per_step);
+      device_.add_instructions(sm, instructions_per_step);
     }
     return end;
   }

@@ -22,7 +22,7 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView que
 
   const auto& cfg = device.config();
   const auto instructions_per_step = static_cast<std::uint64_t>(cfg.instructions_per_step);
-  detail::for_each_warp(cfg, q.count(), [&](int sm, std::size_t first, std::uint32_t warp_mask) {
+  detail::for_each_warp(device, q.count(), [&](int sm, std::size_t first, std::uint32_t warp_mask) {
     std::uint32_t lane_node[kWarpSize] = {};
     std::uint64_t fid_addrs[kWarpSize] = {};
     std::uint64_t value_addrs[kWarpSize] = {};
@@ -53,7 +53,7 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView que
         });
         device.warp_load(sm, fid_addrs, active, sizeof(std::int32_t));
         device.warp_load(sm, value_addrs, active, sizeof(float));
-        device.warp_branch(leaf_mask, active);
+        device.warp_branch(sm, leaf_mask, active);
         active &= ~leaf_mask;
         if (active == 0) break;
 
@@ -72,9 +72,9 @@ KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, QueryView que
         });
         device.warp_load(sm, feature_addrs, active, sizeof(float));
         device.warp_load(sm, idx_addrs, active, sizeof(std::int32_t));
-        device.add_instructions(1);  // left/right pick compiles to a predicated select
+        device.add_instructions(sm, 1);  // left/right pick compiles to a predicated select
         device.warp_load(sm, child_addrs, active, sizeof(std::int32_t));
-        device.add_instructions(instructions_per_step);
+        device.add_instructions(sm, instructions_per_step);
       }
     }
   });

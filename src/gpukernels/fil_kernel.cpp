@@ -23,7 +23,7 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
 
   const auto& cfg = device.config();
   const auto instructions_per_step = static_cast<std::uint64_t>(cfg.instructions_per_step);
-  detail::for_each_warp(cfg, q.count(), [&](int sm, std::size_t first, std::uint32_t warp_mask) {
+  detail::for_each_warp(device, q.count(), [&](int sm, std::size_t first, std::uint32_t warp_mask) {
     std::uint64_t node_addrs[kWarpSize] = {};
     std::uint64_t feature_addrs[kWarpSize] = {};
     std::uint32_t lane_node[kWarpSize] = {};
@@ -52,13 +52,13 @@ KernelResult run_fil_baseline(gpusim::Device& device, const Forest& forest,
           lane_node[l] = base + static_cast<std::uint32_t>(n.left) + !(q.value(row, f) < n.value);
         });
         device.warp_load(sm, node_addrs, active, sizeof(FilNode));
-        device.warp_branch(leaf_mask, active);
+        device.warp_branch(sm, leaf_mask, active);
         active &= ~leaf_mask;
         if (active == 0) break;
 
         device.warp_load(sm, feature_addrs, active, sizeof(float));
-        device.add_instructions(1);  // left/right pick compiles to a predicated select
-        device.add_instructions(instructions_per_step);
+        device.add_instructions(sm, 1);  // left/right pick compiles to a predicated select
+        device.add_instructions(sm, instructions_per_step);
       }
     }
   });

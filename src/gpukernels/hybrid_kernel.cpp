@@ -32,9 +32,9 @@ KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest
   }
 
   const detail::DeviceSubtrees subtrees(device, forest);
-  detail::SubtreeWalk walk(device, subtrees, launch);
 
-  detail::for_each_block(cfg, launch.q.count(), [&](int sm, std::size_t b) {
+  detail::for_each_block(device, launch.q.count(), [&](int sm, std::size_t b) {
+    detail::SubtreeWalk walk(device, subtrees, launch);
     for (std::size_t t = 0; t < forest.num_trees(); ++t) {
       const std::uint32_t root = forest.root_subtree(t);
       // Stage 1a: every resident block stages this subtree around the same

@@ -12,10 +12,10 @@ KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& f
                              QueryView queries) {
   detail::Launch launch(device, forest, queries);
   const detail::DeviceSubtrees subtrees(device, forest);
-  detail::SubtreeWalk walk(device, subtrees, launch);
 
-  detail::for_each_warp(device.config(), launch.q.count(),
+  detail::for_each_warp(device, launch.q.count(),
                         [&](int sm, std::size_t first, std::uint32_t warp_mask) {
+    detail::SubtreeWalk walk(device, subtrees, launch);
     for (std::size_t t = 0; t < forest.num_trees(); ++t) {
       walk.enter<Residency::kGlobal>(sm, warp_mask, forest.root_subtree(t));
       walk.run<Residency::kGlobal>(sm, first, warp_mask);

@@ -226,8 +226,13 @@ void emit_table(std::string& out, const Table<Row>& t,
     for (const Column<Row>& c : t.columns) {
       if (c.col != Col::Label) continue;
       const json::Value v = c.get(row);
-      set += (set.empty() ? "{" : ",") + std::string(c.name) + "=\"" +
-             (v.is_string() ? escape_label(v.as_string()) : sample_value(v)) + "\"";
+      // Appended piece by piece: GCC 12 warns -Wrestrict (a false
+      // positive) on the equivalent chain of operator+ at -O3.
+      set += set.empty() ? "{" : ",";
+      set += c.name;
+      set += "=\"";
+      set += v.is_string() ? escape_label(v.as_string()) : sample_value(v);
+      set += '"';
     }
     labels.push_back(set.empty() ? set : set + "}");
   }

@@ -85,13 +85,25 @@ double ConfusionMatrix::macro_f1() const {
   return sum / num_classes_;
 }
 
+namespace {
+
+// Appended rather than `"c" + std::to_string(c)`, on which GCC 12 warns
+// -Wrestrict (a false positive) at -O3.
+std::string class_label(int c) {
+  std::string label = "c";
+  label += std::to_string(c);
+  return label;
+}
+
+}  // namespace
+
 std::string ConfusionMatrix::to_markdown() const {
   std::vector<std::string> headers{"true \\ pred"};
-  for (int c = 0; c < num_classes_; ++c) headers.push_back("c" + std::to_string(c));
+  for (int c = 0; c < num_classes_; ++c) headers.push_back(class_label(c));
   headers.insert(headers.end(), {"precision", "recall", "f1"});
   Table t(headers);
   for (int truth = 0; truth < num_classes_; ++truth) {
-    t.row().cell("c" + std::to_string(truth));
+    t.row().cell(class_label(truth));
     for (int p = 0; p < num_classes_; ++p) t.cell(static_cast<std::uint64_t>(at(truth, p)));
     t.cell(precision(truth), 3).cell(recall(truth), 3).cell(f1(truth), 3);
   }

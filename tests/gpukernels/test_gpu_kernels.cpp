@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
+#include "../common/affinity.hpp"
 #include "../common/paper_example.hpp"
 #include "data/synthetic.hpp"
 #include "forest/random_forest_gen.hpp"
@@ -249,6 +251,68 @@ TEST(GpuKernels, SingleQuerySingleTree) {
   gpusim::Device d(small_gpu());
   expect_exact(run_independent(d, fx.hier, fx.queries).predictions, fx.reference);
 }
+
+// Every kernel launched twice on one TITAN Xp device, at row counts from
+// one lane to 31 blocks (SM 0 then runs blocks 0 and 30), once per width
+// of the calling thread's affinity mask: 1 CPU (the blocks run on the
+// caller), 2 CPUs and all of them. Predictions, counters and timing must
+// be identical at every width. The 24 KB L2 evicts between blocks, so
+// the order misses reach it decides its hits.
+class SimThreadsDeterminism : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(SimThreadsDeterminism, EveryWidthGivesTheSameResults) {
+  RandomForestSpec spec;
+  spec.num_trees = 6;
+  spec.max_depth = 12;
+  spec.branch_prob = 0.75;
+  spec.num_features = 9;
+  spec.num_classes = 3;
+  spec.seed = 2026;
+  static const Fixture fx(spec, 4, 6, 7681);
+  static const DeviceImage fil_image(fx.forest);
+  const std::size_t rows = GetParam();
+  const QueryView queries = QueryView(fx.queries).rows(0, rows);
+
+  const auto launch = [&](const std::string& kernel, gpusim::Device& d) {
+    if (kernel == "csr") return run_csr(d, fx.csr, queries);
+    if (kernel == "independent") return run_independent(d, fx.hier, queries);
+    if (kernel == "collaborative") return run_collaborative(d, fx.hier, queries);
+    if (kernel == "fil") return run_fil_baseline(d, fx.forest, fil_image, queries);
+    return run_hybrid(d, fx.hier, queries);
+  };
+  const std::size_t all_cpus = testing_affinity::allowed_cpus().size();
+  for (const std::size_t l2_bytes : {std::size_t{3} << 20, std::size_t{24} << 10}) {
+    for (const char* kernel : {"csr", "independent", "collaborative", "hybrid", "fil"}) {
+      SCOPED_TRACE(std::string(kernel) + ", L2 " + std::to_string(l2_bytes) + " B");
+      std::vector<KernelResult> want;  // launches 1 and 2 on one CPU
+      for (const std::size_t width : {std::size_t{1}, std::size_t{2}, all_cpus}) {
+        if (width > all_cpus) continue;
+        SCOPED_TRACE("width " + std::to_string(width));
+        const testing_affinity::ScopedAffinity narrow(width);
+        gpusim::DeviceConfig cfg = gpusim::DeviceConfig::titan_xp();
+        cfg.l2_bytes = l2_bytes;
+        gpusim::Device d(cfg);
+        for (int n = 0; n < 2; ++n) {
+          KernelResult got = launch(kernel, d);
+          if (width == 1) {
+            expect_exact(got.predictions, {fx.reference.begin(),
+                                           fx.reference.begin() + static_cast<long>(rows)});
+            want.push_back(std::move(got));
+            continue;
+          }
+          EXPECT_EQ(got.predictions, want[static_cast<std::size_t>(n)].predictions);
+          EXPECT_EQ(got.counters, want[static_cast<std::size_t>(n)].counters);
+          EXPECT_EQ(got.timing, want[static_cast<std::size_t>(n)].timing);
+        }
+      }
+    }
+  }
+  if (all_cpus < 2) GTEST_SKIP() << "one CPU: only the 1-CPU width ran";
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, SimThreadsDeterminism,
+                         testing::Values(1, 31, 256, 257, 1000, 7681),
+                         [](const auto& info) { return "r" + std::to_string(info.param); });
 
 }  // namespace
 }  // namespace hrf::gpukernels

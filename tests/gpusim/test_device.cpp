@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <limits>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "../common/affinity.hpp"
 #include "gpusim/device_array.hpp"
 #include "reference_model.hpp"
 #include "util/error.hpp"
@@ -96,11 +102,11 @@ TEST(Device, FlushCachesForcesDram) {
 
 TEST(Device, BranchUniformityDetection) {
   Device d(tiny_config());
-  d.warp_branch(0xffffffffu, 0xffffffffu);  // all taken: uniform
-  d.warp_branch(0x0u, 0xffffffffu);         // none taken: uniform
-  d.warp_branch(0x1u, 0xffffffffu);         // split: divergent
-  d.warp_branch(0x1u, 0x1u);                // only active lane takes: uniform
-  d.warp_branch(0x2u, 0x3u);                // split among active: divergent
+  d.warp_branch(0, 0xffffffffu, 0xffffffffu);  // all taken: uniform
+  d.warp_branch(0, 0x0u, 0xffffffffu);         // none taken: uniform
+  d.warp_branch(0, 0x1u, 0xffffffffu);         // split: divergent
+  d.warp_branch(0, 0x1u, 0x1u);                // only active lane takes: uniform
+  d.warp_branch(0, 0x2u, 0x3u);                // split among active: divergent
   EXPECT_EQ(d.counters().branches, 5u);
   EXPECT_EQ(d.counters().divergent_branches, 2u);
   EXPECT_DOUBLE_EQ(d.counters().branch_efficiency(), 0.6);
@@ -108,14 +114,14 @@ TEST(Device, BranchUniformityDetection) {
 
 TEST(Device, BranchWithNoActiveLanesIgnored) {
   Device d(tiny_config());
-  d.warp_branch(0x5u, 0x0u);
+  d.warp_branch(0, 0x5u, 0x0u);
   EXPECT_EQ(d.counters().branches, 0u);
 }
 
 TEST(Device, SharedMemoryCountsAsInstructions) {
   Device d(tiny_config());
-  d.smem_load(3);
-  d.smem_store(2);
+  d.smem_load(0, 3);
+  d.smem_store(0, 2);
   EXPECT_EQ(d.counters().smem_loads, 3u);
   EXPECT_EQ(d.counters().smem_stores, 2u);
   EXPECT_EQ(d.counters().warp_instructions, 5u);
@@ -136,8 +142,8 @@ TEST(Device, StoreCountsTransactionsWithoutCacheInstall) {
 
 TEST(Device, ResetCountersZeroesEverything) {
   Device d(tiny_config());
-  d.smem_load(5);
-  d.warp_branch(1, 3);
+  d.smem_load(0, 5);
+  d.warp_branch(0, 1, 3);
   d.reset_counters();
   EXPECT_EQ(d.counters().warp_instructions, 0u);
   EXPECT_EQ(d.counters().branches, 0u);
@@ -146,7 +152,7 @@ TEST(Device, ResetCountersZeroesEverything) {
 TEST(Device, TimingRooflinePicksTheLimiter) {
   DeviceConfig cfg = tiny_config();
   Device compute_bound(cfg);
-  compute_bound.add_instructions(1'000'000);
+  compute_bound.add_instructions(0, 1'000'000);
   EXPECT_EQ(compute_bound.estimate().limiter, "compute");
   EXPECT_GT(compute_bound.estimate().seconds, 0.0);
 
@@ -165,9 +171,9 @@ TEST(Device, TimingRooflinePicksTheLimiter) {
 
 TEST(Device, TimingScalesWithWork) {
   Device d(tiny_config());
-  d.add_instructions(1000);
+  d.add_instructions(0, 1000);
   const double t1 = d.estimate().seconds;
-  d.add_instructions(9000);
+  d.add_instructions(0, 9000);
   const double t2 = d.estimate().seconds;
   EXPECT_NEAR(t2 / t1, 10.0, 1e-9);
 }
@@ -176,7 +182,7 @@ TEST(Device, DivergencePenaltyAddsComputeCycles) {
   DeviceConfig cfg = tiny_config();
   cfg.divergence_penalty = 10.0;
   Device d(cfg);
-  d.warp_branch(0x1u, 0x3u);  // divergent
+  d.warp_branch(0, 0x1u, 0x3u);  // divergent
   const Timing t = d.estimate();
   // 1 instruction + 10 penalty cycles over (2 SMs * 4 issue).
   EXPECT_NEAR(t.compute_cycles, 11.0 / 8.0, 1e-12);
@@ -248,7 +254,7 @@ TEST(Device, AtomicCyclesAreAdditive) {
   DeviceConfig cfg = tiny_config();
   cfg.atomic_rmw_cycles = 100.0;
   Device d(cfg);
-  d.add_instructions(800);  // 100 compute cycles at 8 issue/cycle
+  d.add_instructions(0, 800);  // 100 compute cycles at 8 issue/cycle
   std::array<std::uint64_t, 32> addrs{};
   const std::uint64_t base = d.alloc(1 << 16);
   for (int l = 0; l < 32; ++l) addrs[l] = base + static_cast<std::uint64_t>(l) * 4096;
@@ -481,6 +487,157 @@ TEST(Device, FlushCachesForgetsTemporalLines) {
   EXPECT_EQ(d.counters().dram_transactions, 2u);
   load_both(d, ref, addr, 1u, Device::LoadHint::kTemporal);
   EXPECT_EQ(d.counters().l2_hits, 1u);
+}
+
+TEST(SimThreads, OnePerBusySmCappedByCpus) {
+  struct Case {
+    int active_sms, cpus, want;
+  };
+  const Case cases[] = {
+      {0, 4, 1},   // an empty grid still runs on the caller
+      {1, 4, 1},   // one block: the caller alone
+      {1, 0, 1},   // no CPU count known
+      {4, 4, 4},   // a 1024-row launch on 4 CPUs
+      {30, 4, 4},  // a full TITAN Xp grid on 4 CPUs
+      {2, 64, 2},  // more CPUs than busy SMs
+      {30, 1, 1},  // a thread pinned to one CPU
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(sim_threads(c.active_sms, c.cpus), c.want)
+        << "active_sms " << c.active_sms << ", cpus " << c.cpus;
+  }
+}
+
+TEST(RunBlocks, OneBlockRunsOnTheCallingThread) {
+  Device d(tiny_config());
+  std::thread::id ran_on;
+  int calls = 0;
+  d.run_blocks(1, [&](int sm, std::size_t b) {
+    EXPECT_EQ(sm, 0);
+    EXPECT_EQ(b, 0u);
+    ran_on = std::this_thread::get_id();
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(RunBlocks, FourBlocksUseMoreThanOneThreadGivenTwoCpus) {
+  if (testing_affinity::allowed_cpus().size() < 2) GTEST_SKIP() << "needs 2 CPUs";
+  DeviceConfig cfg = tiny_config();
+  cfg.num_sms = 4;
+  Device d(cfg);
+  std::mutex mu;
+  std::vector<std::thread::id> threads;
+  std::atomic<bool> second_thread{false};
+  d.run_blocks(4, [&](int, std::size_t) {
+    {
+      const std::lock_guard lock(mu);
+      threads.push_back(std::this_thread::get_id());
+      if (threads.back() != threads.front()) second_thread = true;
+    }
+    // Hold the first thread here so it cannot run every SM itself before
+    // the others start.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!second_thread && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_TRUE(second_thread);
+}
+
+TEST(RunBlocks, EachSmRunsItsBlocksInOrderOnOneThread) {
+  DeviceConfig cfg = tiny_config();
+  cfg.num_sms = 4;
+  Device d(cfg);
+  struct Ran {
+    int sm;
+    std::size_t block;
+    std::thread::id thread;
+  };
+  std::mutex mu;
+  std::vector<Ran> ran;  // in the order the blocks ran
+  constexpr std::size_t kBlocks = 19;
+  d.run_blocks(kBlocks, [&](int sm, std::size_t b) {
+    const std::lock_guard lock(mu);
+    ran.push_back({sm, b, std::this_thread::get_id()});
+  });
+  ASSERT_EQ(ran.size(), kBlocks);
+  std::vector<bool> seen(kBlocks, false);
+  for (int sm = 0; sm < cfg.num_sms; ++sm) {
+    std::vector<Ran> mine;
+    for (const Ran& r : ran) {
+      if (r.sm == sm) mine.push_back(r);
+    }
+    ASSERT_FALSE(mine.empty()) << "SM " << sm;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      EXPECT_EQ(mine[i].block, static_cast<std::size_t>(sm) + 4 * i) << "SM " << sm;
+      EXPECT_EQ(mine[i].thread, mine[0].thread) << "SM " << sm;
+      seen[mine[i].block] = true;
+    }
+  }
+  for (std::size_t b = 0; b < kBlocks; ++b) EXPECT_TRUE(seen[b]) << "block " << b;
+}
+
+TEST(RunBlocks, TheLowestFailingBlocksExceptionReachesTheCaller) {
+  DeviceConfig cfg = tiny_config();
+  cfg.num_sms = 4;
+  Device d(cfg);
+  std::array<std::uint64_t, 32> addrs{};
+  for (std::size_t l = 0; l < 32; ++l) addrs[l] = d.alloc(128);
+  std::atomic<int> ran_on_sm1{0};
+  try {
+    d.run_blocks(12, [&](int sm, std::size_t b) {
+      d.warp_load(sm, addrs, 0xffffffffu, 4);
+      if (sm == 1) ++ran_on_sm1;
+      if (b == 5 || b == 6) throw std::runtime_error("block " + std::to_string(b));
+    });
+    FAIL() << "run_blocks swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "block 5");
+  }
+  EXPECT_EQ(ran_on_sm1, 2);  // blocks 1 and 5; block 9 never ran
+  // The device serves direct operations again: a load of a line never
+  // touched resolves at once, in DRAM.
+  const Counters before = d.counters();
+  const std::array<std::uint64_t, 1> fresh{d.alloc(128)};
+  d.warp_load(3, fresh, 0x1u, 4);
+  EXPECT_EQ(d.counters().dram_transactions, before.dram_transactions + 1);
+}
+
+// Loads issued inside run_blocks resolve in L2 in block order whatever
+// the thread count: the reference model, fed the same loads block by
+// block, must agree on every counter, with an L2 small enough that the
+// order decides what it still holds.
+TEST(RunBlocks, MissesReachL2InBlockOrder) {
+  DeviceConfig cfg = small_l2_config();
+  cfg.num_sms = 3;
+  Device d(cfg);
+  reference::Device ref(cfg);
+  constexpr std::size_t kBlocks = 10;
+  const std::uint64_t base = d.alloc(256 * 128);
+  const auto block_addrs = [&](std::size_t b, int warp) {
+    std::array<std::uint64_t, 32> addrs{};
+    Xoshiro256 rng(b * 16 + static_cast<std::size_t>(warp));
+    for (auto& a : addrs) a = base + rng.bounded(256) * 128;
+    return addrs;
+  };
+  const auto hint_of = [](std::size_t b, int warp) {
+    return (b + static_cast<std::size_t>(warp)) % 3 == 0 ? Device::LoadHint::kTemporal
+                                                         : Device::LoadHint::kDefault;
+  };
+  d.run_blocks(kBlocks, [&](int sm, std::size_t b) {
+    for (int warp = 0; warp < 8; ++warp) {
+      d.warp_load(sm, block_addrs(b, warp), 0xffffffffu, 4, hint_of(b, warp));
+    }
+  });
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    for (int warp = 0; warp < 8; ++warp) {
+      ref.warp_load(static_cast<int>(b % 3), block_addrs(b, warp), 0xffffffffu, hint_of(b, warp));
+    }
+  }
+  EXPECT_EQ(d.counters(), ref.counters());
+  EXPECT_GT(d.counters().l2_hits, 0u);
 }
 
 }  // namespace

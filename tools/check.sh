@@ -207,18 +207,19 @@ run_mode() {  # run_mode <mode>: every suite one flag (or "all") selects
       ;;&
     all|--tsan-only)
       # TSan build runs only the concurrency suites (serving layer, fault
-      # injector, counter registry): that is where the data races live, and
-      # libgomp is not TSan-instrumented, so the OpenMP-parallel numeric
-      # suites would drown the signal in false positives. For the same
-      # reason the tests themselves run with OpenMP forced sequential.
+      # injector, counter registry, and the simulator, whose SMs run on
+      # several threads per launch): that is where the data races live,
+      # and libgomp is not TSan-instrumented, so the OpenMP-parallel
+      # numeric suites would drown the signal in false positives. For the
+      # same reason the tests themselves run with OpenMP forced sequential.
       echo "=== configure build-tsan ==="
       cmake -B build-tsan -S . -DHRF_BUILD_BENCHES=OFF "-DHRF_SANITIZE=thread"
       echo "=== build build-tsan ==="
-      cmake --build build-tsan -j "$JOBS" --target test_server test_forest_sharing test_circuit_breaker test_fault test_metrics test_histogram test_model_store test_reload test_trace test_obs test_cluster test_qos test_autoscaler test_cluster_chaos test_batcher test_batch_chaos test_integrity test_integrity_chaos test_flight_recorder test_monitor test_slo test_timeseries
+      cmake --build build-tsan -j "$JOBS" --target test_server test_forest_sharing test_circuit_breaker test_fault test_metrics test_histogram test_model_store test_reload test_trace test_obs test_cluster test_qos test_autoscaler test_cluster_chaos test_batcher test_batch_chaos test_integrity test_integrity_chaos test_flight_recorder test_monitor test_slo test_timeseries test_device test_gpu_kernels test_golden_counters test_fuzz_differential
       echo "=== test build-tsan (concurrency suites) ==="
       OMP_NUM_THREADS=1 TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-              -R '(ForestServer|CircuitBreaker|FaultInjector|CounterRegistry|LatencyHistogram|HistogramDelta|ModelStore|ModelReload|Tracer|Span\.|Trace\.|RollupRegistry|BackendRollup|Cluster|TenantQuotas|AdaptiveLimiter|Autoscaler|BackendBatchGranularity|BatchOptions|BatchFormer|BatchedServer|BatchChaos|IntegrityCrc|IntegrityCorrupt|IntegrityServer|IntegrityChaos|FlightRecorder|MonitorTest|SloEngine|TimeSeriesRegistry)'
+              -R '(ForestServer|CircuitBreaker|FaultInjector|CounterRegistry|LatencyHistogram|HistogramDelta|ModelStore|ModelReload|Tracer|Span\.|Trace\.|RollupRegistry|BackendRollup|Cluster|TenantQuotas|AdaptiveLimiter|Autoscaler|BackendBatchGranularity|BatchOptions|BatchFormer|BatchedServer|BatchChaos|IntegrityCrc|IntegrityCorrupt|IntegrityServer|IntegrityChaos|FlightRecorder|MonitorTest|SloEngine|TimeSeriesRegistry|Device\.|DeviceArray\.|SimThreads|RunBlocks|KernelEquivalence|GpuKernels|GoldenCounters|DifferentialFuzz)'
       ;;&
     all|--qos-chaos)
       if [ "$MODE" = --qos-chaos ]; then
